@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BlockNotPositiveDefinite,
     DimensionError,
     NonFiniteError,
     NotPositiveDefinite,
@@ -115,7 +114,7 @@ def _validated(raw, label, rel, abs_, tol: Tolerance) -> MatrixDocument:
     try:
         matrix = as_matrix(raw)
     except (DimensionError, NonFiniteError):
-        raise
+        raise  # ValueError subclasses: keep exit 3, not a parse error (exit 2)
     except (TypeError, ValueError) as exc:
         raise _DocumentError(f"matrix entries are not numeric: {exc}") from exc
     if matrix.shape[0] % 2:
@@ -372,9 +371,7 @@ def cmd_sweep(args) -> int:
             f"family {args.family!r} is not sweepable; choose from "
             f"{sorted(_SWEEP_PARAMS)}")
     param = _SWEEP_PARAMS[args.family]
-    tol = Tolerance(
-        rel=DEFAULT_TOL.rel if args.tol_rel is None else args.tol_rel,
-        abs=DEFAULT_TOL.abs if args.tol_abs is None else args.tol_abs)
+    tol = _resolve_tol(args.tol_rel, args.tol_abs)
     rows = []
     for value in _sweep_values(args.start, args.stop, args.step):
         v = generate(FamilySpec(args.family, {param: float(value)}))
@@ -476,25 +473,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of the first matching error class; the package's input errors
+# subclass ValueError, so the specific classes come first.
+_EXIT_CODES = ((_DocumentError, 2), ((NotPositiveDefinite, PreconditionViolated), 4),
+               ((DimensionError, SymmetryError, NonFiniteError), 3), (ValueError, 2),
+               (RuntimeError, 1))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DocumentError as exc:
+    except (_DocumentError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotPositiveDefinite, PreconditionViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DimensionError, SymmetryError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ and satisfy det V = det A det B + det C^2 - I4 for every symmetric V.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,7 @@ from .symplectic import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    blocks,
     omega,
-    partial_transpose,
     require_symmetric,
 )
 
@@ -78,6 +77,27 @@ def _det2(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
+def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, TwoModeInvariants]:
+    """Validate ``v`` and compute its invariants: the one path to them."""
+    v = as_matrix(v)
+    if v.shape != (4, 4):
+        raise DimensionError(f"expected a 4x4 matrix, got shape {v.shape}")
+    require_symmetric(v, tol)
+    a, b, c = v[:2, :2], v[2:, 2:], v[:2, 2:]
+    det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
+    det_v = float(np.linalg.det(v))
+    i4 = float(np.trace(a @ _W2 @ c @ _W2 @ b @ _W2 @ c.T @ _W2))
+    residual = det_v - (det_a * det_b + det_c**2 - i4)
+    scale = 1.0 + abs(det_a * det_b) + det_c**2 + abs(i4) + abs(det_v)
+    if abs(residual) > _IDENTITY_BAND * scale:
+        raise InternalInconsistency(
+            f"det V identity violated: residual {residual:.3e} at scale {scale:.3e}")
+    return v, TwoModeInvariants(
+        det_A=det_a, det_B=det_b, det_C=det_c, det_V=det_v, I4=i4,
+        delta=det_a + det_b + 2 * det_c, delta_tilde=det_a + det_b - 2 * det_c,
+        gamma_sep=det_a + det_b + 2 * abs(det_c))
+
+
 def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     """Compute all eight invariants of a symmetric 4x4 matrix.
 
@@ -85,45 +105,26 @@ def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     determinants; the identity det V = det A det B + det C^2 - I4 is then
     asserted as a free self-test (InternalInconsistency on failure).
     """
-    v = as_matrix(v)
-    blk = blocks(v, tol)
-    det_a = _det2(blk.a)
-    det_b = _det2(blk.b)
-    det_c = _det2(blk.c)
-    det_v = float(np.linalg.det(v))
-    i4 = float(np.trace(blk.a @ _W2 @ blk.c @ _W2 @ blk.b @ _W2 @ blk.c.T @ _W2))
-    residual = det_v - (det_a * det_b + det_c**2 - i4)
-    scale = 1.0 + abs(det_a * det_b) + det_c**2 + abs(i4) + abs(det_v)
-    if abs(residual) > _IDENTITY_BAND * scale:
-        raise InternalInconsistency(
-            f"det V identity violated: residual {residual:.3e} at scale {scale:.3e}")
-    return TwoModeInvariants(
-        det_A=det_a,
-        det_B=det_b,
-        det_C=det_c,
-        det_V=det_v,
-        I4=i4,
-        delta=det_a + det_b + 2 * det_c,
-        delta_tilde=det_a + det_b - 2 * det_c,
-        gamma_sep=det_a + det_b + 2 * abs(det_c),
-    )
+    return _evaluate(v, tol)[1]
 
 
 def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance) -> SymplecticSpectrum2:
-    # nu_-^2, nu_+^2 are the roots of z^2 - Delta z + det V = 0.
+    # nu_-^2, nu_+^2 are the roots of z^2 - Delta z + det V = 0. The small
+    # root comes from Vieta, nu_-^2 = det V / nu_+^2: the difference
+    # (Delta - sqrt(Delta^2 - 4 det V))/2 cancels for squeezed states.
     rad = delta * delta - 4.0 * det_v
     band = tol.band(delta * delta, 4.0 * det_v)
     if rad < -band:
         raise NumericalError(
             f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
-    rad = max(rad, 0.0)
-    root = np.sqrt(rad)
-    out = []
-    for sq in ((delta - root) / 2.0, (delta + root) / 2.0):
+    root = math.sqrt(max(rad, 0.0))
+    plus = (delta + root) / 2.0
+    minus = det_v / plus if plus > 0.0 else (delta - root) / 2.0
+    for sq in (minus, plus):
         if sq < -band:
             raise NumericalError(f"squared symplectic eigenvalue {sq:.3e} < 0")
-        out.append(float(np.sqrt(max(sq, 0.0))))
-    return SymplecticSpectrum2(nu_minus=out[0], nu_plus=out[1])
+    return SymplecticSpectrum2(nu_minus=math.sqrt(max(minus, 0.0)),
+                               nu_plus=math.sqrt(max(plus, 0.0)))
 
 
 def _require_positive_definite(v: np.ndarray, tol: Tolerance) -> None:
@@ -135,21 +136,23 @@ def _require_positive_definite(v: np.ndarray, tol: Tolerance) -> None:
 
 
 def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
-    """Two-mode symplectic spectrum via nu_-+ = sqrt((Delta -+ sqrt(Delta^2 - 4 det V))/2).
+    """Two-mode symplectic spectrum: nu_+^2 = (Delta + sqrt(Delta^2 - 4 det V))/2
+    and nu_-^2 = det V / nu_+^2.
 
     Requires positive definite input (the closed form presumes a Williamson
     decomposition exists). The radicand is clamped to 0 when within tolerance
     (degenerate spectrum); larger violations raise NumericalError.
     """
-    v = as_matrix(v)
-    inv = two_mode_invariants(v, tol)
+    v, inv = _evaluate(v, tol)
     _require_positive_definite(v, tol)
     return _spectrum_from_delta(inv.delta, inv.det_V, tol)
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
-    """Symplectic spectrum of the partial transpose, same code path on Lambda V Lambda."""
-    return symplectic_spectrum_2mode(partial_transpose(v), tol)
+    """Symplectic spectrum of the partial transpose Lambda V Lambda (Delta~ in place of Delta)."""
+    v, inv = _evaluate(v, tol)
+    _require_positive_definite(v, tol)  # Lambda V Lambda has the spectrum of V
+    return _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
 
 
 def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -9,6 +9,10 @@ Three independent routes are provided and must agree:
   2 sqrt(det A det B) + det C^2 <= det V + det A det B,
   evaluated directly on the blocks, never via the standard-form reduction.
 
+Each call validates V and computes the raw invariants once; each route then
+evaluates its own inequalities, the global one with eigvalsh(V) and
+nu_-^2 = det V / nu_+^2 (Vieta form), the local one with the block eigenvalues.
+
 Verdict policy: inequality margins are inclusive (>= -tol); strict
 positive definiteness uses > +tol, with near-zero margins flagged as
 borderline in the report.
@@ -20,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError
-from .invariants import symplectic_spectrum_2mode, two_mode_invariants
-from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, blocks, omega, require_symmetric
+from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
+from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, omega, require_symmetric
 
 __all__ = [
     "BonaFideReport",
@@ -99,10 +103,8 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return min_eig >= -tol.threshold(v), min_eig
 
 
-def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
-    """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    v = as_matrix(v)
-    inv = two_mode_invariants(v, tol)
+def _global_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance) -> BonaFideReport:
+    """Body of ``check_global`` on a validated matrix and its invariants."""
     min_eig_v = float(np.linalg.eigvalsh(v)[0])
     margins = {
         "min_eig_V": min_eig_v,
@@ -116,9 +118,7 @@ def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     verdict = (positive
                and margins["det_V_minus_1"] >= -det_band
                and margins["delta_margin"] >= -delta_band)
-    nu_minus = None
-    if positive:
-        nu_minus = symplectic_spectrum_2mode(v, tol).nu_minus
+    nu_minus = _spectrum_from_delta(inv.delta, inv.det_V, tol).nu_minus if positive else None
     borderline = (abs(min_eig_v) <= eig_thr
                   or abs(margins["det_V_minus_1"]) <= det_band
                   or abs(margins["delta_margin"]) <= delta_band)
@@ -126,19 +126,16 @@ def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
                           nu_minus=nu_minus, borderline=borderline)
 
 
-def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
-    """Local bona fide conditions evaluated on the blocks of V.
+def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
+    """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
+    return _global_report(*_evaluate(v, tol), tol)
 
-    A > 0, B > 0, Delta <= 1 + det V and the block inequality
-    2 sqrt(det A det B) + det C^2 <= det V + det A det B. Equivalent to the
-    global conditions; kept free of any standard-form reduction so the two
-    routes stay independent.
-    """
-    v = as_matrix(v)
-    blk = blocks(v, tol)
-    inv = two_mode_invariants(v, tol)
-    min_eig_a = float(np.linalg.eigvalsh(blk.a)[0])
-    min_eig_b = float(np.linalg.eigvalsh(blk.b)[0])
+
+def _local_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance) -> BonaFideReport:
+    """Body of ``check_local`` on a validated matrix and its invariants."""
+    a, b = v[:2, :2], v[2:, 2:]
+    min_eig_a = float(np.linalg.eigvalsh(a)[0])
+    min_eig_b = float(np.linalg.eigvalsh(b)[0])
     # det A det B >= 0 whenever both blocks pass positivity; the clamp only
     # keeps the margin finite on inputs that already failed.
     prod = max(inv.det_A * inv.det_B, 0.0)
@@ -149,8 +146,8 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
         "delta_margin": (1.0 + inv.det_V) - inv.delta,
         "block_margin": block_margin,
     }
-    eig_thr = tol.threshold(blk.a)
-    eig_thr_b = tol.threshold(blk.b)
+    eig_thr = tol.threshold(a)
+    eig_thr_b = tol.threshold(b)
     delta_band = tol.band(inv.delta, 1.0 + inv.det_V)
     block_band = tol.band(inv.det_V, inv.det_A * inv.det_B, inv.det_C**2)
     verdict = (min_eig_a > eig_thr
@@ -163,6 +160,17 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
                   or abs(block_margin) <= block_band)
     return BonaFideReport(verdict=verdict, route="local", margins=margins,
                           borderline=borderline)
+
+
+def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
+    """Local bona fide conditions evaluated on the blocks of V.
+
+    A > 0, B > 0, Delta <= 1 + det V and the block inequality
+    2 sqrt(det A det B) + det C^2 <= det V + det A det B. Equivalent to the
+    global conditions; kept free of any standard-form reduction so the two
+    routes stay independent.
+    """
+    return _local_report(*_evaluate(v, tol), tol)
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

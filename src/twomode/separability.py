@@ -9,6 +9,10 @@ Both the spectrum route and the determinant route are evaluated and cross
 checked; the production verdict comes from the determinant route, which is
 better conditioned near the boundary. Disagreement beyond the tolerance band
 raises InternalInconsistency and indicates a bug, never bad input.
+
+Each call validates V and computes the raw invariants once. The global route
+adds eigvalsh(V) and the spectra from (Delta, det V) and (Delta~, det V), the
+local route the block eigenvalues; the two share nothing else.
 """
 from __future__ import annotations
 
@@ -18,13 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NotPositiveDefinite, PreconditionViolated
-from .invariants import (
-    ppt_spectrum_2mode,
-    symplectic_spectrum_2mode,
-    two_mode_invariants,
-)
-from .physicality import check_global, check_local
-from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, blocks
+from .invariants import _evaluate, _spectrum_from_delta
+from .physicality import _global_report, _local_report
+from .symplectic import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "Tag",
@@ -69,19 +69,19 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ <= 1 + det V for separability) are evaluated alongside the
     spectral forms and the two must agree away from the boundary band.
     """
-    v = as_matrix(v)
-    report = check_global(v, tol)
-    inv = two_mode_invariants(v, tol)
+    v, inv = _evaluate(v, tol)
+    report = _global_report(v, inv, tol)
     margins = dict(report.margins)
     dt_band = tol.band(inv.delta_tilde, 1.0 + inv.det_V)
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
 
-    positive = margins["min_eig_V"] > tol.threshold(v)
+    # The report carries nu_- exactly when it found V > 0.
+    positive = report.nu_minus is not None
     nu_band = tol.band(1.0)
     if positive:
-        spec = symplectic_spectrum_2mode(v, tol)
-        ppt = ppt_spectrum_2mode(v, tol)
-        margins["nu_minus_minus_1"] = spec.nu_minus - 1.0
+        # Partial transpose: same det V, Delta -> Delta~.
+        ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
+        margins["nu_minus_minus_1"] = report.nu_minus - 1.0
         margins["nu_tilde_minus_minus_1"] = ppt.nu_minus - 1.0
         # Physicality, spectral form: nu_- >= 1. Must match the verdict of
         # the determinant form except within the boundary band.
@@ -134,19 +134,17 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     two implementations share no intermediate quantities beyond the raw
     invariants.
     """
-    v = as_matrix(v)
-    report = check_local(v, tol)
-    inv = two_mode_invariants(v, tol)
+    v, inv = _evaluate(v, tol)
+    report = _local_report(v, inv, tol)
     margins = dict(report.margins)
     margins["gamma_margin"] = (1.0 + inv.det_V) - inv.gamma_sep
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
 
     if not report.verdict:
-        blk = blocks(v, tol)
         delta_band = tol.band(inv.delta, 1.0 + inv.det_V)
-        if margins["min_eig_A"] <= tol.threshold(blk.a):
+        if margins["min_eig_A"] <= tol.threshold(v[:2, :2]):
             reason = "block A is not positive definite"
-        elif margins["min_eig_B"] <= tol.threshold(blk.b):
+        elif margins["min_eig_B"] <= tol.threshold(v[2:, 2:]):
             reason = "block B is not positive definite"
         elif margins["delta_margin"] < -delta_band:
             reason = "Delta > 1 + det V"
@@ -173,13 +171,12 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     hold for matrices that are not CMs at all), so callers must classify
     instead.
     """
-    v = as_matrix(v)
-    report = check_global(v, tol)
+    v, inv = _evaluate(v, tol)
+    report = _global_report(v, inv, tol)
     if not report.verdict:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "
             f"{report.margins} (classify the matrix instead)")
-    inv = two_mode_invariants(v, tol)
     lhs = inv.det_A * inv.det_B + (1.0 + inv.det_C) ** 2 - inv.I4
     rhs = inv.det_A + inv.det_B
     return lhs - rhs >= -tol.band(lhs, rhs)
@@ -193,8 +190,7 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     (1 + det C)^2 < det A + det B - det A det B + I4 <= (1 - det C)^2;
     otherwise unphysical. Raises NotPositiveDefinite outside its domain.
     """
-    v = as_matrix(v)
-    inv = two_mode_invariants(v, tol)
+    v, inv = _evaluate(v, tol)
     min_eig = float(np.linalg.eigvalsh(v)[0])
     if min_eig <= tol.threshold(v):
         raise NotPositiveDefinite(

@@ -389,8 +389,9 @@ def test_exit_code_2_for_garbage_input(run):
 
 
 def test_exit_code_3_for_odd_dimension(run):
-    code, _, err = run(["classify"], stdin_text="[[1,0,0],[0,1,0],[0,0,1]]")
-    assert code == 3
+    for text in ("[[1,0,0],[0,1,0],[0,0,1]]", "[[1,2],[3,4],[5,6]]"):
+        code, _, err = run(["classify"], stdin_text=text)
+        assert code == 3
 
 
 def test_exit_code_3_for_asymmetric(run):

@@ -102,6 +102,14 @@ def test_ppt_spectrum_two_mode_squeezed():
         assert nu.nu_plus == pytest.approx(np.exp(2 * r), abs=1e-12)
 
 
+@pytest.mark.parametrize("r", [2.0, 3.0, 4.0, 4.5])
+def test_ppt_spectrum_strongly_squeezed(r):
+    # nu~_-^2 = det V / nu~_+^2 (Vieta) keeps full relative accuracy where
+    # the difference form (Delta~ - sqrt(Delta~^2 - 4 det V))/2 cancels.
+    nu = tm.ppt_spectrum_2mode(tm.two_mode_squeezed(r))
+    assert nu.nu_minus == pytest.approx(np.exp(-2 * r), rel=1e-8)
+
+
 def test_ppt_spectrum_is_spectrum_of_partial_transpose():
     rng = np.random.default_rng(21)
     for _ in range(20):

@@ -117,6 +117,29 @@ def test_tag_matches_ppt_spectrum(seed):
         assert out.tag is expected
 
 
+def test_each_classifier_evaluates_the_matrix_once(monkeypatch):
+    # One det V per call, and on the global route one eigvalsh(V): the
+    # spectra come from (Delta, det V) and (Delta~, det V), not new calls.
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    v = tm.random_physical(3)
+    assert tm.classify_global(v).tag is not Tag.UNPHYSICAL
+    assert counts == {"det": 1, "eigvalsh": 1}
+    counts.clear()
+    tm.classify_local(v)
+    assert counts["det"] == 1
+
+
 def test_global_margins_cover_all_decision_quantities():
     out = tm.classify_global(tm.two_mode_squeezed(0.2))
     for key in ("min_eig_V", "det_V_minus_1", "delta_margin",
