@@ -10,118 +10,21 @@ Conventions: hbar-scaled quadratures ordered mode by mode as
 (q1, p1, q2, p2), so the vacuum CM is the identity and the symplectic form
 is Omega = omega (+) omega with omega = [[0, 1], [-1, 0]].
 """
-from .errors import (
-    BlockNotPositiveDefinite,
-    DegeneracyWarning,
-    DimensionError,
-    InternalInconsistency,
-    NonFiniteError,
-    NotPositiveDefinite,
-    NumericalError,
-    PairingError,
-    PreconditionViolated,
-    SingularInput,
-    SymmetryError,
-    TwoModeError,
-)
-from .families import (
-    FAMILY_NAMES,
-    FamilySpec,
-    balanced_mixer,
-    generate,
-    random_physical,
-    random_symmetric,
-    simon_vx,
-    thermal,
-    two_mode_squeezed,
-    vacuum,
-)
-from .invariants import (
-    MAX_MODES,
-    SymplecticSpectrum2,
-    TwoModeInvariants,
-    ppt_spectrum_2mode,
-    symplectic_spectrum_2mode,
-    symplectic_spectrum_general,
-    two_mode_invariants,
-)
-from .physicality import (
-    BonaFideReport,
-    StandardFormEigs,
-    check_global,
-    check_local,
-    heisenberg_oracle,
-    is_positive_definite,
-    standard_form_hermitian_eigs,
-)
-from .separability import (
-    Classification,
-    Tag,
-    classify_global,
-    classify_local,
-    posdef_criterion,
-    simon_criterion,
-)
-from .standard_form import (
-    StandardFormParams,
-    reduce_to_standard_form,
-    single_mode_williamson,
-    standard_form_matrix,
-)
-from .symplectic import (
-    DEFAULT_TOL,
-    Tolerance,
-    TwoModeBlocks,
-    as_matrix,
-    blocks,
-    congruence,
-    direct_sum,
-    is_symplectic,
-    omega,
-    partial_transpose,
-    rotation,
-    squeeze,
-    symmetric_part,
-)
-from .williamson import (
-    WilliamsonDecomposition,
-    build_x,
-    inv_sqrt,
-    skew_block_rotation,
-    williamson_decompose,
-)
+from . import errors, families, invariants, physicality, separability, standard_form, symplectic
+from . import williamson
+from .errors import *  # noqa: F403
+from .families import *  # noqa: F403
+from .invariants import *  # noqa: F403
+from .physicality import *  # noqa: F403
+from .separability import *  # noqa: F403
+from .standard_form import *  # noqa: F403
+from .symplectic import *  # noqa: F403
+from .williamson import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # symplectic
-    "DEFAULT_TOL", "Tolerance", "TwoModeBlocks", "as_matrix", "blocks",
-    "congruence", "direct_sum", "is_symplectic", "omega", "partial_transpose",
-    "rotation", "squeeze", "symmetric_part",
-    # invariants
-    "MAX_MODES", "SymplecticSpectrum2", "TwoModeInvariants",
-    "ppt_spectrum_2mode", "symplectic_spectrum_2mode",
-    "symplectic_spectrum_general", "two_mode_invariants",
-    # physicality
-    "BonaFideReport", "StandardFormEigs", "check_global", "check_local",
-    "heisenberg_oracle", "is_positive_definite", "standard_form_hermitian_eigs",
-    # separability
-    "Classification", "Tag", "classify_global", "classify_local",
-    "posdef_criterion", "simon_criterion",
-    # standard form
-    "StandardFormParams", "reduce_to_standard_form", "single_mode_williamson",
-    "standard_form_matrix",
-    # williamson
-    "WilliamsonDecomposition", "build_x", "inv_sqrt", "skew_block_rotation",
-    "williamson_decompose",
-    # families
-    "FAMILY_NAMES", "FamilySpec", "balanced_mixer", "generate",
-    "random_physical", "random_symmetric", "simon_vx", "thermal",
-    "two_mode_squeezed", "vacuum",
-    # errors
-    "TwoModeError", "DimensionError", "SymmetryError", "NonFiniteError",
-    "NotPositiveDefinite", "BlockNotPositiveDefinite", "SingularInput",
-    "PreconditionViolated", "NumericalError", "PairingError",
-    "InternalInconsistency", "DegeneracyWarning",
-]
+__all__ = ["__version__"]
+for _module in (symplectic, invariants, physicality, separability, standard_form, williamson,
+                families, errors):
+    __all__ += _module.__all__
+del _module

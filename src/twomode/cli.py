@@ -299,9 +299,8 @@ def cmd_williamson(args) -> int:
     doc, tol = _load(args)
     v = doc.matrix
     dec = williamson_decompose(v, tol)
-    n_modes = v.shape[0] // 2
-    resid_sympl = float(np.max(np.abs(
-        dec.transform @ omega(n_modes) @ dec.transform.T - omega(n_modes))))
+    form = omega(v.shape[0] // 2)
+    resid_sympl = float(np.max(np.abs(dec.transform @ form @ dec.transform.T - form)))
     resid_form = float(np.max(np.abs(
         dec.transform @ v @ dec.transform.T - dec.normal_form)))
     record = {

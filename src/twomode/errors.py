@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TwoModeError", "DimensionError", "SymmetryError", "NonFiniteError",
+    "NotPositiveDefinite", "BlockNotPositiveDefinite", "SingularInput",
+    "PreconditionViolated", "NumericalError", "PairingError",
+    "InternalInconsistency", "DegeneracyWarning",
+]
+
 
 class TwoModeError(Exception):
     """Base class for all errors raised by this package."""

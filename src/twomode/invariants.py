@@ -26,7 +26,11 @@ from .errors import (
 )
 from .symplectic import (
     DEFAULT_TOL,
+    MAX_MODES,
     Tolerance,
+    _as_two_mode,
+    _mode_count,
+    _omega_form,
     as_matrix,
     omega,
     require_symmetric,
@@ -42,9 +46,6 @@ __all__ = [
 ]
 
 _W2 = omega(1)
-
-# Ambient cap for the general spectrum; everything here is desk-scale.
-MAX_MODES = 8
 
 # The det V identity holds for every symmetric 4x4, so a violation beyond
 # this (relative) band means the determinant or trace arithmetic went wrong.
@@ -79,10 +80,7 @@ def _det2(m: np.ndarray) -> float:
 
 def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, TwoModeInvariants]:
     """Validate ``v`` and compute its invariants: the one path to them."""
-    v = as_matrix(v)
-    if v.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 matrix, got shape {v.shape}")
-    require_symmetric(v, tol)
+    v = _as_two_mode(v, tol)
     a, b, c = v[:2, :2], v[2:, 2:], v[:2, 2:]
     det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
     det_v = float(np.linalg.det(v))
@@ -155,6 +153,16 @@ def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     return _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
 
 
+def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, int]:
+    """``as_matrix`` for a symmetric 2n x 2n matrix, 1 <= n <= MAX_MODES; returns (v, n)."""
+    v = as_matrix(v)
+    n = _mode_count(v)
+    if n > MAX_MODES:
+        raise DimensionError(f"supported up to {MAX_MODES} modes, got {n}")
+    require_symmetric(v, tol)
+    return v, n
+
+
 def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symplectic eigenvalues of a 2n x 2n positive definite matrix, ascending.
 
@@ -162,15 +170,14 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     come in +-nu_k pairs; each adjacent pair of sorted moduli is collapsed to
     its mean. PairingError if a pair gap exceeds tolerance.
     """
-    v = as_matrix(v)
-    n = v.shape[0] // 2
-    if v.shape[0] % 2:
-        raise DimensionError(f"dimension must be even, got {v.shape[0]}")
-    if n > MAX_MODES:
-        raise DimensionError(f"supported up to {MAX_MODES} modes, got {n}")
-    require_symmetric(v, tol)
+    v, n = _validated_modes(v, tol)
     _require_positive_definite(v, tol)
-    mods = np.sort(np.abs(np.linalg.eigvals(omega(n) @ v)))
+    return _spectrum_general(v, n, tol)
+
+
+def _spectrum_general(v: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
+    """Core of ``symplectic_spectrum_general`` on a validated positive definite v."""
+    mods = np.sort(np.abs(np.linalg.eigvals(_omega_form(n) @ v)))
     nus = np.empty(n)
     for k in range(n):
         lo, hi = mods[2 * k], mods[2 * k + 1]

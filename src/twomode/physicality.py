@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
 from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
-from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, omega, require_symmetric
+from .symplectic import (DEFAULT_TOL, Tolerance, _mode_count, _omega_form, as_matrix,
+                         require_symmetric)
 
 __all__ = [
     "BonaFideReport",
@@ -95,10 +95,9 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     at the boundary (min_eig >= -tol).
     """
     v = as_matrix(v)
-    if v.shape[0] % 2:
-        raise DimensionError(f"dimension must be even, got {v.shape[0]}")
+    n_modes = _mode_count(v)
     require_symmetric(v, tol)
-    h = v + 1j * omega(v.shape[0] // 2)
+    h = v + 1j * _omega_form(n_modes)
     min_eig = float(np.linalg.eigvalsh(h)[0])
     return min_eig >= -tol.threshold(v), min_eig
 

@@ -33,12 +33,12 @@ from .errors import (
 from .symplectic import (
     DEFAULT_TOL,
     Tolerance,
+    _as_two_mode,
     as_matrix,
-    blocks,
-    congruence,
     direct_sum,
     require_symmetric,
     rotation,
+    symmetric_part,
 )
 
 __all__ = [
@@ -96,12 +96,17 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
         raise NotPositiveDefinite(
             f"block is not positive definite (min eigenvalue {evals[0]:.3e})",
             min_eig=float(evals[0]))
+    return _single_mode(evals, q)
+
+
+def _single_mode(evals: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
+    """Core of ``single_mode_williamson`` from ``eigh`` of a positive definite block."""
     # Descending eigenvalue order; stable so that scalar blocks keep q = I
     # and come out with s exactly the identity (up to scale).
     order = np.argsort(-evals, kind="stable")
     d = evals[order]
     q = q[:, order]
-    if np.linalg.det(q) < 0.0:
+    if q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0] < 0.0:  # det q = +-1
         q = q.copy()
         q[:, 1] = -q[:, 1]
     a = float(np.sqrt(d[0] * d[1]))
@@ -144,18 +149,19 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     diagonal blocks must be positive definite. Raises
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
-    v = as_matrix(v)
-    blk = blocks(v, tol)
-    for name, block in (("A", blk.a), ("B", blk.b)):
-        min_eig = float(np.linalg.eigvalsh(block)[0])
+    v = _as_two_mode(v, tol)
+    # One eigh per block: the positivity check and the single-mode transform.
+    transforms = []
+    for name, block in (("A", v[:2, :2]), ("B", v[2:, 2:])):
+        evals, q = np.linalg.eigh(block)
+        min_eig = float(evals[0])
         if min_eig <= tol.threshold(block):
             raise BlockNotPositiveDefinite(
                 f"block {name} is not positive definite "
                 f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)
-
-    s_a, a = single_mode_williamson(blk.a, tol)
-    s_b, b = single_mode_williamson(blk.b, tol)
-    m = s_a @ blk.c @ s_b.T
+        transforms.append(_single_mode(evals, q))
+    (s_a, a), (s_b, b) = transforms
+    m = s_a @ v[:2, 2:] @ s_b.T
     theta_a, theta_b = _diagonalizing_angles(m, tol)
 
     def transformed(ta: float, tb: float) -> np.ndarray:
@@ -183,8 +189,9 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     s_local = direct_sum(rotation(theta_a) @ s_a, rotation(theta_b) @ s_b)
     params = StandardFormParams(a=a, b=b, c_plus=c_plus, c_minus=c_minus,
                                 s_local=s_local)
-    residual = np.max(np.abs(congruence(v, s_local) - params.matrix()))
-    if residual > 1e3 * tol.threshold(v, params.matrix()):
+    target = params.matrix()
+    residual = np.abs(symmetric_part(s_local @ v @ s_local.T) - target).max()
+    if residual > 1e3 * tol.threshold(v, target):
         raise InternalInconsistency(
             f"standard-form congruence residual {residual:.3e}")
     return params

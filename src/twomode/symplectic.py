@@ -12,6 +12,7 @@ shape, finiteness and (where required) symmetry at the boundary.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import DimensionError, NonFiniteError, SymmetryError
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "MAX_MODES",
     "TwoModeBlocks",
     "omega",
     "rotation",
@@ -57,7 +59,7 @@ class Tolerance:
         for m in operands:
             m = np.asarray(m)
             if m.size:
-                scale = max(scale, float(np.max(np.abs(m))))
+                scale = max(scale, float(np.abs(m).max()))
         return self.abs + self.rel * scale
 
     def band(self, *values: float) -> float:
@@ -71,18 +73,23 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# Ambient cap for the general spectrum; everything here is desk-scale.
+MAX_MODES = 8
+
 _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a square float64 matrix.
 
-    Raises DimensionError for anything that is not a square 2D array and
-    NonFiniteError if any entry is NaN or infinite.
+    Raises DimensionError for anything that is not a nonempty square 2D
+    array and NonFiniteError if any entry is NaN or infinite.
     """
     arr = np.array(m, dtype=float, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+    if not arr.size:
+        raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("matrix contains NaN or infinite entries")
     return arr
@@ -93,16 +100,26 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> None:
-    gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    gap = float(np.abs(m - m.T).max()) if m.size else 0.0
     if gap > tol.threshold(m):
         raise SymmetryError(f"{what} is not symmetric: max |M - M^T| = {gap:.3e}")
 
 
-def _require_even(m: np.ndarray) -> int:
+def _mode_count(m: np.ndarray) -> int:
+    """Number of modes of an ``as_matrix`` result; its dimension must be even."""
     dim = m.shape[0]
     if dim % 2:
         raise DimensionError(f"dimension must be even, got {dim}")
     return dim // 2
+
+
+def _as_two_mode(v, tol: Tolerance) -> np.ndarray:
+    """``as_matrix`` for a symmetric 4x4 correlation matrix."""
+    v = as_matrix(v)
+    if v.shape != (4, 4):
+        raise DimensionError(f"expected a 4x4 matrix, got shape {v.shape}")
+    require_symmetric(v, tol)
+    return v
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -122,6 +139,18 @@ def omega(n_modes: int) -> np.ndarray:
     if n_modes < 1:
         raise DimensionError("n_modes must be a positive integer")
     return np.kron(np.eye(n_modes), _OMEGA2)
+
+
+def _read_only_cache(build):
+    """Per-mode-count cache of ``build``; the arrays are shared, so read-only."""
+    def frozen(n_modes: int) -> np.ndarray:
+        form = build(n_modes)
+        form.flags.writeable = False
+        return form
+    return functools.lru_cache(maxsize=MAX_MODES)(functools.wraps(build)(frozen))
+
+
+_omega_form = _read_only_cache(omega)
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -155,7 +184,7 @@ def is_symplectic(s, tol: Tolerance = DEFAULT_TOL) -> bool:
     In the 2x2 case this is equivalent to det S = 1.
     """
     s = as_matrix(s)
-    n = _require_even(s)
+    n = _mode_count(s)
     form = omega(n)
     product = s @ form @ s.T
     return float(np.max(np.abs(product - form))) <= tol.threshold(product)
@@ -195,10 +224,7 @@ def blocks(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeBlocks:
     For exactly symmetric input ``TwoModeBlocks.matrix`` reproduces the
     source bit for bit.
     """
-    v = as_matrix(v)
-    if v.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 matrix, got shape {v.shape}")
-    require_symmetric(v, tol)
+    v = _as_two_mode(v, tol)
     return TwoModeBlocks(v[:2, :2].copy(), v[2:, 2:].copy(), v[:2, 2:].copy())
 
 

@@ -10,6 +10,11 @@ symplectic eigenvalues. The constructive route used here:
    conjugate eigenvectors of X (equivalently of the Hermitian iX),
 4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k.
 
+Each call validates its input once and factors each matrix once: one eigh of
+V (also the positivity check) and one of iX. The cross-checks kept are
+det R = +1, the spectrum from the independent route |eig(Omega V)|, and the
+rotation's imaginary residue and orthogonality.
+
 S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
 = (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
 in general symplectic; only the product is.
@@ -23,15 +28,15 @@ import numpy as np
 
 from .errors import (
     DegeneracyWarning,
-    DimensionError,
     InternalInconsistency,
     NotPositiveDefinite,
     PairingError,
     SingularInput,
     SymmetryError,
 )
-from .invariants import MAX_MODES, symplectic_spectrum_general
-from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, omega, require_symmetric
+from .invariants import _spectrum_general, _validated_modes
+from .symplectic import (DEFAULT_TOL, Tolerance, _mode_count, _omega_form, _read_only_cache,
+                         as_matrix, require_symmetric)
 
 __all__ = [
     "WilliamsonDecomposition",
@@ -69,6 +74,11 @@ def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric M with M V M = I for symmetric positive definite V."""
     v = as_matrix(v)
     require_symmetric(v, tol)
+    return _inv_sqrt(v, tol)
+
+
+def _inv_sqrt(v: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Core of ``inv_sqrt``: its eigendecomposition is also the positivity check."""
     evals, q = np.linalg.eigh(v)
     if evals[0] <= tol.threshold(v):
         raise NotPositiveDefinite(
@@ -78,21 +88,21 @@ def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _skew_kernel(inv_root: np.ndarray) -> np.ndarray:
-    """Antisymmetric part of M Omega M (exact antisymmetrization)."""
-    n_modes = inv_root.shape[0] // 2
-    x = inv_root @ omega(n_modes) @ inv_root
+def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
+    """Antisymmetric part of M Omega M; (x - x^T)/2 is exactly antisymmetric."""
+    x = inv_root @ _omega_form(n_modes) @ inv_root
     return (x - x.T) / 2.0
 
 
 def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The antisymmetric V^(-1/2) Omega V^(-1/2) for positive definite V."""
     v = as_matrix(v)
-    if v.shape[0] % 2:
-        raise DimensionError(f"dimension must be even, got {v.shape[0]}")
-    return _skew_kernel(inv_sqrt(v, tol))
+    n_modes = _mode_count(v)
+    require_symmetric(v, tol)
+    return _skew_kernel(_inv_sqrt(v, tol), n_modes)
 
 
+@_read_only_cache
 def _pair_basis(n_modes: int) -> np.ndarray:
     """Unitary mapping each conjugate eigenvector pair to a real 2x2 plane.
 
@@ -105,6 +115,12 @@ def _pair_basis(n_modes: int) -> np.ndarray:
     for k in range(n_modes):
         out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = gamma_block
     return out
+
+
+@_read_only_cache
+def _block_reversal(n_modes: int) -> np.ndarray:
+    """Permutation reversing the order of the 2x2 blocks (even, so det +1)."""
+    return np.kron(np.eye(n_modes)[::-1], np.eye(2))
 
 
 def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
@@ -122,20 +138,24 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
     eigenbasis freedom in tests).
     """
     xs = as_matrix(xs)
-    dim = xs.shape[0]
-    if dim % 2:
-        raise DimensionError(f"dimension must be even, got {dim}")
-    anti_residual = float(np.max(np.abs(xs + xs.T)))
+    n_modes = _mode_count(xs)
+    if phases is not None and len(phases) != n_modes:  # before any solve
+        raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
+    anti_residual = float(np.abs(xs + xs.T).max())
     if anti_residual > tol.threshold(xs):
         raise SymmetryError(
             f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
-    n_modes = dim // 2
+    return _block_rotation(xs, n_modes, tol, phases)
 
+
+def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance,
+                    phases) -> tuple[np.ndarray, np.ndarray]:
+    """Core of ``skew_block_rotation`` on a validated antisymmetric xs."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = np.linalg.eigh(1j * xs)
     neg, pos = evals[:n_modes], evals[n_modes:]
     band = tol.band(*np.abs(evals))
-    if float(np.max(np.abs(neg[::-1] + pos))) > 16.0 * band:
+    if float(np.abs(neg[::-1] + pos).max()) > 16.0 * band:
         raise PairingError(
             f"eigenvalues do not split into conjugate pairs: {evals}")
     a_desc = -neg  # descending since eigh sorts ascending
@@ -145,8 +165,7 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
             f"(smallest pair magnitude {a_desc[-1]:.3e})")
 
     a_asc = a_desc[::-1]
-    if phases is not None and len(phases) != n_modes:
-        raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
+    dim = 2 * n_modes
     u = np.zeros((dim, dim), dtype=complex)
     for k in range(n_modes):
         vec = vecs[:, n_modes - 1 - k]  # +i a_asc[k] eigenvector of Xs
@@ -159,13 +178,14 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
         u[:, 2 * k + 1] = vec
     o = _pair_basis(n_modes) @ u.conj().T
 
-    imag_residual = float(np.max(np.abs(o.imag)))
-    if imag_residual > 10.0 * tol.band(1.0):
+    bound = 10.0 * tol.band(1.0)
+    imag_residual = float(np.abs(o.imag).max())
+    if imag_residual > bound:
         raise InternalInconsistency(
             f"assembled rotation has imaginary residue {imag_residual:.3e}")
     o = o.real
-    ortho_residual = float(np.max(np.abs(o @ o.T - np.eye(dim))))
-    if ortho_residual > 10.0 * tol.band(1.0):
+    ortho_residual = float(np.abs(o @ o.T - np.eye(dim)).max())
+    if ortho_residual > bound:
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
     return o, np.asarray(a_asc, dtype=float)
@@ -180,24 +200,16 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
     DegeneracyWarning (and flags the result) when two symplectic eigenvalues
     coincide within tolerance; the decomposition itself remains valid.
     """
-    v = as_matrix(v)
-    dim = v.shape[0]
-    if dim % 2:
-        raise DimensionError(f"dimension must be even, got {dim}")
-    n_modes = dim // 2
-    if n_modes > MAX_MODES:
-        raise DimensionError(
-            f"supported up to {MAX_MODES} modes, got {n_modes}")
-    require_symmetric(v, tol)
-
-    inv_root = inv_sqrt(v, tol)
-    skew = _skew_kernel(inv_root)
-    o, a_asc = skew_block_rotation(skew, tol, phases=phases)
+    v, n_modes = _validated_modes(v, tol)
+    if phases is not None and len(phases) != n_modes:
+        raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
+    inv_root = _inv_sqrt(v, tol)
+    skew = _skew_kernel(inv_root, n_modes)
+    o, a_asc = _block_rotation(skew, n_modes, tol, phases)
 
     # Ascending nu = 1/a means descending a: reverse the block order with a
     # block-reversal permutation (even, hence still a proper rotation).
-    reversal = np.kron(np.eye(n_modes)[::-1], np.eye(2))
-    r = reversal @ o
+    r = _block_reversal(n_modes) @ o
     nus = 1.0 / a_asc[::-1]
     w = np.diag(np.repeat(nus, 2))
     s = np.repeat(np.sqrt(nus), 2)[:, None] * (r @ inv_root)
@@ -205,8 +217,8 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
     det_r = float(np.linalg.det(r))
     if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
         raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
-    reference = symplectic_spectrum_general(v, tol)
-    if float(np.max(np.abs(nus - reference))) > 1e-8 * float(np.max(reference)):
+    reference = _spectrum_general(v, n_modes, tol)
+    if float(np.abs(nus - reference).max()) > 1e-8 * float(reference.max()):
         raise InternalInconsistency(
             f"eigenvector route spectrum {nus} disagrees with "
             f"product-eigenvalue route {reference}")

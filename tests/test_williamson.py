@@ -264,3 +264,54 @@ def test_williamson_skew_field_matches_build_x():
     v = random_spd(rng, 4)
     dec = decompose_quietly(v)
     np.testing.assert_allclose(dec.skew, tm.build_x(v), atol=1e-12)
+
+
+@pytest.mark.parametrize("fn", [tm.williamson_decompose, tm.inv_sqrt, tm.build_x,
+                                tm.skew_block_rotation, tm.symplectic_spectrum_general,
+                                tm.heisenberg_oracle])
+def test_empty_matrix_is_a_dimension_error(fn):
+    with pytest.raises(tm.DimensionError):
+        fn(np.zeros((0, 0)))
+
+
+def test_each_normal_form_factors_the_matrix_once(monkeypatch):
+    # Williamson: eigh(V) is both V^(-1/2) and the positivity check, then
+    # eigh(iX) and the two cross-checks det R and eigvals(Omega V). The
+    # standard form: one eigh per diagonal block, nothing else.
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvals", "det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    v = tm.random_physical(3)
+    decompose_quietly(v)
+    assert counts.pop("det", 0) <= 1
+    assert counts == {"eigh": 2, "eigvals": 1}
+    counts.clear()
+    tm.reduce_to_standard_form(v)
+    assert counts == {"eigh": 2}
+    counts.clear()
+    with pytest.raises(ValueError):  # a wrong phase count fails before any solve
+        tm.skew_block_rotation(tm.omega(2), phases=[0.1])
+    assert counts == {}
+
+
+def test_cached_forms_are_not_shared_mutable_state():
+    from twomode.williamson import _pair_basis
+    v = tm.simon_vx(1.0)
+    before = tm.williamson_decompose(v)
+    form = tm.omega(2)
+    form[0, 1] = 7.0
+    np.testing.assert_array_equal(tm.omega(2), np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        _pair_basis(2)[0, 0] = 7.0
+    after = tm.williamson_decompose(v)
+    for field in ("normal_form", "transform", "rotation", "skew", "spectrum"):
+        assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
