@@ -48,7 +48,7 @@ from .invariants import (
 from .physicality import check_global, heisenberg_oracle
 from .separability import classify_global
 from .standard_form import reduce_to_standard_form
-from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, congruence, omega, require_symmetric
+from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, omega, require_symmetric
 from .williamson import williamson_decompose
 
 __all__ = ["main", "build_parser", "parse_document", "MatrixDocument"]
@@ -273,14 +273,12 @@ def cmd_standard_form(args) -> int:
     doc, tol = _load(args)
     v = doc.matrix
     params = reduce_to_standard_form(v, tol)
-    residual = float(np.max(np.abs(congruence(v, params.s_local)
-                                   - params.matrix())))
     record = {
         "label": doc.label,
         "a": params.a, "b": params.b,
         "c_plus": params.c_plus, "c_minus": params.c_minus,
         "s_local": params.s_local.tolist(),
-        "residual": residual,
+        "residual": params.residual,
         "matrix": v.tolist(),
     }
     if args.format == "machine":
@@ -291,7 +289,7 @@ def cmd_standard_form(args) -> int:
     for key in ("a", "b", "c_plus", "c_minus"):
         print(f"{key}: {_fmt(record[key])}")
     print(_matrix_lines("s_local", params.s_local))
-    print(f"residual: {_fmt(residual)}")
+    print(f"residual: {_fmt(params.residual)}")
     return 0
 
 
@@ -377,12 +375,10 @@ def cmd_sweep(args) -> int:
         inv = two_mode_invariants(v, tol)
         spectra = _spectra_fields(v, tol)
         _, heis = heisenberg_oracle(v, tol)
-        simon_margin = (inv.det_A * inv.det_B + (1.0 - inv.det_C) ** 2
-                        - inv.I4 - inv.det_A - inv.det_B)
-        tag = classify_global(v, tol).tag.value
+        result = classify_global(v, tol)
         rows.append((float(value), inv.det_V, inv.delta, inv.delta_tilde,
                      spectra["nu_minus"], spectra["nu_tilde_minus"],
-                     heis, simon_margin, tag))
+                     heis, result.margins["delta_margin"], result.tag.value))
 
     def cell(x) -> str:
         if x is None:

@@ -32,7 +32,6 @@ from .symplectic import (
     _mode_count,
     _omega_form,
     as_matrix,
-    omega,
     require_symmetric,
 )
 
@@ -44,8 +43,6 @@ __all__ = [
     "ppt_spectrum_2mode",
     "symplectic_spectrum_general",
 ]
-
-_W2 = omega(1)
 
 # The det V identity holds for every symmetric 4x4, so a violation beyond
 # this (relative) band means the determinant or trace arithmetic went wrong.
@@ -74,17 +71,24 @@ class SymplecticSpectrum2:
     nu_plus: float
 
 
-def _det2(m: np.ndarray) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+def _w_product(x: tuple, y: tuple) -> tuple:
+    """(x w) y for 2x2 matrices given as row-major 4-tuples; x w is a signed column swap."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y10 - x01 * y00, x00 * y11 - x01 * y01,
+            x10 * y10 - x11 * y00, x10 * y11 - x11 * y01)
 
 
 def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, TwoModeInvariants]:
     """Validate ``v`` and compute its invariants: the one path to them."""
     v = _as_two_mode(v, tol)
-    a, b, c = v[:2, :2], v[2:, 2:], v[:2, 2:]
-    det_a, det_b, det_c = _det2(a), _det2(b), _det2(c)
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = v.tolist()
+    det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
     det_v = float(np.linalg.det(v))
-    i4 = float(np.trace(a @ _W2 @ c @ _W2 @ b @ _W2 @ c.T @ _W2))
+    # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
+    r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
+                              (b00, b01, b10, b11)), (c00, c10, c01, c11))
+    i4 = r[2] - r[1]
     residual = det_v - (det_a * det_b + det_c**2 - i4)
     scale = 1.0 + abs(det_a * det_b) + det_c**2 + abs(i4) + abs(det_v)
     if abs(residual) > _IDENTITY_BAND * scale:
@@ -99,9 +103,11 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, TwoModeInvariants]:
 def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     """Compute all eight invariants of a symmetric 4x4 matrix.
 
-    I4 is evaluated from its trace definition, independently of the
-    determinants; the identity det V = det A det B + det C^2 - I4 is then
-    asserted as a free self-test (InternalInconsistency on failure).
+    det A, det B, det C and I4 are closed-form products of the block
+    entries; I4 is evaluated from its trace definition, independently of
+    the determinants, and det V by LU factorization. The identity
+    det V = det A det B + det C^2 - I4 is then asserted as a free self-test
+    (InternalInconsistency on failure).
     """
     return _evaluate(v, tol)[1]
 

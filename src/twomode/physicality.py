@@ -11,7 +11,8 @@ Three independent routes are provided and must agree:
 
 Each call validates V and computes the raw invariants once; each route then
 evaluates its own inequalities, the global one with eigvalsh(V) and
-nu_-^2 = det V / nu_+^2 (Vieta form), the local one with the block eigenvalues.
+nu_-^2 = det V / nu_+^2 (Vieta form), the local one with the smaller
+eigenvalue of each block from its 2x2 closed form.
 
 Verdict policy: inequality margins are inclusive (>= -tol); strict
 positive definiteness uses > +tol, with near-zero margins flagged as
@@ -19,6 +20,7 @@ borderline in the report.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,23 +132,37 @@ def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     return _global_report(*_evaluate(v, tol), tol)
 
 
+def _min_eig_2x2(p: float, q: float, s: float) -> float:
+    """Smaller eigenvalue of the symmetric 2x2 [[p, q], [q, s]], closed form.
+
+    lambda_- = min(p, s) - (h - |d|) with d = (p - s)/2 and h = hypot(d, q);
+    h - |d| is taken as q^2 / (h + |d|), which does not cancel. Both terms are
+    at most max(|p|, |q|, |s|), so the error stays a few ulps of the block's
+    scale, and a diagonal block gives min(p, s) exactly.
+    """
+    d = (p - s) / 2.0
+    return min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
+
+
 def _local_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance) -> BonaFideReport:
     """Body of ``check_local`` on a validated matrix and its invariants."""
-    a, b = v[:2, :2], v[2:, 2:]
-    min_eig_a = float(np.linalg.eigvalsh(a)[0])
-    min_eig_b = float(np.linalg.eigvalsh(b)[0])
+    rows = v.tolist()
+    # Each block's lower triangle, the one eigvalsh reads: V is symmetric
+    # only within tolerance.
+    min_eig_a = _min_eig_2x2(rows[0][0], rows[1][0], rows[1][1])
+    min_eig_b = _min_eig_2x2(rows[2][2], rows[3][2], rows[3][3])
     # det A det B >= 0 whenever both blocks pass positivity; the clamp only
     # keeps the margin finite on inputs that already failed.
     prod = max(inv.det_A * inv.det_B, 0.0)
-    block_margin = (inv.det_V + inv.det_A * inv.det_B) - (2.0 * np.sqrt(prod) + inv.det_C**2)
+    block_margin = (inv.det_V + inv.det_A * inv.det_B) - (2.0 * math.sqrt(prod) + inv.det_C**2)
     margins = {
         "min_eig_A": min_eig_a,
         "min_eig_B": min_eig_b,
         "delta_margin": (1.0 + inv.det_V) - inv.delta,
         "block_margin": block_margin,
     }
-    eig_thr = tol.threshold(a)
-    eig_thr_b = tol.threshold(b)
+    eig_thr = tol.threshold(v[:2, :2])
+    eig_thr_b = tol.threshold(v[2:, 2:])
     delta_band = tol.band(inv.delta, 1.0 + inv.det_V)
     block_band = tol.band(inv.det_V, inv.det_A * inv.det_B, inv.det_C**2)
     verdict = (min_eig_a > eig_thr

@@ -12,7 +12,7 @@ raises InternalInconsistency and indicates a bug, never bad input.
 
 Each call validates V and computes the raw invariants once. The global route
 adds eigvalsh(V) and the spectra from (Delta, det V) and (Delta~, det V), the
-local route the block eigenvalues; the two share nothing else.
+local route the closed-form block eigenvalues; the two share nothing else.
 """
 from __future__ import annotations
 

@@ -54,7 +54,9 @@ class StandardFormParams:
     """Standard-form parameters and the local symplectic achieving them.
 
     s_local is block-diagonal with two 2x2 blocks of determinant 1;
-    congruence(V, s_local) reproduces matrix() to tolerance.
+    congruence(V, s_local) reproduces matrix() to tolerance. ``residual`` is
+    max |congruence(V, s_local) - matrix()| as checked by
+    ``reduce_to_standard_form`` (0.0 for an instance built by hand).
     """
 
     a: float
@@ -62,6 +64,7 @@ class StandardFormParams:
     c_plus: float
     c_minus: float
     s_local: np.ndarray
+    residual: float = 0.0
 
     def matrix(self) -> np.ndarray:
         """The standard-form matrix assembled from the parameters."""
@@ -187,11 +190,10 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     c_minus = float(c_diag[1, 1])
 
     s_local = direct_sum(rotation(theta_a) @ s_a, rotation(theta_b) @ s_b)
-    params = StandardFormParams(a=a, b=b, c_plus=c_plus, c_minus=c_minus,
-                                s_local=s_local)
-    target = params.matrix()
-    residual = np.abs(symmetric_part(s_local @ v @ s_local.T) - target).max()
+    target = standard_form_matrix(a, b, c_plus, c_minus)
+    residual = float(np.abs(symmetric_part(s_local @ v @ s_local.T) - target).max())
     if residual > 1e3 * tol.threshold(v, target):
         raise InternalInconsistency(
             f"standard-form congruence residual {residual:.3e}")
-    return params
+    return StandardFormParams(a=a, b=b, c_plus=c_plus, c_minus=c_minus,
+                              s_local=s_local, residual=residual)

@@ -13,6 +13,7 @@ shape, finiteness and (where required) symmetry at the boundary.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ class Tolerance:
         """Threshold for scalar margin comparisons; scale floor of 1."""
         scale = 1.0
         for v in values:
-            if np.isfinite(v):
+            if math.isfinite(v):
                 scale = max(scale, abs(float(v)))
         return self.abs + self.rel * scale
 
@@ -90,7 +91,7 @@ def as_matrix(m) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not arr.size:
         raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("matrix contains NaN or infinite entries")
     return arr
 

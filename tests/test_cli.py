@@ -181,6 +181,7 @@ def test_standard_form_machine_record(run):
     assert record["c_plus"] == pytest.approx(1.0, abs=1e-12)
     assert record["c_minus"] == pytest.approx(-0.5, abs=1e-12)
     assert record["residual"] < 1e-12
+    assert record["residual"] == tm.reduce_to_standard_form(tm.simon_vx(0.5)).residual
     s = np.array(record["s_local"])
     assert tm.is_symplectic(s)
 
@@ -328,6 +329,17 @@ def test_sweep_values_round_trip_bitwise(run):
     assert float(row[1]) == inv.det_V
     assert float(row[2]) == inv.delta
     assert float(row[3]) == inv.delta_tilde
+
+
+def test_sweep_simon_margin_is_the_global_delta_margin(run):
+    # The column is the global route's Delta <= 1 + det V margin, not a copy
+    # of its formula that rounds differently.
+    code, out, _ = run(["sweep", "--family", "simon_vx", "--from", "0.01",
+                        "--to", "0.1", "--step", "0.01"])
+    assert code == 0
+    for row in (line.split(",") for line in out.strip().splitlines()[1:]):
+        v = tm.simon_vx(float(row[0]))
+        assert float(row[7]) == tm.classify_global(v).margins["delta_margin"]
 
 
 def test_sweep_writes_file(run, tmp_path):

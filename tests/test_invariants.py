@@ -65,6 +65,33 @@ def test_determinant_identity_any_symmetric(seed):
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+_W = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+def test_i4_matches_its_trace_definition(seed, log_scale):
+    # I4 = Tr(A w C w B w C^T w), here as numpy matrix products; the bound is
+    # relative to the size of the largest term of the trace.
+    v = random_symmetric(np.random.default_rng(seed)) * 10.0**log_scale
+    a, b, c = v[:2, :2], v[2:, 2:], v[:2, 2:]
+    ref = np.trace(a @ _W @ c @ _W @ b @ _W @ c.T @ _W)
+    terms = np.abs(a).max() * np.abs(b).max() * np.abs(c).max() ** 2
+    assert abs(tm.two_mode_invariants(v).I4 - ref) <= 1e-12 * max(abs(ref), terms)
+
+
+@pytest.mark.parametrize("fn", [tm.two_mode_invariants, tm.classify_global,
+                                tm.classify_local])
+def test_det_identity_self_test_fires(monkeypatch, fn):
+    # det V comes from LU and the other invariants from the blocks, so a
+    # det V off by one must trip det V = det A det B + det C^2 - I4.
+    v = tm.random_physical(3)
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: det(m) + 1.0)
+    with pytest.raises(tm.InternalInconsistency, match="det V identity"):
+        fn(v)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_invariants_under_local_symplectics(seed):
     rng = np.random.default_rng(seed)

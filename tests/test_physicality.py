@@ -1,10 +1,11 @@
 """Bona fide tests: the three routes and the closed-form spectrum."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
+from twomode.physicality import _min_eig_2x2
 
 from .support import random_physical_cm, random_symmetric
 
@@ -136,6 +137,44 @@ def test_check_local_negative_block():
     rep = tm.check_local(v)
     assert not rep.verdict
     assert rep.margins["min_eig_A"] == pytest.approx(-1.0)
+
+
+_BLOCK_KINDS = ("any", "singular", "negative_definite", "indefinite", "diagonal",
+                "equal_eigenvalues")
+
+
+@st.composite
+def symmetric_blocks(draw):
+    """(p, q, s) of [[p, q], [q, s]] built from chosen eigenvalues and a rotation,
+    entry scale 1e-6 to 1e6."""
+    kind = draw(st.sampled_from(_BLOCK_KINDS))
+    x, y = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    lam = {"any": (x, y), "singular": (0.0, y),
+           "negative_definite": (-0.01 - abs(x), -0.01 - abs(y)),
+           "indefinite": (-0.01 - abs(x), 0.01 + abs(y)),
+           "diagonal": (x, y), "equal_eigenvalues": (x, x)}[kind]
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    if kind == "diagonal":
+        return lam[0] * scale, 0.0, lam[1] * scale
+    r = tm.rotation(draw(st.floats(0.0, 2.0 * np.pi)))
+    m = (r * np.array(lam)) @ r.T * scale
+    return float(m[0, 0]), float(m[1, 0]), float(m[1, 1])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(symmetric_blocks())
+@example((-1e6, 1e6 + 1e-3, -1e6))  # lambda_+ = 1e-3 beside entries of 1e6
+@example((1.0, 1.0, 1.0))
+@example((0.1, 0.0, 0.1))
+@example((3.0, 0.0, -2.0))
+@example((-2.0, 0.0, -2.0))
+def test_block_min_eig_matches_eigvalsh(block):
+    # check_local's closed form against LAPACK's symmetric eigensolver.
+    p, q, s = block
+    ref = np.linalg.eigvalsh(np.array([[p, q], [q, s]]))[0]
+    assert abs(_min_eig_2x2(p, q, s) - ref) <= 1e-12 * max(abs(p), abs(q), abs(s))
+    if q == 0.0:
+        assert _min_eig_2x2(p, q, s) == min(p, s)
 
 
 @pytest.mark.parametrize("seed", range(30))

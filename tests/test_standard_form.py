@@ -24,6 +24,8 @@ def assert_valid_reduction(v, params, tol=1e-9):
     scale = max(1.0, np.max(np.abs(v)))
     np.testing.assert_allclose(tm.congruence(v, s), params.matrix(),
                                atol=tol * scale)
+    # The residual the reduction checked is the one it reports, bit for bit.
+    assert params.residual == np.abs(tm.congruence(v, s) - params.matrix()).max()
 
 
 def test_single_mode_williamson_squeezed_diag():
