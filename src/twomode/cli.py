@@ -16,19 +16,20 @@ Matrix documents are JSON ({"matrix": [[...]], "label": ..., "tolerance":
 numeric text. Matrices must be square, even-dimensional and symmetric within
 tolerance.
 
+Every matrix subcommand prints one record: with --format machine as one
+JSON line, otherwise as text (the same record without the echoed matrix).
+
 Exit codes: 0 success (a verdict, even Unphysical, is payload — never an
-error); 2 parse or parameter error; 3 dimension/symmetry error; 4 failed
-positivity precondition.
+error); 1 I/O, numerical or internal failure; 2 parse or parameter error;
+3 dimension/symmetry error; 4 failed positivity precondition.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,19 +37,16 @@ from .errors import (
     DimensionError,
     NonFiniteError,
     NotPositiveDefinite,
+    NumericalError,
     PreconditionViolated,
     SymmetryError,
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
-from .invariants import (
-    ppt_spectrum_2mode,
-    symplectic_spectrum_2mode,
-    two_mode_invariants,
-)
-from .physicality import check_global, heisenberg_oracle
-from .separability import classify_global
+from .invariants import _evaluate, _spectrum_from_delta
+from .physicality import _global_report, heisenberg_oracle
+from .separability import _global_classification
 from .standard_form import reduce_to_standard_form
-from .symplectic import DEFAULT_TOL, Tolerance, as_matrix, omega, require_symmetric
+from .symplectic import DEFAULT_TOL, Tolerance, _mode_count, as_matrix, omega, require_symmetric
 from .williamson import williamson_decompose
 
 __all__ = ["main", "build_parser", "parse_document", "MatrixDocument"]
@@ -56,6 +54,8 @@ __all__ = ["main", "build_parser", "parse_document", "MatrixDocument"]
 _SWEEP_PARAMS = {"simon_vx": "x", "two_mode_squeezed": "r", "thermal": "nu"}
 _SWEEP_HEADER = ("x", "det_V", "delta", "delta_tilde", "nu_minus",
                  "nu_tilde_minus", "heisenberg_margin", "simon_margin", "tag")
+_SPECTRA = ("nu_minus", "nu_plus", "nu_tilde_minus", "nu_tilde_plus")
+_UNDEFINED = "undefined (V not > 0)"
 
 
 class _DocumentError(Exception):
@@ -70,10 +70,6 @@ class MatrixDocument:
     label: str | None = None
     tol_rel: float | None = None
     tol_abs: float | None = None
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _payload(text: str):
@@ -117,9 +113,7 @@ def _validated(raw, label, rel, abs_, tol: Tolerance) -> MatrixDocument:
         raise  # ValueError subclasses: keep exit 3, not a parse error (exit 2)
     except (TypeError, ValueError) as exc:
         raise _DocumentError(f"matrix entries are not numeric: {exc}") from exc
-    if matrix.shape[0] % 2:
-        raise DimensionError(
-            f"matrix dimension must be even, got {matrix.shape[0]}")
+    _mode_count(matrix)  # DimensionError unless the dimension is even
     require_symmetric(matrix, tol, what="input matrix")
     return MatrixDocument(matrix=matrix, label=label, tol_rel=rel, tol_abs=abs_)
 
@@ -176,121 +170,75 @@ def _write_text(path: str, text: str) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _spectra_fields(v: np.ndarray, tol: Tolerance) -> dict:
-    """Both symplectic spectra, or None entries when V is not positive definite."""
-    try:
-        spec = symplectic_spectrum_2mode(v, tol)
-        ppt = ppt_spectrum_2mode(v, tol)
-    except NotPositiveDefinite:
-        return {"nu_minus": None, "nu_plus": None,
-                "nu_tilde_minus": None, "nu_tilde_plus": None}
-    return {"nu_minus": spec.nu_minus, "nu_plus": spec.nu_plus,
-            "nu_tilde_minus": ppt.nu_minus, "nu_tilde_plus": ppt.nu_plus}
+def _evaluation(v, tol: Tolerance):
+    """Invariants, global report and both spectra of V from one evaluation;
+    the spectra are None unless the report found V > 0."""
+    v, inv = _evaluate(v, tol)
+    report = _global_report(v, inv, tol)
+    if report.nu_minus is None:
+        return inv, report, dict.fromkeys(_SPECTRA)
+    spec = _spectrum_from_delta(inv.delta, inv.det_V, tol)
+    ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
+    return inv, report, dict(zip(_SPECTRA, (spec.nu_minus, spec.nu_plus,
+                                            ppt.nu_minus, ppt.nu_plus)))
 
 
-def _invariant_fields(inv) -> dict:
-    return {"det_A": inv.det_A, "det_B": inv.det_B, "det_C": inv.det_C,
-            "det_V": inv.det_V, "I4": inv.I4, "delta": inv.delta,
-            "delta_tilde": inv.delta_tilde, "gamma_sep": inv.gamma_sep}
+def _cell(x, none: str) -> str:
+    if x is None:
+        return none
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _print_mapping(title: str, mapping: dict) -> None:
-    print(f"{title}:")
-    for key, value in mapping.items():
-        if isinstance(value, float):
-            print(f"  {key}: {_fmt(value)}")
+def _text_lines(record: dict, indent: str = ""):
+    """Text layout of a record: nested dicts indented, lists as rows of values."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:"
+            yield from _text_lines(value, indent + "  ")
+        elif isinstance(value, list):
+            yield f"{indent}{key}:"
+            for row in value if value and isinstance(value[0], list) else [value]:
+                yield indent + "  " + "  ".join(_cell(x, _UNDEFINED) for x in row)
         else:
-            print(f"  {key}: {value}")
+            yield f"{indent}{key}: {_cell(value, _UNDEFINED)}"
 
 
-def _matrix_lines(name: str, m: np.ndarray) -> str:
-    rows = ["  " + "  ".join(_fmt(x) for x in row) for row in m]
-    return f"{name}:\n" + "\n".join(rows)
+def _emit(args, doc: MatrixDocument, fields: dict) -> int:
+    """Print the record {label, **fields, matrix}: one JSON line, or text
+    without the echoed matrix and with the label only when set."""
+    record = {"label": doc.label, **fields, "matrix": doc.matrix.tolist()}
+    if args.format == "machine":
+        print(json.dumps(record))
+    else:
+        shown = {k: x for k, x in record.items() if k != "matrix" and (k != "label" or x)}
+        print("\n".join(_text_lines(shown)))
+    return 0
 
 
 def cmd_classify(args) -> int:
     doc, tol = _load(args)
-    v = doc.matrix
-    result = classify_global(v, tol)
-    inv = two_mode_invariants(v, tol)
-    report = check_global(v, tol)
-    record = {
-        "label": doc.label,
-        "tag": result.tag.value,
-        "reason": result.reason,
-        "margins": dict(result.margins),
-        "invariants": _invariant_fields(inv),
-        "report": {"verdict": report.verdict, "route": report.route,
-                   "margins": dict(report.margins),
-                   "nu_minus": report.nu_minus,
-                   "borderline": report.borderline},
-        **_spectra_fields(v, tol),
-        "matrix": v.tolist(),
-    }
-    if args.format == "machine":
-        print(json.dumps(record))
-        return 0
-    if doc.label:
-        print(f"label: {doc.label}")
-    print(f"tag: {record['tag']}")
-    print(f"reason: {record['reason']}")
-    for key in ("nu_minus", "nu_plus", "nu_tilde_minus", "nu_tilde_plus"):
-        value = record[key]
-        print(f"{key}: {_fmt(value) if value is not None else 'undefined (V not > 0)'}")
-    _print_mapping("margins", record["margins"])
-    _print_mapping("invariants", record["invariants"])
-    print(f"borderline: {report.borderline}")
-    return 0
+    inv, report, spectra = _evaluation(doc.matrix, tol)
+    result = _global_classification(inv, report, tol)
+    return _emit(args, doc, {"tag": result.tag.value, "reason": result.reason,
+                             "margins": result.margins, "invariants": asdict(inv),
+                             "report": asdict(report), **spectra})
 
 
 def cmd_invariants(args) -> int:
     doc, tol = _load(args)
-    v = doc.matrix
-    inv = two_mode_invariants(v, tol)
-    physical, min_eig = heisenberg_oracle(v, tol)
-    record = {
-        "label": doc.label,
-        "invariants": _invariant_fields(inv),
-        **_spectra_fields(v, tol),
-        "heisenberg_margin": min_eig,
-        "heisenberg_ok": physical,
-        "matrix": v.tolist(),
-    }
-    if args.format == "machine":
-        print(json.dumps(record))
-        return 0
-    if doc.label:
-        print(f"label: {doc.label}")
-    _print_mapping("invariants", record["invariants"])
-    for key in ("nu_minus", "nu_plus", "nu_tilde_minus", "nu_tilde_plus"):
-        value = record[key]
-        print(f"{key}: {_fmt(value) if value is not None else 'undefined (V not > 0)'}")
-    print(f"heisenberg_margin: {_fmt(min_eig)} (satisfied: {physical})")
-    return 0
+    inv, _, spectra = _evaluation(doc.matrix, tol)
+    physical, min_eig = heisenberg_oracle(doc.matrix, tol)
+    return _emit(args, doc, {"invariants": asdict(inv), **spectra,
+                             "heisenberg_margin": min_eig, "heisenberg_ok": physical})
 
 
 def cmd_standard_form(args) -> int:
     doc, tol = _load(args)
-    v = doc.matrix
-    params = reduce_to_standard_form(v, tol)
-    record = {
-        "label": doc.label,
-        "a": params.a, "b": params.b,
-        "c_plus": params.c_plus, "c_minus": params.c_minus,
-        "s_local": params.s_local.tolist(),
-        "residual": params.residual,
-        "matrix": v.tolist(),
-    }
-    if args.format == "machine":
-        print(json.dumps(record))
-        return 0
-    if doc.label:
-        print(f"label: {doc.label}")
-    for key in ("a", "b", "c_plus", "c_minus"):
-        print(f"{key}: {_fmt(record[key])}")
-    print(_matrix_lines("s_local", params.s_local))
-    print(f"residual: {_fmt(params.residual)}")
-    return 0
+    params = reduce_to_standard_form(doc.matrix, tol)
+    return _emit(args, doc, {"a": params.a, "b": params.b,
+                             "c_plus": params.c_plus, "c_minus": params.c_minus,
+                             "s_local": params.s_local.tolist(),
+                             "residual": params.residual})
 
 
 def cmd_williamson(args) -> int:
@@ -301,29 +249,13 @@ def cmd_williamson(args) -> int:
     resid_sympl = float(np.max(np.abs(dec.transform @ form @ dec.transform.T - form)))
     resid_form = float(np.max(np.abs(
         dec.transform @ v @ dec.transform.T - dec.normal_form)))
-    record = {
-        "label": doc.label,
-        "spectrum": dec.spectrum.tolist(),
-        "normal_form": dec.normal_form.tolist(),
-        "transform": dec.transform.tolist(),
-        "rotation": dec.rotation.tolist(),
-        "degenerate": dec.degenerate,
-        "residual_symplectic": resid_sympl,
-        "residual_normal_form": resid_form,
-        "matrix": v.tolist(),
-    }
-    if args.format == "machine":
-        print(json.dumps(record))
-        return 0
-    if doc.label:
-        print(f"label: {doc.label}")
-    print("spectrum: " + "  ".join(_fmt(nu) for nu in dec.spectrum))
-    print(_matrix_lines("normal_form", dec.normal_form))
-    print(_matrix_lines("transform", dec.transform))
-    print(f"residual_symplectic: {_fmt(resid_sympl)}")
-    print(f"residual_normal_form: {_fmt(resid_form)}")
-    print(f"degenerate: {dec.degenerate}")
-    return 0
+    return _emit(args, doc, {"spectrum": dec.spectrum.tolist(),
+                             "normal_form": dec.normal_form.tolist(),
+                             "transform": dec.transform.tolist(),
+                             "rotation": dec.rotation.tolist(),
+                             "degenerate": dec.degenerate,
+                             "residual_symplectic": resid_sympl,
+                             "residual_normal_form": resid_form})
 
 
 def _parse_params(pairs) -> dict[str, float]:
@@ -363,34 +295,18 @@ def _sweep_values(start: float, stop: float, step: float) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    if args.family not in _SWEEP_PARAMS:
-        raise ValueError(
-            f"family {args.family!r} is not sweepable; choose from "
-            f"{sorted(_SWEEP_PARAMS)}")
     param = _SWEEP_PARAMS[args.family]
     tol = _resolve_tol(args.tol_rel, args.tol_abs)
-    rows = []
+    lines = [",".join(_SWEEP_HEADER)]
     for value in _sweep_values(args.start, args.stop, args.step):
         v = generate(FamilySpec(args.family, {param: float(value)}))
-        inv = two_mode_invariants(v, tol)
-        spectra = _spectra_fields(v, tol)
+        inv, report, spectra = _evaluation(v, tol)
         _, heis = heisenberg_oracle(v, tol)
-        result = classify_global(v, tol)
-        rows.append((float(value), inv.det_V, inv.delta, inv.delta_tilde,
-                     spectra["nu_minus"], spectra["nu_tilde_minus"],
-                     heis, result.margins["delta_margin"], result.tag.value))
-
-    def cell(x) -> str:
-        if x is None:
-            return "nan"
-        return x if isinstance(x, str) else _fmt(x)
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADER)
-    for row in rows:
-        writer.writerow([cell(x) for x in row])
-    _write_text(args.out, buffer.getvalue())
+        tag = _global_classification(inv, report, tol).tag.value
+        row = (float(value), inv.det_V, inv.delta, inv.delta_tilde, spectra["nu_minus"],
+               spectra["nu_tilde_minus"], heis, report.margins["delta_margin"], tag)
+        lines.append(",".join(_cell(x, "nan") for x in row))
+    _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -472,14 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
 # subclass ValueError, so the specific classes come first.
 _EXIT_CODES = ((_DocumentError, 2), ((NotPositiveDefinite, PreconditionViolated), 4),
                ((DimensionError, SymmetryError, NonFiniteError), 3), (ValueError, 2),
-               (RuntimeError, 1))
+               ((RuntimeError, NumericalError), 1))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_DocumentError, ValueError, RuntimeError) as exc:
+    except (_DocumentError, ValueError, RuntimeError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 

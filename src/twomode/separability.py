@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NotPositiveDefinite, PreconditionViolated
-from .invariants import _evaluate, _spectrum_from_delta
-from .physicality import _global_report, _local_report
+from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
+from .physicality import BonaFideReport, _global_report, _local_report
 from .symplectic import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -70,7 +70,12 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     spectral forms and the two must agree away from the boundary band.
     """
     v, inv = _evaluate(v, tol)
-    report = _global_report(v, inv, tol)
+    return _global_classification(inv, _global_report(v, inv, tol), tol)
+
+
+def _global_classification(inv: TwoModeInvariants, report: BonaFideReport,
+                           tol: Tolerance) -> Classification:
+    """Body of ``classify_global`` on the invariants and the global report."""
     margins = dict(report.margins)
     dt_band = tol.band(inv.delta_tilde, 1.0 + inv.det_V)
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde

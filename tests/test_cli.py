@@ -443,3 +443,72 @@ def test_cli_flag_beats_document_tolerance(run):
     text = json.dumps({"matrix": near, "tolerance": {"abs": 1e-3}})
     code, _, _ = run(["classify", "--tol-abs", "1e-12"], stdin_text=text)
     assert code == 3
+
+
+# -------------------------------------------------------- records and printer
+
+def test_each_cli_record_evaluates_the_matrix_once(run, monkeypatch):
+    # One det V and one eigvalsh(V) per record; invariants and each sweep
+    # row add the oracle's eigvalsh(V + i Omega). The spectra come from
+    # (Delta, det V) and (Delta~, det V) of the same evaluation.
+    counts = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    text = doc(tm.random_physical(3))
+    for argv, expected in ((["classify", "--format", "machine"], {"det": 1, "eigvalsh": 1}),
+                           (["invariants"], {"det": 1, "eigvalsh": 2}),
+                           (["sweep", "--family", "simon_vx", "--from", "0.7",
+                             "--to", "0.7", "--step", "1"], {"det": 1, "eigvalsh": 2})):
+        counts.clear()
+        code, _, _ = run(argv, stdin_text=text)
+        assert code == 0
+        assert counts == expected, argv[0]
+
+
+def test_numerical_error_exits_1(run, monkeypatch):
+    import twomode.cli as cli
+
+    def failing(*args, **kwargs):
+        raise tm.NumericalError("squared symplectic eigenvalue -1 < 0")
+
+    monkeypatch.setattr(cli, "_global_classification", failing)
+    for argv, stdin_text in ((["classify"], doc(tm.simon_vx(0.7))),
+                             (["sweep", "--family", "simon_vx", "--from", "0.5",
+                               "--to", "0.6", "--step", "0.1"], None)):
+        code, out, err = run(argv, stdin_text=stdin_text)
+        assert code == 1 and out == ""
+        assert err == "error: squared symplectic eigenvalue -1 < 0\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants", "standard-form",
+                                     "williamson"])
+def test_text_output_renders_the_machine_record(run, command):
+    text = doc(tm.simon_vx(0.7), label="probe")
+    code, out, _ = run([command, "--format", "machine"], stdin_text=text)
+    assert code == 0
+    keys = [key for key in json.loads(out) if key != "matrix"]
+    code, out, _ = run([command], stdin_text=text)
+    assert code == 0
+    top = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
+    assert top == keys
+    assert "label: probe" in out.splitlines()
+    code, out, _ = run([command], stdin_text=doc(tm.simon_vx(0.7)))
+    assert code == 0 and "label" not in out
+
+
+def test_text_output_marks_undefined_spectra(run):
+    for command in ("classify", "invariants"):
+        code, out, _ = run([command], stdin_text=doc(np.diag([1.0, 1.0, 1.0, -1.0])))
+        assert code == 0
+        lines = out.splitlines()
+        for key in ("nu_minus", "nu_plus", "nu_tilde_minus", "nu_tilde_plus"):
+            assert f"{key}: undefined (V not > 0)" in lines
