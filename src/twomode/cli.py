@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -161,7 +162,7 @@ def _load(args) -> tuple[MatrixDocument, Tolerance]:
 
 def _write_text(path: str, text: str) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -171,16 +172,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _evaluation(v, tol: Tolerance):
-    """Invariants, global report and both spectra of V from one evaluation;
-    the spectra are None unless the report found V > 0."""
+    """Invariants, global report with its bands and both spectra of V from one
+    evaluation; the spectra are None unless the report found V > 0."""
     v, inv = _evaluate(v, tol)
-    report = _global_report(v, inv, tol)
+    report, bands = _global_report(v, inv, tol)
     if report.nu_minus is None:
-        return inv, report, dict.fromkeys(_SPECTRA)
+        return inv, report, bands, dict.fromkeys(_SPECTRA)
     spec = _spectrum_from_delta(inv.delta, inv.det_V, tol)
     ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
-    return inv, report, dict(zip(_SPECTRA, (spec.nu_minus, spec.nu_plus,
-                                            ppt.nu_minus, ppt.nu_plus)))
+    return inv, report, bands, dict(zip(_SPECTRA, (spec.nu_minus, spec.nu_plus,
+                                                   ppt.nu_minus, ppt.nu_plus)))
 
 
 def _cell(x, none: str) -> str:
@@ -208,17 +209,17 @@ def _emit(args, doc: MatrixDocument, fields: dict) -> int:
     without the echoed matrix and with the label only when set."""
     record = {"label": doc.label, **fields, "matrix": doc.matrix.tolist()}
     if args.format == "machine":
-        print(json.dumps(record))
+        print(json.dumps(record), flush=True)
     else:
         shown = {k: x for k, x in record.items() if k != "matrix" and (k != "label" or x)}
-        print("\n".join(_text_lines(shown)))
+        print("\n".join(_text_lines(shown)), flush=True)
     return 0
 
 
 def cmd_classify(args) -> int:
     doc, tol = _load(args)
-    inv, report, spectra = _evaluation(doc.matrix, tol)
-    result = _global_classification(inv, report, tol)
+    inv, report, bands, spectra = _evaluation(doc.matrix, tol)
+    result = _global_classification(inv, report, bands, tol)
     return _emit(args, doc, {"tag": result.tag.value, "reason": result.reason,
                              "margins": result.margins, "invariants": asdict(inv),
                              "report": asdict(report), **spectra})
@@ -226,7 +227,7 @@ def cmd_classify(args) -> int:
 
 def cmd_invariants(args) -> int:
     doc, tol = _load(args)
-    inv, _, spectra = _evaluation(doc.matrix, tol)
+    inv, _, _, spectra = _evaluation(doc.matrix, tol)
     physical, min_eig = heisenberg_oracle(doc.matrix, tol)
     return _emit(args, doc, {"invariants": asdict(inv), **spectra,
                              "heisenberg_margin": min_eig, "heisenberg_ok": physical})
@@ -300,9 +301,9 @@ def cmd_sweep(args) -> int:
     lines = [",".join(_SWEEP_HEADER)]
     for value in _sweep_values(args.start, args.stop, args.step):
         v = generate(FamilySpec(args.family, {param: float(value)}))
-        inv, report, spectra = _evaluation(v, tol)
+        inv, report, bands, spectra = _evaluation(v, tol)
         _, heis = heisenberg_oracle(v, tol)
-        tag = _global_classification(inv, report, tol).tag.value
+        tag = _global_classification(inv, report, bands, tol).tag.value
         row = (float(value), inv.det_V, inv.delta, inv.delta_tilde, spectra["nu_minus"],
                spectra["nu_tilde_minus"], heis, report.margins["delta_margin"], tag)
         lines.append(",".join(_cell(x, "nan") for x in row))
@@ -319,17 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "symplectic normal forms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    matrix_io = argparse.ArgumentParser(add_help=False)
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol-rel", type=float, default=None, metavar="X",
+                           help="relative tolerance override")
+    tolerance.add_argument("--tol-abs", type=float, default=None, metavar="X",
+                           help="absolute tolerance override")
+    matrix_io = argparse.ArgumentParser(add_help=False, parents=[tolerance])
     matrix_io.add_argument("--input", default="-", metavar="PATH",
                            help="matrix document (JSON or whitespace grid); "
                                 "'-' reads stdin (default)")
     matrix_io.add_argument("--format", choices=("text", "machine"),
                            default="text",
                            help="report style: human text or one-line JSON")
-    matrix_io.add_argument("--tol-rel", type=float, default=None, metavar="X",
-                           help="relative tolerance override")
-    matrix_io.add_argument("--tol-abs", type=float, default=None, metavar="X",
-                           help="absolute tolerance override")
 
     commands = (
         ("classify", cmd_classify,
@@ -365,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     sweep = sub.add_parser(
-        "sweep", help="tabulate margins along a one-parameter family (CSV)",
+        "sweep", parents=[tolerance],
+        help="tabulate margins along a one-parameter family (CSV)",
         epilog="Columns: x (the swept parameter), det_V, delta, delta_tilde, "
                "nu_minus, nu_tilde_minus, heisenberg_margin (min eigenvalue "
                "of V + i Omega), simon_margin (det-form uncertainty "
@@ -378,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--step", type=float, required=True)
     sweep.add_argument("--out", default="-", metavar="PATH",
                        help="output CSV path ('-' = stdout)")
-    sweep.add_argument("--tol-rel", type=float, default=None, metavar="X")
-    sweep.add_argument("--tol-abs", type=float, default=None, metavar="X")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 
@@ -395,6 +396,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # Reader gone: send stdout to devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (_DocumentError, ValueError, RuntimeError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     DimensionError,
     InternalInconsistency,
-    NotPositiveDefinite,
     NumericalError,
     PairingError,
 )
@@ -31,6 +30,7 @@ from .symplectic import (
     _as_two_mode,
     _mode_count,
     _omega_form,
+    _require_positive_definite,
     as_matrix,
     require_symmetric,
 )
@@ -131,14 +131,6 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance) -> Symplect
                                nu_plus=math.sqrt(max(plus, 0.0)))
 
 
-def _require_positive_definite(v: np.ndarray, tol: Tolerance) -> None:
-    min_eig = float(np.linalg.eigvalsh(v)[0])
-    if min_eig <= tol.threshold(v):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (min eigenvalue {min_eig:.3e})",
-            min_eig=min_eig)
-
-
 def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     """Two-mode symplectic spectrum: nu_+^2 = (Delta + sqrt(Delta^2 - 4 det V))/2
     and nu_-^2 = det V / nu_+^2.
@@ -148,14 +140,14 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     (degenerate spectrum); larger violations raise NumericalError.
     """
     v, inv = _evaluate(v, tol)
-    _require_positive_definite(v, tol)
+    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)
     return _spectrum_from_delta(inv.delta, inv.det_V, tol)
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     """Symplectic spectrum of the partial transpose Lambda V Lambda (Delta~ in place of Delta)."""
     v, inv = _evaluate(v, tol)
-    _require_positive_definite(v, tol)  # Lambda V Lambda has the spectrum of V
+    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)  # iff Lambda V Lambda > 0
     return _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
 
 
@@ -177,7 +169,7 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     its mean. PairingError if a pair gap exceeds tolerance.
     """
     v, n = _validated_modes(v, tol)
-    _require_positive_definite(v, tol)
+    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)
     return _spectrum_general(v, n, tol)
 
 

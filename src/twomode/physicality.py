@@ -14,9 +14,11 @@ evaluates its own inequalities, the global one with eigvalsh(V) and
 nu_-^2 = det V / nu_+^2 (Vieta form), the local one with the smaller
 eigenvalue of each block from its 2x2 closed form.
 
-Verdict policy: inequality margins are inclusive (>= -tol); strict
-positive definiteness uses > +tol, with near-zero margins flagged as
-borderline in the report.
+Verdict policy, implemented once by ``_verdict``: each route builds its
+margins and, beside them, one band per condition. Inequality margins are
+inclusive (>= -band); strict positive definiteness (the ``min_eig_*``
+margins) uses > +band, and a margin within its band of 0 flags the report
+as borderline.
 """
 from __future__ import annotations
 
@@ -104,32 +106,37 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return min_eig >= -tol.threshold(v), min_eig
 
 
-def _global_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance) -> BonaFideReport:
-    """Body of ``check_global`` on a validated matrix and its invariants."""
-    min_eig_v = float(np.linalg.eigvalsh(v)[0])
+def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, bool, list[str]]:
+    """The verdict policy over the conditions in ``bands``: returns
+    ``(verdict, borderline, failed)``, the failed conditions in band order."""
+    failed, borderline = [], False
+    for key, band in bands.items():
+        if not (margins[key] > band if key.startswith("min_eig_") else margins[key] >= -band):
+            failed.append(key)
+        borderline = borderline or abs(margins[key]) <= band
+    return not failed, borderline, failed
+
+
+def _global_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance
+                   ) -> tuple[BonaFideReport, dict[str, float]]:
+    """Body of ``check_global`` on a validated matrix and its invariants, with each band."""
     margins = {
-        "min_eig_V": min_eig_v,
+        "min_eig_V": float(np.linalg.eigvalsh(v)[0]),
         "det_V_minus_1": inv.det_V - 1.0,
         "delta_margin": (1.0 + inv.det_V) - inv.delta,
     }
-    eig_thr = tol.threshold(v)
-    det_band = tol.band(inv.det_V)
-    delta_band = tol.band(inv.delta, 1.0 + inv.det_V)
-    positive = min_eig_v > eig_thr
-    verdict = (positive
-               and margins["det_V_minus_1"] >= -det_band
-               and margins["delta_margin"] >= -delta_band)
-    nu_minus = _spectrum_from_delta(inv.delta, inv.det_V, tol).nu_minus if positive else None
-    borderline = (abs(min_eig_v) <= eig_thr
-                  or abs(margins["det_V_minus_1"]) <= det_band
-                  or abs(margins["delta_margin"]) <= delta_band)
+    bands = {"min_eig_V": tol.threshold(v), "det_V_minus_1": tol.band(inv.det_V),
+             "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V)}
+    verdict, borderline, failed = _verdict(margins, bands)
+    nu_minus = (None if "min_eig_V" in failed
+                else _spectrum_from_delta(inv.delta, inv.det_V, tol).nu_minus)
     return BonaFideReport(verdict=verdict, route="global", margins=margins,
-                          nu_minus=nu_minus, borderline=borderline)
+                          nu_minus=nu_minus, borderline=borderline), bands
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    return _global_report(*_evaluate(v, tol), tol)
+    return _global_report(*_evaluate(v, tol), tol)[0]
 
 
 def _min_eig_2x2(p: float, q: float, s: float) -> float:
@@ -144,37 +151,28 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     return min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
 
 
-def _local_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance) -> BonaFideReport:
-    """Body of ``check_local`` on a validated matrix and its invariants."""
+def _local_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance
+                  ) -> tuple[BonaFideReport, dict[str, float]]:
+    """Body of ``check_local`` on a validated matrix and its invariants, with each band."""
     rows = v.tolist()
-    # Each block's lower triangle, the one eigvalsh reads: V is symmetric
-    # only within tolerance.
-    min_eig_a = _min_eig_2x2(rows[0][0], rows[1][0], rows[1][1])
-    min_eig_b = _min_eig_2x2(rows[2][2], rows[3][2], rows[3][3])
     # det A det B >= 0 whenever both blocks pass positivity; the clamp only
     # keeps the margin finite on inputs that already failed.
     prod = max(inv.det_A * inv.det_B, 0.0)
     block_margin = (inv.det_V + inv.det_A * inv.det_B) - (2.0 * math.sqrt(prod) + inv.det_C**2)
     margins = {
-        "min_eig_A": min_eig_a,
-        "min_eig_B": min_eig_b,
+        # Each block's lower triangle, the one eigvalsh reads: V is symmetric
+        # only within tolerance.
+        "min_eig_A": _min_eig_2x2(rows[0][0], rows[1][0], rows[1][1]),
+        "min_eig_B": _min_eig_2x2(rows[2][2], rows[3][2], rows[3][3]),
         "delta_margin": (1.0 + inv.det_V) - inv.delta,
         "block_margin": block_margin,
     }
-    eig_thr = tol.threshold(v[:2, :2])
-    eig_thr_b = tol.threshold(v[2:, 2:])
-    delta_band = tol.band(inv.delta, 1.0 + inv.det_V)
-    block_band = tol.band(inv.det_V, inv.det_A * inv.det_B, inv.det_C**2)
-    verdict = (min_eig_a > eig_thr
-               and min_eig_b > eig_thr_b
-               and margins["delta_margin"] >= -delta_band
-               and block_margin >= -block_band)
-    borderline = (abs(min_eig_a) <= eig_thr
-                  or abs(min_eig_b) <= eig_thr_b
-                  or abs(margins["delta_margin"]) <= delta_band
-                  or abs(block_margin) <= block_band)
+    bands = {"min_eig_A": tol.threshold(v[:2, :2]), "min_eig_B": tol.threshold(v[2:, 2:]),
+             "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V),
+             "block_margin": tol.band(inv.det_V, inv.det_A * inv.det_B, inv.det_C**2)}
+    verdict, borderline, _ = _verdict(margins, bands)
     return BonaFideReport(verdict=verdict, route="local", margins=margins,
-                          borderline=borderline)
+                          borderline=borderline), bands
 
 
 def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
@@ -185,7 +183,7 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     global conditions; kept free of any standard-form reduction so the two
     routes stay independent.
     """
-    return _local_report(*_evaluate(v, tol), tol)
+    return _local_report(*_evaluate(v, tol), tol)[0]
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

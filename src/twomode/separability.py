@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalInconsistency, NotPositiveDefinite, PreconditionViolated
+from .errors import InternalInconsistency, PreconditionViolated
 from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
-from .physicality import BonaFideReport, _global_report, _local_report
-from .symplectic import DEFAULT_TOL, Tolerance
+from .physicality import BonaFideReport, _global_report, _local_report, _verdict
+from .symplectic import DEFAULT_TOL, Tolerance, _require_positive_definite
 
 __all__ = [
     "Tag",
@@ -62,6 +62,18 @@ def _near(margin: float, band: float) -> bool:
     return abs(margin) <= _BOUNDARY_FACTOR * band
 
 
+# The reason for an Unphysical tag, per route, keyed by the first condition
+# that failed.
+_GLOBAL_REASONS = {"min_eig_V": "V is not positive definite", "det_V_minus_1": "det V < 1",
+                   "delta_margin": "Delta > 1 + det V"}
+_LOCAL_REASONS = {"min_eig_A": "block A is not positive definite",
+                  "min_eig_B": "block B is not positive definite",
+                  "delta_margin": "Delta > 1 + det V",
+                  "block_margin": "2 sqrt(det A det B) + det C^2 > det V + det A det B"}
+_POSDEF_REASONS = {"det_V_minus_1": "det V < 1 (neither branch applies)",
+                   "delta_margin": "Delta > 1 + det V (neither branch applies)"}
+
+
 def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """Classify via the global route: V > 0, nu_- >= 1, then nu~_- vs 1.
 
@@ -70,20 +82,19 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     spectral forms and the two must agree away from the boundary band.
     """
     v, inv = _evaluate(v, tol)
-    return _global_classification(inv, _global_report(v, inv, tol), tol)
+    return _global_classification(inv, *_global_report(v, inv, tol), tol)
 
 
 def _global_classification(inv: TwoModeInvariants, report: BonaFideReport,
-                           tol: Tolerance) -> Classification:
-    """Body of ``classify_global`` on the invariants and the global report."""
+                           bands: dict[str, float], tol: Tolerance) -> Classification:
+    """Body of ``classify_global`` on the invariants, the global report and its bands."""
     margins = dict(report.margins)
     dt_band = tol.band(inv.delta_tilde, 1.0 + inv.det_V)
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
 
-    # The report carries nu_- exactly when it found V > 0.
-    positive = report.nu_minus is not None
     nu_band = tol.band(1.0)
-    if positive:
+    # The report carries nu_- exactly when it found V > 0.
+    if report.nu_minus is not None:
         # Partial transpose: same det V, Delta -> Delta~.
         ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
         margins["nu_minus_minus_1"] = report.nu_minus - 1.0
@@ -93,24 +104,19 @@ def _global_classification(inv: TwoModeInvariants, report: BonaFideReport,
         phys_spec = margins["nu_minus_minus_1"] >= -nu_band
         if phys_spec != report.verdict and not (
                 _near(margins["nu_minus_minus_1"], nu_band)
-                or _near(margins["det_V_minus_1"], tol.band(inv.det_V))
-                or _near(margins["delta_margin"], tol.band(inv.delta, 1.0 + inv.det_V))):
+                or _near(margins["det_V_minus_1"], bands["det_V_minus_1"])
+                or _near(margins["delta_margin"], bands["delta_margin"])):
             raise InternalInconsistency(
                 "spectral and determinant physicality forms disagree: "
                 f"nu_- - 1 = {margins['nu_minus_minus_1']:.3e}, margins {margins}")
 
     if not report.verdict:
-        if not positive:
-            reason = "V is not positive definite"
-        elif margins["det_V_minus_1"] < 0:
-            reason = "det V < 1"
-        else:
-            reason = "Delta > 1 + det V"
-        return Classification(Tag.UNPHYSICAL, reason, margins)
+        failed = _verdict(report.margins, bands)[2]
+        return Classification(Tag.UNPHYSICAL, _GLOBAL_REASONS[failed[0]], margins)
 
     # Physical from here on; det V~ = det V >= 1 already holds, so the PPT
     # stage is decided by Delta~ alone.
-    if margins["det_V_minus_1"] < -_BOUNDARY_FACTOR * tol.band(inv.det_V):
+    if margins["det_V_minus_1"] < -_BOUNDARY_FACTOR * bands["det_V_minus_1"]:
         raise InternalInconsistency("physical verdict with det V < 1")
 
     sep_det = margins["delta_tilde_margin"] >= -dt_band
@@ -140,25 +146,16 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     invariants.
     """
     v, inv = _evaluate(v, tol)
-    report = _local_report(v, inv, tol)
+    report, bands = _local_report(v, inv, tol)
     margins = dict(report.margins)
     margins["gamma_margin"] = (1.0 + inv.det_V) - inv.gamma_sep
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
 
     if not report.verdict:
-        delta_band = tol.band(inv.delta, 1.0 + inv.det_V)
-        if margins["min_eig_A"] <= tol.threshold(v[:2, :2]):
-            reason = "block A is not positive definite"
-        elif margins["min_eig_B"] <= tol.threshold(v[2:, 2:]):
-            reason = "block B is not positive definite"
-        elif margins["delta_margin"] < -delta_band:
-            reason = "Delta > 1 + det V"
-        else:
-            reason = "2 sqrt(det A det B) + det C^2 > det V + det A det B"
-        return Classification(Tag.UNPHYSICAL, reason, margins)
+        failed = _verdict(report.margins, bands)[2]
+        return Classification(Tag.UNPHYSICAL, _LOCAL_REASONS[failed[0]], margins)
 
-    gamma_band = tol.band(inv.gamma_sep, 1.0 + inv.det_V)
-    if margins["gamma_margin"] >= -gamma_band:
+    if margins["gamma_margin"] >= -tol.band(inv.gamma_sep, 1.0 + inv.det_V):
         return Classification(
             Tag.SEPARABLE, "Gamma <= 1 + det V (PPT holds)", margins)
     return Classification(
@@ -177,7 +174,7 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     instead.
     """
     v, inv = _evaluate(v, tol)
-    report = _global_report(v, inv, tol)
+    report, _ = _global_report(v, inv, tol)
     if not report.verdict:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "
@@ -196,11 +193,7 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     otherwise unphysical. Raises NotPositiveDefinite outside its domain.
     """
     v, inv = _evaluate(v, tol)
-    min_eig = float(np.linalg.eigvalsh(v)[0])
-    if min_eig <= tol.threshold(v):
-        raise NotPositiveDefinite(
-            f"posdef_criterion requires positive definite input "
-            f"(min eigenvalue {min_eig:.3e})", min_eig=min_eig)
+    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)
 
     # s_mid is the middle member of the entangled-branch chain; the bounds
     # (1 -+ det C)^2 translate to the Delta~ / Delta margins.
@@ -212,17 +205,12 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
         "delta_margin": (1.0 - inv.det_C) ** 2 - s_mid,
         "delta_tilde_margin": (1.0 + inv.det_C) ** 2 - s_mid,
     }
-    det_band = tol.band(inv.det_V)
-    delta_band = tol.band(s_mid, (1.0 - inv.det_C) ** 2)
-    gamma_band = tol.band(s_mid, (1.0 + inv.det_C) ** 2)
-    physical = (margins["det_V_minus_1"] >= -det_band
-                and margins["delta_margin"] >= -delta_band)
+    bands = {"det_V_minus_1": tol.band(inv.det_V),
+             "delta_margin": tol.band(s_mid, (1.0 - inv.det_C) ** 2)}
+    physical, _, failed = _verdict(margins, bands)
     if not physical:
-        reason = ("det V < 1" if margins["det_V_minus_1"] < -det_band
-                  else "Delta > 1 + det V")
-        return Classification(Tag.UNPHYSICAL, reason + " (neither branch applies)",
-                              margins)
-    if margins["gamma_margin"] >= -gamma_band:
+        return Classification(Tag.UNPHYSICAL, _POSDEF_REASONS[failed[0]], margins)
+    if margins["gamma_margin"] >= -tol.band(s_mid, (1.0 + inv.det_C) ** 2):
         return Classification(
             Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V", margins)
     return Classification(

@@ -28,12 +28,12 @@ from .errors import (
     BlockNotPositiveDefinite,
     DimensionError,
     InternalInconsistency,
-    NotPositiveDefinite,
 )
 from .symplectic import (
     DEFAULT_TOL,
     Tolerance,
     _as_two_mode,
+    _require_positive_definite,
     as_matrix,
     direct_sum,
     require_symmetric,
@@ -95,10 +95,7 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
         raise DimensionError(f"expected a 2x2 block, got {m.shape}")
     require_symmetric(m, tol, what="2x2 block")
     evals, q = np.linalg.eigh(m)
-    if evals[0] <= tol.threshold(m):
-        raise NotPositiveDefinite(
-            f"block is not positive definite (min eigenvalue {evals[0]:.3e})",
-            min_eig=float(evals[0]))
+    _require_positive_definite(m, evals[0], tol, what="block")
     return _single_mode(evals, q)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, SymmetryError
+from .errors import DimensionError, NonFiniteError, NotPositiveDefinite, SymmetryError
 
 __all__ = [
     "Tolerance",
@@ -104,6 +104,15 @@ def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "
     gap = float(np.abs(m - m.T).max()) if m.size else 0.0
     if gap > tol.threshold(m):
         raise SymmetryError(f"{what} is not symmetric: max |M - M^T| = {gap:.3e}")
+
+
+def _require_positive_definite(m: np.ndarray, min_eig: float, tol: Tolerance,
+                               what: str = "matrix") -> None:
+    """Raise NotPositiveDefinite unless ``m``'s smallest eigenvalue exceeds tol."""
+    if min_eig <= tol.threshold(m):
+        raise NotPositiveDefinite(
+            f"{what} is not positive definite (min eigenvalue {min_eig:.3e})",
+            min_eig=float(min_eig))
 
 
 def _mode_count(m: np.ndarray) -> int:

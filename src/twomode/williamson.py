@@ -29,14 +29,13 @@ import numpy as np
 from .errors import (
     DegeneracyWarning,
     InternalInconsistency,
-    NotPositiveDefinite,
     PairingError,
     SingularInput,
     SymmetryError,
 )
 from .invariants import _spectrum_general, _validated_modes
 from .symplectic import (DEFAULT_TOL, Tolerance, _mode_count, _omega_form, _read_only_cache,
-                         as_matrix, require_symmetric)
+                         _require_positive_definite, as_matrix, require_symmetric)
 
 __all__ = [
     "WilliamsonDecomposition",
@@ -80,10 +79,7 @@ def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def _inv_sqrt(v: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Core of ``inv_sqrt``: its eigendecomposition is also the positivity check."""
     evals, q = np.linalg.eigh(v)
-    if evals[0] <= tol.threshold(v):
-        raise NotPositiveDefinite(
-            f"matrix is not positive definite (min eigenvalue {evals[0]:.3e})",
-            min_eig=float(evals[0]))
+    _require_positive_definite(v, evals[0], tol)
     m = (q / np.sqrt(evals)) @ q.T
     return (m + m.T) / 2.0
 

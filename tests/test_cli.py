@@ -1,7 +1,10 @@
 """Command-line interface: documents, subcommands, formats, exit codes."""
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,3 +515,22 @@ def test_text_output_marks_undefined_spectra(run):
         lines = out.splitlines()
         for key in ("nu_minus", "nu_plus", "nu_tilde_minus", "nu_tilde_plus"):
             assert f"{key}: undefined (V not > 0)" in lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"], ["classify", "--format", "machine"],
+    ["sweep", "--family", "simon_vx", "--from", "0.1", "--to", "1", "--step", "0.1"],
+])
+def test_closed_pipe_exits_1_quietly(argv):
+    src = str(Path(tm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader left: the first write to stdout fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "twomode.cli", *argv],
+                              input=doc(tm.simon_vx(0.7)).encode(), stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

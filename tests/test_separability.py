@@ -57,6 +57,38 @@ def test_indefinite_matrix_is_unphysical():
     assert "nu_minus_minus_1" not in out.margins
 
 
+@pytest.mark.parametrize("classify, v, reason", [
+    (tm.classify_global, -np.eye(4), "V is not positive definite"),
+    (tm.classify_global, 0.5 * np.eye(4), "det V < 1"),
+    (tm.classify_global, tm.simon_vx(0.4), "Delta > 1 + det V"),
+    (tm.classify_local, -np.eye(4), "block A is not positive definite"),
+    (tm.classify_local, np.diag([1.0, 1.0, -1.0, -1.0]), "block B is not positive definite"),
+    (tm.classify_local, 0.5 * np.eye(4),
+     "2 sqrt(det A det B) + det C^2 > det V + det A det B"),
+    (tm.classify_local, tm.simon_vx(0.4), "Delta > 1 + det V"),
+    (tm.posdef_criterion, 0.5 * np.eye(4), "det V < 1 (neither branch applies)"),
+    (tm.posdef_criterion, tm.simon_vx(0.4), "Delta > 1 + det V (neither branch applies)"),
+], ids=["global-V", "global-detV", "global-Delta", "local-A", "local-B", "local-block",
+        "local-Delta", "posdef-detV", "posdef-Delta"])
+def test_each_unphysical_reason(classify, v, reason):
+    out = classify(v)
+    assert out.tag is Tag.UNPHYSICAL
+    assert out.reason == reason
+
+
+def test_unphysical_reason_is_the_first_condition_failed_beyond_its_band():
+    # det V - 1 = -5e-10 lies inside its band (1e-9), so det V >= 1 holds;
+    # only Delta <= 1 + det V fails, by 2.25.
+    v = np.diag([2.0, 2.0, 0.5 * (1 - 2.5e-10), 0.5 * (1 - 2.5e-10)])
+    out = tm.classify_global(v)
+    assert out.margins["det_V_minus_1"] == pytest.approx(-5e-10, rel=1e-6)
+    assert abs(out.margins["det_V_minus_1"]) < tm.DEFAULT_TOL.band(1.0)
+    assert out.margins["delta_margin"] == pytest.approx(-2.25, abs=1e-9)
+    assert out.tag is Tag.UNPHYSICAL
+    assert out.reason == tm.classify_local(v).reason == "Delta > 1 + det V"
+    assert tm.posdef_criterion(v).reason == "Delta > 1 + det V (neither branch applies)"
+
+
 def test_product_state_is_separable():
     # Vanishing C with both single-mode blocks physical.
     v = tm.direct_sum(2.0 * np.eye(2), 1.5 * np.eye(2))
