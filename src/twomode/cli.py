@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -394,6 +395,10 @@ _EXIT_CODES = ((_DocumentError, 2), ((NotPositiveDefinite, PreconditionViolated)
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # One "warning: ..." line per warning, like the "error: ..." lines, with no
+    # source path or line; the format is restored for an in-process caller.
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -403,6 +408,8 @@ def main(argv=None) -> int:
     except (_DocumentError, ValueError, RuntimeError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -175,12 +175,11 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _spectrum_general(v: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
     """Core of ``symplectic_spectrum_general`` on a validated positive definite v."""
-    mods = np.sort(np.abs(np.linalg.eigvals(_omega_form(n) @ v)))
-    nus = np.empty(n)
-    for k in range(n):
-        lo, hi = mods[2 * k], mods[2 * k + 1]
+    mods = np.sort(np.abs(np.linalg.eigvals(_omega_form(n) @ v))).tolist()
+    nus = []
+    for lo, hi in zip(mods[0::2], mods[1::2]):
         if hi - lo > tol.band(hi):
             raise PairingError(
                 f"eigenvalue moduli {lo!r} and {hi!r} fail to pair")
-        nus[k] = (lo + hi) / 2.0
-    return nus
+        nus.append((lo + hi) / 2.0)
+    return np.array(nus)

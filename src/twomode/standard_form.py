@@ -10,8 +10,11 @@ congruent, under a block-diagonal local symplectic S_local = S_A (+) S_B, to
 
 with a^2 = det A, b^2 = det B, c+ c- = det C and
 (ab - c+^2)(ab - c-^2) = det V. The construction Williamson-diagonalizes each
-block (a 2x2 eigenproblem) and then picks two rotation angles that
-diagonalize the transformed off-diagonal block in closed form.
+block [[p, q], [q, s]], eigenvalues lambda_+ >= lambda_-, in closed form:
+S = sqrt(a) diag(lambda_+, lambda_-)^(-1/2) R(phi)^T, phi = atan2(q, (p - s)/2)/2,
+a = sqrt(lambda_+) sqrt(lambda_-) (no overflow). It then picks two rotation
+angles that diagonalize the transformed off-diagonal block in closed form, all
+on Python floats.
 
 The pair (c+, c-) is only determined up to sign/order freedom; this module
 fixes the canonical cell c+ >= |c-| with c+ >= 0 (the sign of det C then
@@ -20,26 +23,15 @@ rides on c-).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BlockNotPositiveDefinite,
-    DimensionError,
-    InternalInconsistency,
-)
-from .symplectic import (
-    DEFAULT_TOL,
-    Tolerance,
-    _as_two_mode,
-    _require_positive_definite,
-    as_matrix,
-    direct_sum,
-    require_symmetric,
-    rotation,
-    symmetric_part,
-)
+from .errors import BlockNotPositiveDefinite, DimensionError, InternalInconsistency
+from .physicality import _min_eig_2x2
+from .symplectic import (DEFAULT_TOL, Tolerance, _as_two_mode, _require_positive_definite,
+                         as_matrix, require_symmetric, symmetric_part)
 
 __all__ = [
     "StandardFormParams",
@@ -54,7 +46,8 @@ class StandardFormParams:
     """Standard-form parameters and the local symplectic achieving them.
 
     s_local is block-diagonal with two 2x2 blocks of determinant 1;
-    congruence(V, s_local) reproduces matrix() to tolerance. ``residual`` is
+    congruence(V, s_local) reproduces matrix() to tolerance. It is fixed
+    only up to -I4: S and -S give the same congruence. ``residual`` is
     max |congruence(V, s_local) - matrix()| as checked by
     ``reduce_to_standard_form`` (0.0 for an instance built by hand).
     """
@@ -94,28 +87,40 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
     if m.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 block, got {m.shape}")
     require_symmetric(m, tol, what="2x2 block")
-    evals, q = np.linalg.eigh(m)
-    _require_positive_definite(m, evals[0], tol, what="block")
-    return _single_mode(evals, q)
+    (p, _), (q, s) = m.tolist()  # the lower triangle, the one numpy's eigh reads
+    min_eig = _min_eig_2x2(p, q, s)
+    _require_positive_definite(m, min_eig, tol, what="block")
+    (s00, s01, s10, s11), a = _single_mode(p, q, s, min_eig)
+    return np.array([[s00, s01], [s10, s11]]), a
 
 
-def _single_mode(evals: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float]:
-    """Core of ``single_mode_williamson`` from ``eigh`` of a positive definite block."""
-    # Descending eigenvalue order; stable so that scalar blocks keep q = I
-    # and come out with s exactly the identity (up to scale).
-    order = np.argsort(-evals, kind="stable")
-    d = evals[order]
-    q = q[:, order]
-    if q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0] < 0.0:  # det q = +-1
-        q = q.copy()
-        q[:, 1] = -q[:, 1]
-    a = float(np.sqrt(d[0] * d[1]))
-    s = np.sqrt(a) * (q / np.sqrt(d)).T
-    return s, a
+def _single_mode(p: float, q: float, s: float, min_eig: float) -> tuple[tuple, float]:
+    """Core of ``single_mode_williamson`` for a positive definite [[p, q], [q, s]]
+    with smaller eigenvalue ``min_eig``: (S as a row-major 4-tuple, a)."""
+    big = max(p, s) + (min(p, s) - min_eig)  # min(p, s) - lambda_- = q^2/(h + |d|) >= 0
+    a = math.sqrt(big) * math.sqrt(min_eig)
+    # Major axis (cos phi, sin phi); a scalar block has phi = 0, so S = I.
+    phi = math.atan2(q, (p - s) / 2.0) / 2.0
+    cos, sin = math.cos(phi), math.sin(phi)
+    k_big, k_small = math.sqrt(a / big), math.sqrt(a / min_eig)
+    return (k_big * cos, k_big * sin, -k_small * sin, k_small * cos), a
 
 
-def _diagonalizing_angles(m: np.ndarray, tol: Tolerance
-                          ) -> tuple[float, float]:
+def _product(x: tuple, y: tuple) -> tuple:
+    """x y for 2x2 matrices given as row-major 4-tuples."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _rotation(angle: float) -> tuple:
+    """R(angle) as a row-major 4-tuple; R(-angle) = R(angle)^T."""
+    c, s = math.cos(angle), math.sin(angle)
+    return (c, -s, s, c)
+
+
+def _diagonalizing_angles(m: tuple, cut: float) -> tuple[float, float]:
     """Angles (theta_a, theta_b) with R(theta_a) M R(theta_b)^T diagonal.
 
     Writing M on the basis {I, J, K, L} (J the rotation generator, K, L the
@@ -125,9 +130,8 @@ def _diagonalizing_angles(m: np.ndarray, tol: Tolerance
     canonical cell is enforced by the caller via quarter- and half-turn
     composition.
     """
-    z1 = complex(m[0, 0] + m[1, 1], m[1, 0] - m[0, 1])
-    z2 = complex(m[0, 0] - m[1, 1], m[0, 1] + m[1, 0])
-    cut = tol.threshold(m)
+    z1 = complex(m[0] + m[3], m[2] - m[1])
+    z2 = complex(m[0] - m[3], m[1] + m[2])
     if abs(z1) <= cut and abs(z2) <= cut:
         return 0.0, 0.0
     if abs(z2) <= cut:
@@ -150,46 +154,51 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
     v = _as_two_mode(v, tol)
-    # One eigh per block: the positivity check and the single-mode transform.
+    rows = v.tolist()
+    # One closed form per block: the positivity check and the single-mode transform.
     transforms = []
-    for name, block in (("A", v[:2, :2]), ("B", v[2:, 2:])):
-        evals, q = np.linalg.eigh(block)
-        min_eig = float(evals[0])
-        if min_eig <= tol.threshold(block):
+    for name, i in (("A", 0), ("B", 2)):
+        # The lower triangle, the one numpy's eigh reads: V is symmetric only within tolerance.
+        p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
+        min_eig = _min_eig_2x2(p, q, s)
+        if min_eig <= tol.threshold(v[i:i + 2, i:i + 2]):
             raise BlockNotPositiveDefinite(
                 f"block {name} is not positive definite "
                 f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)
-        transforms.append(_single_mode(evals, q))
+        transforms.append(_single_mode(p, q, s, min_eig))
     (s_a, a), (s_b, b) = transforms
-    m = s_a @ v[:2, 2:] @ s_b.T
-    theta_a, theta_b = _diagonalizing_angles(m, tol)
+    m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), (s_b[0], s_b[2], s_b[1], s_b[3]))
+    cut = tol.threshold(m)
+    theta_a, theta_b = _diagonalizing_angles(m, cut)
 
-    def transformed(ta: float, tb: float) -> np.ndarray:
-        return rotation(ta) @ m @ rotation(tb).T
+    def transformed(ta: float, tb: float) -> tuple:
+        return _product(_product(_rotation(ta), m), _rotation(-tb))
 
     c_diag = transformed(theta_a, theta_b)
     # Canonical cell: |c+| >= |c-| via a simultaneous quarter turn (which
     # swaps the diagonal entries and fixes aI, bI), then c+ >= 0 via a half
     # turn on mode A alone (which flips both signs, preserving det C).
-    if abs(c_diag[1, 1]) > abs(c_diag[0, 0]):
-        theta_a += np.pi / 2.0
-        theta_b += np.pi / 2.0
+    if abs(c_diag[3]) > abs(c_diag[0]):
+        theta_a += math.pi / 2.0
+        theta_b += math.pi / 2.0
         c_diag = transformed(theta_a, theta_b)
-    if c_diag[0, 0] < 0.0:
-        theta_a += np.pi
+    if c_diag[0] < 0.0:
+        theta_a += math.pi
         c_diag = transformed(theta_a, theta_b)
 
-    off = max(abs(c_diag[0, 1]), abs(c_diag[1, 0]))
-    if off > 64.0 * tol.threshold(m):
+    # Written so that NaN (from an overflow) fails each check instead of passing it.
+    off = max(abs(c_diag[1]), abs(c_diag[2]))
+    if not off <= 64.0 * cut:
         raise InternalInconsistency(
             f"off-diagonal residue {off:.3e} after angle selection")
-    c_plus = float(c_diag[0, 0])
-    c_minus = float(c_diag[1, 1])
+    c_plus, c_minus = c_diag[0], c_diag[3]
 
-    s_local = direct_sum(rotation(theta_a) @ s_a, rotation(theta_b) @ s_b)
+    ra, rb = _product(_rotation(theta_a), s_a), _product(_rotation(theta_b), s_b)
+    s_local = np.array([[*ra[:2], 0.0, 0.0], [*ra[2:], 0.0, 0.0],
+                        [0.0, 0.0, *rb[:2]], [0.0, 0.0, *rb[2:]]])
     target = standard_form_matrix(a, b, c_plus, c_minus)
     residual = float(np.abs(symmetric_part(s_local @ v @ s_local.T) - target).max())
-    if residual > 1e3 * tol.threshold(v, target):
+    if not residual <= 1e3 * tol.threshold(v, target):
         raise InternalInconsistency(
             f"standard-form congruence residual {residual:.3e}")
     return StandardFormParams(a=a, b=b, c_plus=c_plus, c_minus=c_minus,

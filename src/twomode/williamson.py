@@ -149,29 +149,28 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance,
     """Core of ``skew_block_rotation`` on a validated antisymmetric xs."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = np.linalg.eigh(1j * xs)
-    neg, pos = evals[:n_modes], evals[n_modes:]
-    band = tol.band(*np.abs(evals))
-    if float(np.abs(neg[::-1] + pos).max()) > 16.0 * band:
+    ev = evals.tolist()
+    neg, pos = ev[:n_modes], ev[n_modes:]
+    band = tol.band(*map(abs, ev))
+    if max(abs(x + y) for x, y in zip(neg[::-1], pos)) > 16.0 * band:
         raise PairingError(
             f"eigenvalues do not split into conjugate pairs: {evals}")
-    a_desc = -neg  # descending since eigh sorts ascending
-    if a_desc[-1] <= tol.threshold(xs):
+    a_asc = [-x for x in neg[::-1]]  # ascending since eigh sorts ascending
+    if a_asc[0] <= tol.threshold(xs):
         raise SingularInput(
             f"antisymmetric matrix is singular to tolerance "
-            f"(smallest pair magnitude {a_desc[-1]:.3e})")
+            f"(smallest pair magnitude {a_asc[0]:.3e})")
 
-    a_asc = a_desc[::-1]
     dim = 2 * n_modes
-    u = np.zeros((dim, dim), dtype=complex)
-    for k in range(n_modes):
-        vec = vecs[:, n_modes - 1 - k]  # +i a_asc[k] eigenvector of Xs
-        if phases is not None:
-            vec = vec * np.exp(1j * phases[k])
-        # Conjugate partner (eigenvalue -i a_k) sits in the odd slot of the
-        # pair; it is defined as the entrywise conjugate rather than taken
-        # from the solver, which guarantees the pairing under degeneracy.
-        u[:, 2 * k] = np.conj(vec)
-        u[:, 2 * k + 1] = vec
+    plus = vecs[:, n_modes - 1::-1]  # column k: the +i a_asc[k] eigenvector of Xs
+    if phases is not None:
+        plus = plus * np.exp(1j * np.asarray(phases, dtype=float))
+    # Conjugate partner (eigenvalue -i a_k) sits in the odd slot of the
+    # pair; it is defined as the entrywise conjugate rather than taken
+    # from the solver, which guarantees the pairing under degeneracy.
+    u = np.empty((dim, dim), dtype=complex)
+    u[:, 0::2] = np.conj(plus)
+    u[:, 1::2] = plus
     o = _pair_basis(n_modes) @ u.conj().T
 
     bound = 10.0 * tol.band(1.0)
@@ -184,7 +183,7 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance,
     if ortho_residual > bound:
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
-    return o, np.asarray(a_asc, dtype=float)
+    return o, np.array(a_asc)
 
 
 def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
@@ -219,7 +218,8 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
             f"eigenvector route spectrum {nus} disagrees with "
             f"product-eigenvalue route {reference}")
 
-    degenerate = bool(np.any(np.diff(nus) <= tol.band(*nus))) if n_modes > 1 else False
+    nu = nus.tolist()
+    degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.band(*nu)
     if degenerate:
         warnings.warn(DegeneracyWarning(
             "symplectic spectrum is degenerate within tolerance; the "

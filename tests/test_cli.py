@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,26 @@ def test_williamson_degenerate_input(run):
                            stdin_text=doc(np.eye(4)))
     assert code == 0
     assert json.loads(out)["degenerate"] is True
+
+
+def test_main_restores_the_warning_format(run):
+    before = warnings.formatwarning
+    with pytest.warns(tm.DegeneracyWarning):
+        run(["williamson"], stdin_text=doc(np.eye(4)))
+    assert warnings.formatwarning is before
+
+
+def test_warning_is_one_line_without_a_path():
+    src = str(Path(tm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "twomode.cli", "williamson", "--format",
+                           "machine"], input=doc(np.eye(4)).encode(), capture_output=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: symplectic spectrum is degenerate")
+    assert "/" not in lines[0] and ".py" not in lines[0]
 
 
 def test_williamson_indefinite_exits_4(run):

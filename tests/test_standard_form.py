@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
+from twomode import standard_form
 
 from .support import random_block_positive, random_local_symplectic
 
@@ -66,6 +67,26 @@ def test_single_mode_williamson_random_blocks(d1, d2, angle):
     assert a == pytest.approx(np.sqrt(d1 * d2), rel=1e-9)
     np.testing.assert_allclose(s @ m @ s.T, a * np.eye(2),
                                atol=1e-9 * max(1.0, d1, d2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-6.0, 6.0), st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
+       st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
+def test_single_mode_closed_form_error_tracks_the_condition_number(log_sigma, log_kappa,
+                                                                   angle):
+    # R diag(sigma, sigma/kappa) R^T: the closed form's error may grow like
+    # eps * kappa (as an eigensolver's does), and no faster.
+    sigma, kappa = 10.0**log_sigma, 10.0**log_kappa
+    r = tm.rotation(angle)
+    m = r @ np.diag([sigma, sigma / kappa]) @ r.T
+    m = (m + m.T) / 2.0
+    try:
+        s, a = tm.single_mode_williamson(m)
+    except tm.NotPositiveDefinite:
+        return  # sigma/kappa below the positivity threshold
+    bound = 8.0 * np.finfo(float).eps * kappa
+    assert np.abs(s @ m @ s.T - a * np.eye(2)).max() / a <= bound
+    assert abs(np.linalg.det(s) - 1.0) <= bound
 
 
 def test_reduce_vacuum():
@@ -176,6 +197,28 @@ def test_reduction_preserves_spectra_when_positive(seed):
     after = tm.symplectic_spectrum_2mode(tm.reduce_to_standard_form(v).matrix())
     assert after.nu_minus == pytest.approx(before.nu_minus, rel=1e-8, abs=1e-9)
     assert after.nu_plus == pytest.approx(before.nu_plus, rel=1e-8, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e150, 1e160, 1e200, 1e300])
+def test_reduction_far_from_unit_scale_stays_finite(c):
+    # Block eigenvalues past ~1e154 overflowed a = sqrt(lambda_+ lambda_-) to
+    # inf, and the NaN that followed passed every check.
+    v = c * tm.simon_vx(1.0)
+    params = tm.reduce_to_standard_form(v)
+    for got, want in ((params.a, 2.5), (params.b, 2.5), (params.c_plus, 2.0),
+                      (params.c_minus, -1.5)):
+        assert got / c == pytest.approx(want, abs=1e-12)
+    assert np.isfinite(params.s_local).all()
+    assert_valid_reduction(v, params)
+    s, a = tm.single_mode_williamson(v[:2, :2])
+    assert a / c == pytest.approx(2.5, abs=1e-12)
+    assert np.isfinite(s).all()
+
+
+def test_reduction_rejects_a_nan_residual(monkeypatch):
+    monkeypatch.setattr(standard_form, "symmetric_part", lambda m: np.full_like(m, np.nan))
+    with pytest.raises(tm.InternalInconsistency):
+        tm.reduce_to_standard_form(tm.simon_vx(1.0))
 
 
 def test_reduction_names_offending_block():
