@@ -175,8 +175,8 @@ def _write_text(path: str, text: str) -> None:
 def _evaluation(v, tol: Tolerance):
     """Invariants, global report with its bands and both spectra of V from one
     evaluation; the spectra are None unless the report found V > 0."""
-    v, inv = _evaluate(v, tol)
-    report, bands = _global_report(v, inv, tol)
+    v, scale, inv = _evaluate(v, tol)
+    report, bands = _global_report(v, scale, inv, tol)
     if report.nu_minus is None:
         return inv, report, bands, dict.fromkeys(_SPECTRA)
     spec = _spectrum_from_delta(inv.delta, inv.det_V, tol)
@@ -287,6 +287,9 @@ def cmd_gen(args) -> int:
 
 
 def _sweep_values(start: float, stop: float, step: float) -> np.ndarray:
+    for flag, value in (("--from", start), ("--to", stop), ("--step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if step <= 0:
         raise ValueError(f"--step must be > 0, got {step}")
     if stop < start:

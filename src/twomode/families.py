@@ -59,24 +59,34 @@ def vacuum() -> np.ndarray:
     return np.eye(4)
 
 
+def _finite(m: np.ndarray, params: str) -> np.ndarray:
+    """``m``, or ValueError when the parameters made an entry NaN or infinite."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{params} gives a non-finite matrix")
+    return m
+
+
 def thermal(nu1: float, nu2: float) -> np.ndarray:
     """diag(nu1, nu1, nu2, nu2) with nu1, nu2 >= 1 (separable product state)."""
     if nu1 < 1.0 or nu2 < 1.0:
         raise ValueError(f"thermal occupations must be >= 1, got {nu1}, {nu2}")
-    return np.diag([nu1, nu1, nu2, nu2]).astype(float)
+    return _finite(np.diag([nu1, nu1, nu2, nu2]).astype(float), f"nu1={nu1}, nu2={nu2}")
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
     """Two-mode squeezed CM with a = cosh 2r, c+ = -c- = sinh 2r."""
     if r < 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    return np.array([
+    try:
+        ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        ch = sh = math.inf
+    return _finite(np.array([
         [ch, 0.0, sh, 0.0],
         [0.0, ch, 0.0, -sh],
         [sh, 0.0, ch, 0.0],
         [0.0, -sh, 0.0, ch],
-    ])
+    ]), f"r={r}")
 
 
 def simon_vx(x: float) -> np.ndarray:
@@ -90,12 +100,12 @@ def simon_vx(x: float) -> np.ndarray:
     a = (1.0 + 4.0 * x) / 2.0
     c1 = (4.0 * x - 1.0) / 2.0
     c2 = -2.0 * x
-    return np.array([
+    return _finite(np.array([
         [a, 0.0, c1, 0.0],
         [0.0, a, 0.0, c2],
         [c1, 0.0, a, 0.0],
         [0.0, c2, 0.0, a],
-    ])
+    ]), f"x={x}")
 
 
 def balanced_mixer() -> np.ndarray:

@@ -79,9 +79,9 @@ def _w_product(x: tuple, y: tuple) -> tuple:
             x10 * y10 - x11 * y00, x10 * y11 - x11 * y01)
 
 
-def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, TwoModeInvariants]:
-    """Validate ``v`` and compute its invariants: the one path to them."""
-    v = _as_two_mode(v, tol)
+def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, float, TwoModeInvariants]:
+    """Validate ``v`` and compute its invariants, the one path to them: (v, scale, invariants)."""
+    v, scale = _as_two_mode(v, tol)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = v.tolist()
     det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
     det_v = float(np.linalg.det(v))
@@ -89,12 +89,14 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, TwoModeInvariants]:
     r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
                               (b00, b01, b10, b11)), (c00, c10, c01, c11))
     i4 = r[2] - r[1]
-    residual = det_v - (det_a * det_b + det_c**2 - i4)
-    scale = 1.0 + abs(det_a * det_b) + det_c**2 + abs(i4) + abs(det_v)
-    if abs(residual) > _IDENTITY_BAND * scale:
+    residual = det_v - (det_a * det_b + det_c * det_c - i4)
+    magnitude = 1.0 + abs(det_a * det_b) + det_c * det_c + abs(i4) + abs(det_v)
+    if not math.isfinite(magnitude):
+        raise NumericalError(f"invariants overflow float64: det V identity magnitude {magnitude}")
+    if abs(residual) > _IDENTITY_BAND * magnitude:
         raise InternalInconsistency(
-            f"det V identity violated: residual {residual:.3e} at scale {scale:.3e}")
-    return v, TwoModeInvariants(
+            f"det V identity violated: residual {residual:.3e} at scale {magnitude:.3e}")
+    return v, scale, TwoModeInvariants(
         det_A=det_a, det_B=det_b, det_C=det_c, det_V=det_v, I4=i4,
         delta=det_a + det_b + 2 * det_c, delta_tilde=det_a + det_b - 2 * det_c,
         gamma_sep=det_a + det_b + 2 * abs(det_c))
@@ -109,7 +111,7 @@ def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     det V = det A det B + det C^2 - I4 is then asserted as a free self-test
     (InternalInconsistency on failure).
     """
-    return _evaluate(v, tol)[1]
+    return _evaluate(v, tol)[2]
 
 
 def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance) -> SymplecticSpectrum2:
@@ -139,26 +141,26 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     decomposition exists). The radicand is clamped to 0 when within tolerance
     (degenerate spectrum); larger violations raise NumericalError.
     """
-    v, inv = _evaluate(v, tol)
-    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)
+    v, scale, inv = _evaluate(v, tol)
+    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
     return _spectrum_from_delta(inv.delta, inv.det_V, tol)
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     """Symplectic spectrum of the partial transpose Lambda V Lambda (Delta~ in place of Delta)."""
-    v, inv = _evaluate(v, tol)
-    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)  # iff Lambda V Lambda > 0
+    v, scale, inv = _evaluate(v, tol)
+    # V > 0 iff Lambda V Lambda > 0
+    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
     return _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
 
 
-def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, int]:
-    """``as_matrix`` for a symmetric 2n x 2n matrix, 1 <= n <= MAX_MODES; returns (v, n)."""
+def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, float, int]:
+    """``as_matrix`` for a symmetric 2n x 2n matrix, 1 <= n <= MAX_MODES; returns (v, scale, n)."""
     v = as_matrix(v)
     n = _mode_count(v)
     if n > MAX_MODES:
         raise DimensionError(f"supported up to {MAX_MODES} modes, got {n}")
-    require_symmetric(v, tol)
-    return v, n
+    return v, require_symmetric(v, tol), n
 
 
 def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -168,8 +170,8 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     come in +-nu_k pairs; each adjacent pair of sorted moduli is collapsed to
     its mean. PairingError if a pair gap exceeds tolerance.
     """
-    v, n = _validated_modes(v, tol)
-    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)
+    v, scale, n = _validated_modes(v, tol)
+    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
     return _spectrum_general(v, n, tol)
 
 

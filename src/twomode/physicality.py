@@ -87,8 +87,8 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     positive definite.
     """
     m = as_matrix(m)
-    require_symmetric(m, tol)
-    return float(np.linalg.eigvalsh(m)[0]) > tol.threshold(m)
+    cut = tol._cut(require_symmetric(m, tol))
+    return float(np.linalg.eigvalsh(m)[0]) > cut
 
 
 def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -100,10 +100,10 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """
     v = as_matrix(v)
     n_modes = _mode_count(v)
-    require_symmetric(v, tol)
+    cut = tol._cut(require_symmetric(v, tol))
     h = v + 1j * _omega_form(n_modes)
     min_eig = float(np.linalg.eigvalsh(h)[0])
-    return min_eig >= -tol.threshold(v), min_eig
+    return min_eig >= -cut, min_eig
 
 
 def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, bool, list[str]]:
@@ -117,15 +117,15 @@ def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, 
     return not failed, borderline, failed
 
 
-def _global_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance
+def _global_report(v: np.ndarray, scale: float, inv: TwoModeInvariants, tol: Tolerance
                    ) -> tuple[BonaFideReport, dict[str, float]]:
-    """Body of ``check_global`` on a validated matrix and its invariants, with each band."""
+    """Body of ``check_global`` on a validated matrix, its scale and invariants, with each band."""
     margins = {
         "min_eig_V": float(np.linalg.eigvalsh(v)[0]),
         "det_V_minus_1": inv.det_V - 1.0,
         "delta_margin": (1.0 + inv.det_V) - inv.delta,
     }
-    bands = {"min_eig_V": tol.threshold(v), "det_V_minus_1": tol.band(inv.det_V),
+    bands = {"min_eig_V": tol._cut(scale), "det_V_minus_1": tol.band(inv.det_V),
              "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V)}
     verdict, borderline, failed = _verdict(margins, bands)
     nu_minus = (None if "min_eig_V" in failed
@@ -167,7 +167,8 @@ def _local_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance
         "delta_margin": (1.0 + inv.det_V) - inv.delta,
         "block_margin": block_margin,
     }
-    bands = {"min_eig_A": tol.threshold(v[:2, :2]), "min_eig_B": tol.threshold(v[2:, 2:]),
+    bands = {"min_eig_A": tol._cut(max(map(abs, rows[0][:2] + rows[1][:2]))),
+             "min_eig_B": tol._cut(max(map(abs, rows[2][2:] + rows[3][2:]))),
              "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V),
              "block_margin": tol.band(inv.det_V, inv.det_A * inv.det_B, inv.det_C**2)}
     verdict, borderline, _ = _verdict(margins, bands)
@@ -183,7 +184,8 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     global conditions; kept free of any standard-form reduction so the two
     routes stay independent.
     """
-    return _local_report(*_evaluate(v, tol), tol)[0]
+    v, _, inv = _evaluate(v, tol)
+    return _local_report(v, inv, tol)[0]
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

@@ -81,8 +81,8 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ <= 1 + det V for separability) are evaluated alongside the
     spectral forms and the two must agree away from the boundary band.
     """
-    v, inv = _evaluate(v, tol)
-    return _global_classification(inv, *_global_report(v, inv, tol), tol)
+    v, scale, inv = _evaluate(v, tol)
+    return _global_classification(inv, *_global_report(v, scale, inv, tol), tol)
 
 
 def _global_classification(inv: TwoModeInvariants, report: BonaFideReport,
@@ -145,7 +145,7 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     two implementations share no intermediate quantities beyond the raw
     invariants.
     """
-    v, inv = _evaluate(v, tol)
+    v, _, inv = _evaluate(v, tol)
     report, bands = _local_report(v, inv, tol)
     margins = dict(report.margins)
     margins["gamma_margin"] = (1.0 + inv.det_V) - inv.gamma_sep
@@ -173,8 +173,8 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     hold for matrices that are not CMs at all), so callers must classify
     instead.
     """
-    v, inv = _evaluate(v, tol)
-    report, _ = _global_report(v, inv, tol)
+    v, scale, inv = _evaluate(v, tol)
+    report, _ = _global_report(v, scale, inv, tol)
     if not report.verdict:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "
@@ -192,8 +192,8 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     (1 + det C)^2 < det A + det B - det A det B + I4 <= (1 - det C)^2;
     otherwise unphysical. Raises NotPositiveDefinite outside its domain.
     """
-    v, inv = _evaluate(v, tol)
-    _require_positive_definite(v, float(np.linalg.eigvalsh(v)[0]), tol)
+    v, scale, inv = _evaluate(v, tol)
+    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
 
     # s_mid is the middle member of the entangled-branch chain; the bounds
     # (1 -+ det C)^2 translate to the Delta~ / Delta margins.

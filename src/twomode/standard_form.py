@@ -86,10 +86,10 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
     m = as_matrix(a_block)
     if m.shape != (2, 2):
         raise DimensionError(f"expected a 2x2 block, got {m.shape}")
-    require_symmetric(m, tol, what="2x2 block")
+    scale = require_symmetric(m, tol, what="2x2 block")
     (p, _), (q, s) = m.tolist()  # the lower triangle, the one numpy's eigh reads
     min_eig = _min_eig_2x2(p, q, s)
-    _require_positive_definite(m, min_eig, tol, what="block")
+    _require_positive_definite(min_eig, tol._cut(scale), what="block")
     (s00, s01, s10, s11), a = _single_mode(p, q, s, min_eig)
     return np.array([[s00, s01], [s10, s11]]), a
 
@@ -153,7 +153,7 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     diagonal blocks must be positive definite. Raises
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
-    v = _as_two_mode(v, tol)
+    v, scale = _as_two_mode(v, tol)
     rows = v.tolist()
     # One closed form per block: the positivity check and the single-mode transform.
     transforms = []
@@ -161,14 +161,14 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
         # The lower triangle, the one numpy's eigh reads: V is symmetric only within tolerance.
         p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
         min_eig = _min_eig_2x2(p, q, s)
-        if min_eig <= tol.threshold(v[i:i + 2, i:i + 2]):
+        if min_eig <= tol._cut(max(map(abs, rows[i][i:i + 2] + rows[i + 1][i:i + 2]))):
             raise BlockNotPositiveDefinite(
                 f"block {name} is not positive definite "
                 f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)
         transforms.append(_single_mode(p, q, s, min_eig))
     (s_a, a), (s_b, b) = transforms
     m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), (s_b[0], s_b[2], s_b[1], s_b[3]))
-    cut = tol.threshold(m)
+    cut = tol._cut(max(map(abs, m)))
     theta_a, theta_b = _diagonalizing_angles(m, cut)
 
     def transformed(ta: float, tb: float) -> tuple:
@@ -198,7 +198,7 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
                         [0.0, 0.0, *rb[:2]], [0.0, 0.0, *rb[2:]]])
     target = standard_form_matrix(a, b, c_plus, c_minus)
     residual = float(np.abs(symmetric_part(s_local @ v @ s_local.T) - target).max())
-    if not residual <= 1e3 * tol.threshold(v, target):
+    if not residual <= 1e3 * tol._cut(max(scale, abs(a), abs(b), abs(c_plus), abs(c_minus))):
         raise InternalInconsistency(
             f"standard-form congruence residual {residual:.3e}")
     return StandardFormParams(a=a, b=b, c_plus=c_plus, c_minus=c_minus,

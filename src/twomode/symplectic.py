@@ -45,6 +45,9 @@ class Tolerance:
 
     ``scale`` is the largest absolute element of the operand (a cheap proxy
     for its spectral scale, adequate at the 4x4 sizes this package targets).
+    It is read once per validated matrix: ``require_symmetric`` returns it,
+    and every later cut is formed from floats already read, never by a second
+    scan. A block's cut reads all of its entries, off-diagonals included.
     """
 
     rel: float = 1e-9
@@ -61,6 +64,10 @@ class Tolerance:
             m = np.asarray(m)
             if m.size:
                 scale = max(scale, float(np.abs(m).max()))
+        return self._cut(scale)
+
+    def _cut(self, scale: float) -> float:
+        """The comparison threshold for operands whose largest |element| is ``scale``."""
         return self.abs + self.rel * scale
 
     def band(self, *values: float) -> float:
@@ -100,16 +107,19 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> None:
+def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> float:
+    """Raise SymmetryError unless ``m`` is symmetric within tolerance; return its
+    scale, max |m_ij|, read once here for every later cut on ``m``."""
+    scale = float(np.abs(m).max()) if m.size else 0.0
     gap = float(np.abs(m - m.T).max()) if m.size else 0.0
-    if gap > tol.threshold(m):
+    if gap > tol._cut(scale):
         raise SymmetryError(f"{what} is not symmetric: max |M - M^T| = {gap:.3e}")
+    return scale
 
 
-def _require_positive_definite(m: np.ndarray, min_eig: float, tol: Tolerance,
-                               what: str = "matrix") -> None:
-    """Raise NotPositiveDefinite unless ``m``'s smallest eigenvalue exceeds tol."""
-    if min_eig <= tol.threshold(m):
+def _require_positive_definite(min_eig: float, cut: float, what: str = "matrix") -> None:
+    """Raise NotPositiveDefinite unless the smallest eigenvalue exceeds ``cut``."""
+    if min_eig <= cut:
         raise NotPositiveDefinite(
             f"{what} is not positive definite (min eigenvalue {min_eig:.3e})",
             min_eig=float(min_eig))
@@ -123,13 +133,12 @@ def _mode_count(m: np.ndarray) -> int:
     return dim // 2
 
 
-def _as_two_mode(v, tol: Tolerance) -> np.ndarray:
-    """``as_matrix`` for a symmetric 4x4 correlation matrix."""
+def _as_two_mode(v, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """``as_matrix`` for a symmetric 4x4 correlation matrix; returns (v, scale)."""
     v = as_matrix(v)
     if v.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 matrix, got shape {v.shape}")
-    require_symmetric(v, tol)
-    return v
+    return v, require_symmetric(v, tol)
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -234,7 +243,7 @@ def blocks(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeBlocks:
     For exactly symmetric input ``TwoModeBlocks.matrix`` reproduces the
     source bit for bit.
     """
-    v = _as_two_mode(v, tol)
+    v = _as_two_mode(v, tol)[0]
     return TwoModeBlocks(v[:2, :2].copy(), v[2:, 2:].copy(), v[:2, 2:].copy())
 
 

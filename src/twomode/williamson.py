@@ -72,14 +72,13 @@ class WilliamsonDecomposition:
 def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric M with M V M = I for symmetric positive definite V."""
     v = as_matrix(v)
-    require_symmetric(v, tol)
-    return _inv_sqrt(v, tol)
+    return _inv_sqrt(v, tol._cut(require_symmetric(v, tol)))
 
 
-def _inv_sqrt(v: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _inv_sqrt(v: np.ndarray, cut: float) -> np.ndarray:
     """Core of ``inv_sqrt``: its eigendecomposition is also the positivity check."""
     evals, q = np.linalg.eigh(v)
-    _require_positive_definite(v, evals[0], tol)
+    _require_positive_definite(evals[0], cut)
     m = (q / np.sqrt(evals)) @ q.T
     return (m + m.T) / 2.0
 
@@ -94,8 +93,7 @@ def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The antisymmetric V^(-1/2) Omega V^(-1/2) for positive definite V."""
     v = as_matrix(v)
     n_modes = _mode_count(v)
-    require_symmetric(v, tol)
-    return _skew_kernel(_inv_sqrt(v, tol), n_modes)
+    return _skew_kernel(_inv_sqrt(v, tol._cut(require_symmetric(v, tol))), n_modes)
 
 
 @_read_only_cache
@@ -138,15 +136,16 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
     if phases is not None and len(phases) != n_modes:  # before any solve
         raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
     anti_residual = float(np.abs(xs + xs.T).max())
-    if anti_residual > tol.threshold(xs):
+    cut = tol._cut(float(np.abs(xs).max()))
+    if anti_residual > cut:
         raise SymmetryError(
             f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
-    return _block_rotation(xs, n_modes, tol, phases)
+    return _block_rotation(xs, n_modes, tol, cut, phases)
 
 
-def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance,
+def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float,
                     phases) -> tuple[np.ndarray, np.ndarray]:
-    """Core of ``skew_block_rotation`` on a validated antisymmetric xs."""
+    """Core of ``skew_block_rotation`` on a validated antisymmetric xs whose cut is ``cut``."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = np.linalg.eigh(1j * xs)
     ev = evals.tolist()
@@ -156,7 +155,7 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance,
         raise PairingError(
             f"eigenvalues do not split into conjugate pairs: {evals}")
     a_asc = [-x for x in neg[::-1]]  # ascending since eigh sorts ascending
-    if a_asc[0] <= tol.threshold(xs):
+    if a_asc[0] <= cut:
         raise SingularInput(
             f"antisymmetric matrix is singular to tolerance "
             f"(smallest pair magnitude {a_asc[0]:.3e})")
@@ -195,12 +194,12 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
     DegeneracyWarning (and flags the result) when two symplectic eigenvalues
     coincide within tolerance; the decomposition itself remains valid.
     """
-    v, n_modes = _validated_modes(v, tol)
+    v, scale, n_modes = _validated_modes(v, tol)
     if phases is not None and len(phases) != n_modes:
         raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
-    inv_root = _inv_sqrt(v, tol)
+    inv_root = _inv_sqrt(v, tol._cut(scale))
     skew = _skew_kernel(inv_root, n_modes)
-    o, a_asc = _block_rotation(skew, n_modes, tol, phases)
+    o, a_asc = _block_rotation(skew, n_modes, tol, tol._cut(float(np.abs(skew).max())), phases)
 
     # Ascending nu = 1/a means descending a: reverse the block order with a
     # block-reversal permutation (even, hence still a proper rotation).

@@ -297,6 +297,11 @@ def test_gen_rejects_bad_params(run):
     assert code == 2
     code, _, err = run(["gen", "--family", "vacuum", "--param", "x=1"])
     assert code == 2 and "does not take" in err
+    for family, param in (("two_mode_squeezed", "r=nan"), ("two_mode_squeezed", "r=inf"),
+                          ("two_mode_squeezed", "r=400"), ("simon_vx", "x=nan"),
+                          ("thermal", "nu=inf")):
+        code, out, err = run(["gen", "--family", family, "--param", param])
+        assert code == 2 and out == "" and "non-finite" in err
 
 
 def test_gen_unknown_family_is_an_argparse_error(run):
@@ -381,6 +386,12 @@ def test_sweep_rejects_bad_grid(run):
     code, _, err = run(["sweep", "--family", "simon_vx", "--from", "0.1",
                         "--to", "0.5", "--step", "0"])
     assert code == 2 and "--step" in err
+    for flag, (start, stop, step) in (("--to", ("0.1", "inf", "0.1")),
+                                      ("--step", ("0.1", "0.5", "inf")),
+                                      ("--from", ("nan", "0.5", "0.1"))):
+        code, out, err = run(["sweep", "--family", "simon_vx", "--from", start,
+                              "--to", stop, "--step", step])
+        assert code == 2 and out == "" and f"{flag} must be finite" in err
 
 
 def test_sweep_localizes_analytic_thresholds(run):
@@ -496,6 +507,16 @@ def test_each_cli_record_evaluates_the_matrix_once(run, monkeypatch):
         code, _, _ = run(argv, stdin_text=text)
         assert code == 0
         assert counts == expected, argv[0]
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_overflowing_invariants_exit_1(run, command):
+    # det V = det C^2 = 1e320 overflow float64.
+    grid = "1e80 0 1e80 0\n0 1e80 0 -1e80\n1e80 0 2e80 0\n0 -1e80 0 2e80\n"
+    with np.errstate(over="ignore"):
+        code, out, err = run([command, "--format", "machine"], stdin_text=grid)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invariants overflow")
 
 
 def test_numerical_error_exits_1(run, monkeypatch):

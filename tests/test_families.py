@@ -34,6 +34,16 @@ def test_two_mode_squeezed_matrix():
         tm.two_mode_squeezed(-0.1)
 
 
+@pytest.mark.parametrize("family, args", [
+    (tm.two_mode_squeezed, (float("nan"),)), (tm.two_mode_squeezed, (float("inf"),)),
+    (tm.two_mode_squeezed, (400.0,)),  # cosh 800 overflows
+    (tm.simon_vx, (float("nan"),)), (tm.simon_vx, (1e308,)),  # 4x overflows
+    (tm.thermal, (float("inf"), 2.0)), (tm.thermal, (2.0, float("nan")))])
+def test_families_reject_parameters_that_give_non_finite_matrices(family, args):
+    with pytest.raises(ValueError, match="non-finite"):
+        family(*args)
+
+
 def test_two_mode_squeezed_is_pure():
     for r in (0.2, 0.8):
         inv = tm.two_mode_invariants(tm.two_mode_squeezed(r))

@@ -92,6 +92,20 @@ def test_det_identity_self_test_fires(monkeypatch, fn):
         fn(v)
 
 
+@pytest.mark.parametrize("v", [1e80 * tm.simon_vx(1.0), tm.two_mode_squeezed(100.0),
+                               1e100 * np.eye(4)])
+def test_overflowing_invariants_raise_numerical_error(v):
+    # |det C| or det V passes float64's range: every caller of the invariants
+    # says so, while the oracle, which never forms them, still answers.
+    with np.errstate(over="ignore"):
+        for fn in (tm.two_mode_invariants, tm.symplectic_spectrum_2mode, tm.ppt_spectrum_2mode,
+                   tm.check_global, tm.check_local, tm.classify_global, tm.classify_local,
+                   tm.simon_criterion, tm.posdef_criterion):
+            with pytest.raises(tm.NumericalError, match="overflow"):
+                fn(v)
+        assert tm.heisenberg_oracle(v)[0]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_invariants_under_local_symplectics(seed):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,7 @@
 """Core conventions: symplectic form, basic transforms, blocks, tolerances."""
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +163,43 @@ def test_tolerance_threshold_scales_with_operands():
     big = tol.threshold(1000.0 * np.eye(2))
     assert small == pytest.approx(1e-12 + 1e-9)
     assert big == pytest.approx(1e-12 + 1e-6)
+
+
+# A physical, an unphysical (positive definite) and a non-positive-definite
+# matrix whose blocks are positive definite, so the standard form runs through.
+_SCALE_PROBES = (tm.random_physical(3), tm.simon_vx(0.3),
+                 np.array([[1.0, 0, 2, 0], [0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1]]))
+_VALIDATING_CALLS = (
+    tm.heisenberg_oracle, tm.is_positive_definite, tm.two_mode_invariants, tm.check_global,
+    tm.check_local, tm.classify_global, tm.classify_local, tm.simon_criterion,
+    tm.posdef_criterion, tm.symplectic_spectrum_2mode, tm.ppt_spectrum_2mode,
+    tm.symplectic_spectrum_general, tm.reduce_to_standard_form,
+    lambda v: tm.single_mode_williamson(v[:2, :2]), tm.williamson_decompose, tm.inv_sqrt,
+    lambda v: tm.skew_block_rotation(tm.build_x(v)))
+
+
+def _outcome(fn, v):
+    """``fn(v)`` pickled, or the class and message of the package error it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tm.DegeneracyWarning)
+        try:
+            return pickle.dumps(fn(v))
+        except tm.TwoModeError as exc:
+            return type(exc), str(exc)
+
+
+def test_every_cut_uses_the_scale_read_at_validation(monkeypatch):
+    # Each validated matrix's max |v_ij| is read once, by require_symmetric;
+    # no cut on it may scan a matrix again through Tolerance.threshold.
+    expected = [[_outcome(fn, v) for fn in _VALIDATING_CALLS] for v in _SCALE_PROBES]
+
+    def rescan(*_):
+        raise AssertionError("a cut scanned a matrix again through Tolerance.threshold")
+
+    monkeypatch.setattr(tm.Tolerance, "threshold", rescan)
+    for v, outcomes in zip(_SCALE_PROBES, expected):
+        assert tm.require_symmetric(v) == float(np.abs(v).max())
+        assert [_outcome(fn, v) for fn in _VALIDATING_CALLS] == outcomes
 
 
 def test_tolerance_band_has_unit_floor():
