@@ -42,13 +42,14 @@ from .errors import (
     NumericalError,
     PreconditionViolated,
     SymmetryError,
+    TwoModeError,
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .invariants import _evaluate, _spectrum_from_delta
 from .physicality import _global_report, heisenberg_oracle
 from .separability import _global_classification
 from .standard_form import reduce_to_standard_form
-from .symplectic import DEFAULT_TOL, Tolerance, _mode_count, as_matrix, omega, require_symmetric
+from .symplectic import DEFAULT_TOL, Tolerance, _checked, omega
 from .williamson import williamson_decompose
 
 __all__ = ["main", "build_parser", "parse_document", "MatrixDocument"]
@@ -56,6 +57,7 @@ __all__ = ["main", "build_parser", "parse_document", "MatrixDocument"]
 _SWEEP_PARAMS = {"simon_vx": "x", "two_mode_squeezed": "r", "thermal": "nu"}
 _SWEEP_HEADER = ("x", "det_V", "delta", "delta_tilde", "nu_minus",
                  "nu_tilde_minus", "heisenberg_margin", "simon_margin", "tag")
+_SWEEP_CAP = 10**6  # points: minutes of work and about 200 MB of CSV
 _SPECTRA = ("nu_minus", "nu_plus", "nu_tilde_minus", "nu_tilde_plus")
 _UNDEFINED = "undefined (V not > 0)"
 
@@ -110,13 +112,11 @@ def _payload(text: str):
 
 def _validated(raw, label, rel, abs_, tol: Tolerance) -> MatrixDocument:
     try:
-        matrix = as_matrix(raw)
-    except (DimensionError, NonFiniteError):
+        matrix = _checked(raw, tol, what="input matrix")[0]
+    except TwoModeError:
         raise  # ValueError subclasses: keep exit 3, not a parse error (exit 2)
     except (TypeError, ValueError) as exc:
         raise _DocumentError(f"matrix entries are not numeric: {exc}") from exc
-    _mode_count(matrix)  # DimensionError unless the dimension is even
-    require_symmetric(matrix, tol, what="input matrix")
     return MatrixDocument(matrix=matrix, label=label, tol_rel=rel, tol_abs=abs_)
 
 
@@ -294,7 +294,10 @@ def _sweep_values(start: float, stop: float, step: float) -> np.ndarray:
         raise ValueError(f"--step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"--to {stop} is below --from {start}")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    steps = (stop - start) / step  # inf when the span overflows
+    count = int(math.floor(steps + 0.5)) + 1 if math.isfinite(steps) else math.inf
+    if count > _SWEEP_CAP:
+        raise ValueError(f"the grid has {count:.7g} points, above the cap of {_SWEEP_CAP:,}")
     values = start + step * np.arange(count)
     return values[values <= stop + step * 1e-9]
 

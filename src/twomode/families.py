@@ -42,10 +42,6 @@ __all__ = [
     "balanced_mixer",
 ]
 
-FAMILY_NAMES = ("vacuum", "thermal", "two_mode_squeezed", "simon_vx",
-                "random_physical", "random_symmetric")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A family name plus its parameter assignment."""
@@ -154,12 +150,25 @@ def random_symmetric(seed: int) -> np.ndarray:
     return m + np.triu(m, 1).T
 
 
-def _float_param(spec: FamilySpec, key: str) -> float:
-    try:
-        return float(spec.params[key])
-    except KeyError:
-        raise ValueError(
-            f"family {spec.name!r} requires parameter {key!r}") from None
+def _seeded(build):
+    """``build`` on a whole-number seed, 0 when omitted; ValueError for any other seed."""
+    def from_seed(seed=0) -> np.ndarray:
+        if not (isinstance(seed, int) or float(seed).is_integer()):  # also rejects inf, NaN
+            raise ValueError(f"seed must be a whole number, got {seed}")
+        return build(int(seed))
+    return from_seed
+
+
+# name -> (builder, parameter names); thermal also takes nu for nu1 = nu2 = nu.
+_FAMILIES = {
+    "vacuum": (vacuum, ()),
+    "thermal": (thermal, ("nu1", "nu2")),
+    "two_mode_squeezed": (two_mode_squeezed, ("r",)),
+    "simon_vx": (simon_vx, ("x",)),
+    "random_physical": (_seeded(random_physical), ("seed",)),
+    "random_symmetric": (_seeded(random_symmetric), ("seed",)),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def generate(spec: FamilySpec) -> np.ndarray:
@@ -168,35 +177,19 @@ def generate(spec: FamilySpec) -> np.ndarray:
     Raises ValueError for unknown families, missing/unknown parameters, or
     out-of-domain parameter values.
     """
-    known = {
-        "vacuum": (),
-        "thermal": ("nu", "nu1", "nu2"),
-        "two_mode_squeezed": ("r",),
-        "simon_vx": ("x",),
-        "random_physical": ("seed",),
-        "random_symmetric": ("seed",),
-    }
-    if spec.name not in known:
+    if spec.name not in _FAMILIES:
         raise ValueError(
             f"unknown family {spec.name!r}; expected one of {FAMILY_NAMES}")
-    stray = sorted(set(spec.params) - set(known[spec.name]))
+    build, names = _FAMILIES[spec.name]
+    params = dict(spec.params)
+    if spec.name == "thermal" and "nu" in params:
+        if "nu1" in params or "nu2" in params:
+            raise ValueError("give either nu or nu1/nu2, not both")
+        params["nu1"] = params["nu2"] = params.pop("nu")
+    stray = sorted(set(params) - set(names))
     if stray:
         raise ValueError(f"family {spec.name!r} does not take {stray}")
-
-    if spec.name == "vacuum":
-        return vacuum()
-    if spec.name == "thermal":
-        if "nu" in spec.params:
-            if "nu1" in spec.params or "nu2" in spec.params:
-                raise ValueError("give either nu or nu1/nu2, not both")
-            nu = _float_param(spec, "nu")
-            return thermal(nu, nu)
-        return thermal(_float_param(spec, "nu1"), _float_param(spec, "nu2"))
-    if spec.name == "two_mode_squeezed":
-        return two_mode_squeezed(_float_param(spec, "r"))
-    if spec.name == "simon_vx":
-        return simon_vx(_float_param(spec, "x"))
-    seed = int(spec.params.get("seed", 0))
-    if spec.name == "random_physical":
-        return random_physical(seed)
-    return random_symmetric(seed)
+    missing = [key for key in names if key not in params and key != "seed"]
+    if missing:
+        raise ValueError(f"family {spec.name!r} requires parameter {missing[0]!r}")
+    return build(**params)

@@ -27,12 +27,9 @@ from .symplectic import (
     DEFAULT_TOL,
     MAX_MODES,
     Tolerance,
-    _as_two_mode,
-    _mode_count,
+    _checked,
     _omega_form,
     _require_positive_definite,
-    as_matrix,
-    require_symmetric,
 )
 
 __all__ = [
@@ -81,7 +78,7 @@ def _w_product(x: tuple, y: tuple) -> tuple:
 
 def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, float, TwoModeInvariants]:
     """Validate ``v`` and compute its invariants, the one path to them: (v, scale, invariants)."""
-    v, scale = _as_two_mode(v, tol)
+    v, scale, _ = _checked(v, tol, 2)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = v.tolist()
     det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
     det_v = float(np.linalg.det(v))
@@ -155,12 +152,11 @@ def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
 
 
 def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, float, int]:
-    """``as_matrix`` for a symmetric 2n x 2n matrix, 1 <= n <= MAX_MODES; returns (v, scale, n)."""
-    v = as_matrix(v)
-    n = _mode_count(v)
+    """``_checked`` with the MAX_MODES cap; returns (v, scale, n)."""
+    v, scale, n = _checked(v, tol)
     if n > MAX_MODES:
         raise DimensionError(f"supported up to {MAX_MODES} modes, got {n}")
-    return v, require_symmetric(v, tol), n
+    return v, scale, n
 
 
 def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
-from .symplectic import (DEFAULT_TOL, Tolerance, _mode_count, _omega_form, as_matrix,
-                         require_symmetric)
+from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, as_matrix, require_symmetric
 
 __all__ = [
     "BonaFideReport",
@@ -98,9 +97,8 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     eigenvalue of the Hermitian matrix V + i Omega; the verdict is inclusive
     at the boundary (min_eig >= -tol).
     """
-    v = as_matrix(v)
-    n_modes = _mode_count(v)
-    cut = tol._cut(require_symmetric(v, tol))
+    v, scale, n_modes = _checked(v, tol)
+    cut = tol._cut(scale)
     h = v + 1j * _omega_form(n_modes)
     min_eig = float(np.linalg.eigvalsh(h)[0])
     return min_eig >= -cut, min_eig

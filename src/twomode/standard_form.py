@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockNotPositiveDefinite, DimensionError, InternalInconsistency
+from .errors import BlockNotPositiveDefinite, InternalInconsistency
 from .physicality import _min_eig_2x2
-from .symplectic import (DEFAULT_TOL, Tolerance, _as_two_mode, _require_positive_definite,
-                         as_matrix, require_symmetric, symmetric_part)
+from .symplectic import DEFAULT_TOL, Tolerance, _checked, _require_positive_definite, symmetric_part
 
 __all__ = [
     "StandardFormParams",
@@ -83,10 +82,7 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
     squeeze along the principal axes. Returns (s, a); raises
     NotPositiveDefinite if A is not a positive definite 2x2 matrix.
     """
-    m = as_matrix(a_block)
-    if m.shape != (2, 2):
-        raise DimensionError(f"expected a 2x2 block, got {m.shape}")
-    scale = require_symmetric(m, tol, what="2x2 block")
+    m, scale, _ = _checked(a_block, tol, 1, what="block")
     (p, _), (q, s) = m.tolist()  # the lower triangle, the one numpy's eigh reads
     min_eig = _min_eig_2x2(p, q, s)
     _require_positive_definite(min_eig, tol._cut(scale), what="block")
@@ -153,7 +149,7 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     diagonal blocks must be positive definite. Raises
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
-    v, scale = _as_two_mode(v, tol)
+    v, scale, _ = _checked(v, tol, 2)
     rows = v.tolist()
     # One closed form per block: the positivity check and the single-mode transform.
     transforms = []

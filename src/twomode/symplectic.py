@@ -8,7 +8,9 @@ Conventions used throughout the package:
   omega = [[0, 1], [-1, 0]].
 
 All public operations take and return plain float64 ndarrays and validate
-shape, finiteness and (where required) symmetry at the boundary.
+shape, finiteness and (where required) symmetry at the boundary. For every
+symmetric 2n x 2n input that boundary is one function, ``_checked``; only
+the operations that accept odd squares or need no symmetry keep their own.
 """
 from __future__ import annotations
 
@@ -133,12 +135,16 @@ def _mode_count(m: np.ndarray) -> int:
     return dim // 2
 
 
-def _as_two_mode(v, tol: Tolerance) -> tuple[np.ndarray, float]:
-    """``as_matrix`` for a symmetric 4x4 correlation matrix; returns (v, scale)."""
-    v = as_matrix(v)
-    if v.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 matrix, got shape {v.shape}")
-    return v, require_symmetric(v, tol)
+def _checked(m, tol: Tolerance, modes: int | None = None,
+             what: str = "matrix") -> tuple[np.ndarray, float, int]:
+    """The input boundary: ``as_matrix``, a dimension of 2 * ``modes`` (any even one when
+    None) and ``require_symmetric``; returns (m, scale = max |m_ij|, number of modes)."""
+    m = as_matrix(m)
+    if modes is None:
+        modes = _mode_count(m)
+    elif m.shape[0] != 2 * modes:
+        raise DimensionError(f"expected a {2 * modes}x{2 * modes} {what}, got shape {m.shape}")
+    return m, require_symmetric(m, tol, what), modes
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -160,16 +166,12 @@ def omega(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), _OMEGA2)
 
 
-def _read_only_cache(build):
-    """Per-mode-count cache of ``build``; the arrays are shared, so read-only."""
-    def frozen(n_modes: int) -> np.ndarray:
-        form = build(n_modes)
-        form.flags.writeable = False
-        return form
-    return functools.lru_cache(maxsize=MAX_MODES)(functools.wraps(build)(frozen))
-
-
-_omega_form = _read_only_cache(omega)
+@functools.lru_cache(maxsize=MAX_MODES)
+def _omega_form(n_modes: int) -> np.ndarray:
+    """Cached ``omega(n_modes)``; the array is shared, so read-only."""
+    form = omega(n_modes)
+    form.flags.writeable = False
+    return form
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -243,7 +245,7 @@ def blocks(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeBlocks:
     For exactly symmetric input ``TwoModeBlocks.matrix`` reproduces the
     source bit for bit.
     """
-    v = _as_two_mode(v, tol)[0]
+    v = _checked(v, tol, 2)[0]
     return TwoModeBlocks(v[:2, :2].copy(), v[2:, 2:].copy(), v[:2, 2:].copy())
 
 

@@ -6,14 +6,17 @@ symplectic eigenvalues. The constructive route used here:
 
 1. form the inverse square root V^{-1/2} (orthogonal diagonalization),
 2. build the antisymmetric X = V^{-1/2} Omega V^{-1/2},
-3. find a proper rotation O block-rotating X into (+)_k a_k omega by pairing
-   conjugate eigenvectors of X (equivalently of the Hermitian iX),
-4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k.
+3. find a rotation O block-rotating X into (+)_k a_k omega from the
+   eigenvectors p_k of X with eigenvalue +i a_k (those of the Hermitian iX
+   with eigenvalue -a_k): rows 2k and 2k+1 of O are sqrt(2) (-Im p_k)^T and
+   sqrt(2) (Re p_k)^T, real by construction,
+4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k, R being O with its
+   2-row blocks in reverse order (nu ascending).
 
 Each call validates its input once and factors each matrix once: one eigh of
-V (also the positivity check) and one of iX. The cross-checks kept are
-det R = +1, the spectrum from the independent route |eig(Omega V)|, and the
-rotation's imaginary residue and orthogonality.
+V (also the positivity check) and one of iX. The cross-checks kept are the
+orthogonality of O, det R = +1 and the spectrum from the independent route
+|eig(Omega V)|.
 
 S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
 = (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
@@ -21,20 +24,16 @@ in general symplectic; only the product is.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegeneracyWarning,
-    InternalInconsistency,
-    PairingError,
-    SingularInput,
-    SymmetryError,
-)
+from .errors import (DegeneracyWarning, InternalInconsistency, PairingError, SingularInput,
+                     SymmetryError)
 from .invariants import _spectrum_general, _validated_modes
-from .symplectic import (DEFAULT_TOL, Tolerance, _mode_count, _omega_form, _read_only_cache,
+from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form,
                          _require_positive_definite, as_matrix, require_symmetric)
 
 __all__ = [
@@ -91,30 +90,8 @@ def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
 
 def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The antisymmetric V^(-1/2) Omega V^(-1/2) for positive definite V."""
-    v = as_matrix(v)
-    n_modes = _mode_count(v)
-    return _skew_kernel(_inv_sqrt(v, tol._cut(require_symmetric(v, tol))), n_modes)
-
-
-@_read_only_cache
-def _pair_basis(n_modes: int) -> np.ndarray:
-    """Unitary mapping each conjugate eigenvector pair to a real 2x2 plane.
-
-    Block diagonal with blocks (1/sqrt 2) [[i, -i], [1, 1]]; unitarity is
-    what makes the assembled rotation orthogonal for every choice of
-    diagonalizing eigenbasis.
-    """
-    gamma_block = np.array([[1j, -1j], [1.0, 1.0]]) / np.sqrt(2.0)
-    out = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
-    for k in range(n_modes):
-        out[2 * k:2 * k + 2, 2 * k:2 * k + 2] = gamma_block
-    return out
-
-
-@_read_only_cache
-def _block_reversal(n_modes: int) -> np.ndarray:
-    """Permutation reversing the order of the 2x2 blocks (even, so det +1)."""
-    return np.kron(np.eye(n_modes)[::-1], np.eye(2))
+    v, scale, n_modes = _checked(v, tol)
+    return _skew_kernel(_inv_sqrt(v, tol._cut(scale)), n_modes)
 
 
 def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
@@ -122,14 +99,16 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
     """Proper-rotation block-diagonalization of a nonsingular antisymmetric Xs.
 
     Returns (o, a) with o @ Xs @ o.T = (+)_k a_k omega, the a_k positive and
-    ascending. The eigenvectors of Xs come in conjugate pairs (v, conj(v))
-    with eigenvalues (+i a, -i a); each pair is rotated onto a real
-    coordinate plane by the unitary pair basis, which yields a real
-    orthogonal o for any eigenbasis.
+    ascending. The eigenvectors of Xs come in conjugate pairs (p, conj(p))
+    with eigenvalues (+i a, -i a). Orthonormality of the pair makes
+    Re p and Im p orthogonal with norm 1/sqrt(2) each, and Xs maps Re p to
+    a (-Im p) and -Im p to -a Re p. So the rows
+    sqrt(2) (-Im p_k)^T, sqrt(2) (Re p_k)^T form a real orthogonal o for any
+    eigenbasis.
 
-    phases, when given, multiplies the k-th pair by e^{+-i phases[k]} before
-    assembly; the result is another valid rotation (used to exercise the
-    eigenbasis freedom in tests).
+    phases, when given, multiplies the k-th eigenvector p_k by
+    e^{i phases[k]} before assembly; the result is another valid rotation
+    (used to exercise the eigenbasis freedom in tests).
     """
     xs = as_matrix(xs)
     n_modes = _mode_count(xs)
@@ -164,22 +143,13 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float,
     plus = vecs[:, n_modes - 1::-1]  # column k: the +i a_asc[k] eigenvector of Xs
     if phases is not None:
         plus = plus * np.exp(1j * np.asarray(phases, dtype=float))
-    # Conjugate partner (eigenvalue -i a_k) sits in the odd slot of the
-    # pair; it is defined as the entrywise conjugate rather than taken
-    # from the solver, which guarantees the pairing under degeneracy.
-    u = np.empty((dim, dim), dtype=complex)
-    u[:, 0::2] = np.conj(plus)
-    u[:, 1::2] = plus
-    o = _pair_basis(n_modes) @ u.conj().T
-
-    bound = 10.0 * tol.band(1.0)
-    imag_residual = float(np.abs(o.imag).max())
-    if imag_residual > bound:
-        raise InternalInconsistency(
-            f"assembled rotation has imaginary residue {imag_residual:.3e}")
-    o = o.real
+    # Only p_k is read: its partner conj(p_k) is implied, which keeps the
+    # pairing exact under degeneracy.
+    o = np.empty((dim, dim))
+    o[0::2] = -math.sqrt(2.0) * plus.imag.T
+    o[1::2] = math.sqrt(2.0) * plus.real.T
     ortho_residual = float(np.abs(o @ o.T - np.eye(dim)).max())
-    if ortho_residual > bound:
+    if ortho_residual > 10.0 * tol.band(1.0):
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
     return o, np.array(a_asc)
@@ -199,11 +169,12 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
         raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
     inv_root = _inv_sqrt(v, tol._cut(scale))
     skew = _skew_kernel(inv_root, n_modes)
-    o, a_asc = _block_rotation(skew, n_modes, tol, tol._cut(float(np.abs(skew).max())), phases)
+    # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
+    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()), phases)
 
-    # Ascending nu = 1/a means descending a: reverse the block order with a
-    # block-reversal permutation (even, hence still a proper rotation).
-    r = _block_reversal(n_modes) @ o
+    # Ascending nu = 1/a means descending a: reverse the order of the 2-row
+    # blocks (an even permutation, hence still a proper rotation).
+    r = o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape)
     nus = 1.0 / a_asc[::-1]
     w = np.diag(np.repeat(nus, 2))
     s = np.repeat(np.sqrt(nus), 2)[:, None] * (r @ inv_root)

@@ -302,6 +302,9 @@ def test_gen_rejects_bad_params(run):
                           ("thermal", "nu=inf")):
         code, out, err = run(["gen", "--family", family, "--param", param])
         assert code == 2 and out == "" and "non-finite" in err
+    for seed in ("inf", "nan", "1.5"):
+        code, out, err = run(["gen", "--family", "random_physical", "--param", f"seed={seed}"])
+        assert code == 2 and out == "" and "whole number" in err
 
 
 def test_gen_unknown_family_is_an_argparse_error(run):
@@ -392,6 +395,12 @@ def test_sweep_rejects_bad_grid(run):
         code, out, err = run(["sweep", "--family", "simon_vx", "--from", start,
                               "--to", stop, "--step", step])
         assert code == 2 and out == "" and f"{flag} must be finite" in err
+    # A grid whose point count overflows, or one just past the point cap,
+    # fails before anything is allocated.
+    for start, stop in (("-1e308", "1e308"), ("0", "1e6")):
+        code, out, err = run(["sweep", "--family", "simon_vx", f"--from={start}",
+                              "--to", stop, "--step", "1"])
+        assert code == 2 and out == "" and "cap" in err
 
 
 def test_sweep_localizes_analytic_thresholds(run):

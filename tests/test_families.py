@@ -131,6 +131,15 @@ def test_generate_seed_defaults_to_zero():
                                   tm.random_physical(0))
 
 
+@pytest.mark.parametrize("name", ["random_physical", "random_symmetric"])
+def test_generate_rejects_seeds_that_are_not_whole_numbers(name):
+    for seed in (float("inf"), float("nan"), 1.5):
+        with pytest.raises(ValueError, match="whole number"):
+            tm.generate(FamilySpec(name, {"seed": seed}))
+    np.testing.assert_array_equal(tm.generate(FamilySpec(name, {"seed": 3.0})),
+                                  tm.generate(FamilySpec(name, {"seed": 3})))
+
+
 def test_generate_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         tm.generate(FamilySpec("coherent"))

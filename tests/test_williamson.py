@@ -1,10 +1,12 @@
 """Williamson decomposition: inverse square root, block rotation, assembly."""
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import twomode as tm
+from twomode import cli
 
 from .support import random_physical_cm, random_spd
 
@@ -128,30 +130,28 @@ def test_skew_rotation_rejects_odd_dimension():
         tm.skew_block_rotation(np.zeros((3, 3)))
 
 
-def test_skew_rotation_phase_freedom():
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_skew_rotation_phase_freedom(n):
+    # Any eigenbasis, rephased or not, gives a real orthogonal o.
     rng = np.random.default_rng(5)
-    xs = tm.build_x(random_spd(rng, 6))
+    xs = tm.build_x(random_spd(rng, 2 * n))
     o1, a1 = tm.skew_block_rotation(xs)
-    o2, a2 = tm.skew_block_rotation(xs, phases=[0.3, -1.1, 2.0])
+    o2, a2 = tm.skew_block_rotation(xs, phases=[0.3, -1.1, 2.0, 0.8][:n])
     np.testing.assert_allclose(a1, a2, atol=1e-12)
     target = tm.direct_sum(*(a_k * tm.omega(1) for a_k in a1))
-    np.testing.assert_allclose(o2 @ xs @ o2.T, target, atol=1e-9)
+    for o in (o1, o2):
+        assert o.dtype == np.float64
+        np.testing.assert_allclose(o @ o.T, np.eye(2 * n), atol=1e-14)
+        np.testing.assert_allclose(o @ xs @ o.T, target, atol=1e-9)
     # Different rotations related by block-diagonal planar rotations.
     q = o2 @ o1.T
-    np.testing.assert_allclose(q @ q.T, np.eye(6), atol=1e-9)
-    assert np.max(np.abs(q - np.eye(6))) > 1e-3
+    np.testing.assert_allclose(q @ q.T, np.eye(2 * n), atol=1e-9)
+    assert np.max(np.abs(q - np.eye(2 * n))) > 1e-3
 
 
 def test_skew_rotation_wrong_phase_count():
     with pytest.raises(ValueError):
         tm.skew_block_rotation(tm.omega(2), phases=[0.1])
-
-
-def test_pair_basis_is_unitary():
-    from twomode.williamson import _pair_basis
-    for n in (1, 2, 3):
-        g = _pair_basis(n)
-        np.testing.assert_allclose(g @ g.conj().T, np.eye(2 * n), atol=1e-14)
 
 
 def test_williamson_vacuum_is_degenerate_identity():
@@ -240,6 +240,16 @@ def test_williamson_degeneracy_flag_and_warning():
     assert_valid_decomposition(v, dec)
 
 
+@pytest.mark.parametrize("k", [12, 20, 80])
+def test_williamson_accepts_large_scale(k):
+    # X = V^(-1/2) Omega V^(-1/2) is in units of 1/V: its singularity cut must
+    # not carry the absolute tolerance, which is in V's units.
+    v = tm.thermal(1.5, 2.5) * 10.0**k
+    dec = tm.williamson_decompose(v)
+    np.testing.assert_allclose(dec.spectrum, np.array([1.5, 2.5]) * 10.0**k, rtol=1e-15)
+    assert_valid_decomposition(v, dec)
+
+
 def test_williamson_near_degenerate_is_not_flagged():
     v = tm.thermal(2.0, 2.001)
     dec = tm.williamson_decompose(v)
@@ -266,12 +276,35 @@ def test_williamson_skew_field_matches_build_x():
     np.testing.assert_allclose(dec.skew, tm.build_x(v), atol=1e-12)
 
 
-@pytest.mark.parametrize("fn", [tm.williamson_decompose, tm.inv_sqrt, tm.build_x,
-                                tm.skew_block_rotation, tm.symplectic_spectrum_general,
-                                tm.heisenberg_oracle])
+def parse_document(m):
+    return cli.parse_document(json.dumps(m.tolist()))
+
+
+_ANY_MODES = (tm.williamson_decompose, tm.inv_sqrt, tm.build_x, tm.skew_block_rotation,
+              tm.symplectic_spectrum_general, tm.heisenberg_oracle, parse_document)
+_TWO_MODES = (tm.two_mode_invariants, tm.symplectic_spectrum_2mode, tm.ppt_spectrum_2mode,
+              tm.check_global, tm.check_local, tm.classify_global, tm.classify_local,
+              tm.simon_criterion, tm.posdef_criterion, tm.reduce_to_standard_form, tm.blocks)
+_FIXED_DIM = {**dict.fromkeys(_TWO_MODES, 4), tm.single_mode_williamson: 2}
+
+
+@pytest.mark.parametrize("fn", [*_ANY_MODES, *_FIXED_DIM])
 def test_empty_matrix_is_a_dimension_error(fn):
-    with pytest.raises(tm.DimensionError):
-        fn(np.zeros((0, 0)))
+    # Empty, odd, wrong fixed shape, asymmetric and non-finite input each fail
+    # at the input boundary with their own error type.
+    dim = _FIXED_DIM.get(fn)
+    asymmetric, nonfinite = np.eye(dim or 4), np.eye(dim or 4)
+    asymmetric[0, 1] = 1e-3
+    nonfinite[0, 0] = np.nan
+    cases = [(np.zeros((0, 0)), tm.DimensionError), (asymmetric, tm.SymmetryError),
+             (nonfinite, tm.NonFiniteError)]
+    if fn is not tm.inv_sqrt:  # inv_sqrt takes any square, odd ones too
+        cases.append((np.eye(3), tm.DimensionError))
+    if dim is not None:
+        cases.append((np.eye(dim + 2), tm.DimensionError))
+    for m, error in cases:
+        with pytest.raises(error):
+            fn(m)
 
 
 def test_each_normal_form_factors_the_matrix_once(monkeypatch):
@@ -304,14 +337,11 @@ def test_each_normal_form_factors_the_matrix_once(monkeypatch):
 
 
 def test_cached_forms_are_not_shared_mutable_state():
-    from twomode.williamson import _pair_basis
     v = tm.simon_vx(1.0)
     before = tm.williamson_decompose(v)
     form = tm.omega(2)
     form[0, 1] = 7.0
     np.testing.assert_array_equal(tm.omega(2), np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        _pair_basis(2)[0, 0] = 7.0
     after = tm.williamson_decompose(v)
     for field in ("normal_form", "transform", "rotation", "skew", "spectrum"):
         assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
