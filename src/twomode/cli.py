@@ -175,12 +175,12 @@ def _write_text(path: str, text: str) -> None:
 def _evaluation(v, tol: Tolerance):
     """Invariants, global report with its bands and both spectra of V from one
     evaluation; the spectra are None unless the report found V > 0."""
-    v, scale, inv = _evaluate(v, tol)
-    report, bands = _global_report(v, scale, inv, tol)
+    v, rows, scale, inv = _evaluate(v, tol)
+    report, bands = _global_report(v, rows, scale, inv, tol)
     if report.nu_minus is None:
         return inv, report, bands, dict.fromkeys(_SPECTRA)
-    spec = _spectrum_from_delta(inv.delta, inv.det_V, tol)
-    ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
+    spec = _spectrum_from_delta(inv.delta, inv.det_V, tol, rows)
+    ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows)
     return inv, report, bands, dict(zip(_SPECTRA, (spec.nu_minus, spec.nu_plus,
                                                    ppt.nu_minus, ppt.nu_plus)))
 
@@ -220,7 +220,7 @@ def _emit(args, doc: MatrixDocument, fields: dict) -> int:
 def cmd_classify(args) -> int:
     doc, tol = _load(args)
     inv, report, bands, spectra = _evaluation(doc.matrix, tol)
-    result = _global_classification(inv, report, bands, tol)
+    result = _global_classification(inv, report, bands, spectra["nu_tilde_minus"], tol)
     return _emit(args, doc, {"tag": result.tag.value, "reason": result.reason,
                              "margins": result.margins, "invariants": asdict(inv),
                              "report": asdict(report), **spectra})
@@ -310,7 +310,7 @@ def cmd_sweep(args) -> int:
         v = generate(FamilySpec(args.family, {param: float(value)}))
         inv, report, bands, spectra = _evaluation(v, tol)
         _, heis = heisenberg_oracle(v, tol)
-        tag = _global_classification(inv, report, bands, tol).tag.value
+        tag = _global_classification(inv, report, bands, spectra["nu_tilde_minus"], tol).tag.value
         row = (float(value), inv.det_V, inv.delta, inv.delta_tilde, spectra["nu_minus"],
                spectra["nu_tilde_minus"], heis, report.margins["delta_margin"], tag)
         lines.append(",".join(_cell(x, "nan") for x in row))

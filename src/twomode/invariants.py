@@ -76,10 +76,10 @@ def _w_product(x: tuple, y: tuple) -> tuple:
             x10 * y10 - x11 * y00, x10 * y11 - x11 * y01)
 
 
-def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, float, TwoModeInvariants]:
-    """Validate ``v`` and compute its invariants, the one path to them: (v, scale, invariants)."""
-    v, scale, _ = _checked(v, tol, 2)
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = v.tolist()
+def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, TwoModeInvariants]:
+    """Validate ``v`` and compute its invariants, the one path: (v, rows, scale, invariants)."""
+    v, rows, scale, _ = _checked(v, tol, 2)
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
     det_v = float(np.linalg.det(v))
     # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
@@ -93,7 +93,7 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, float, TwoModeInvariants]:
     if abs(residual) > _IDENTITY_BAND * magnitude:
         raise InternalInconsistency(
             f"det V identity violated: residual {residual:.3e} at scale {magnitude:.3e}")
-    return v, scale, TwoModeInvariants(
+    return v, rows, scale, TwoModeInvariants(
         det_A=det_a, det_B=det_b, det_C=det_c, det_V=det_v, I4=i4,
         delta=det_a + det_b + 2 * det_c, delta_tilde=det_a + det_b - 2 * det_c,
         gamma_sep=det_a + det_b + 2 * abs(det_c))
@@ -108,18 +108,25 @@ def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     det V = det A det B + det C^2 - I4 is then asserted as a free self-test
     (InternalInconsistency on failure).
     """
-    return _evaluate(v, tol)[2]
+    return _evaluate(v, tol)[3]
 
 
-def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance) -> SymplecticSpectrum2:
-    # nu_-^2, nu_+^2 are the roots of z^2 - Delta z + det V = 0. The small
-    # root comes from Vieta, nu_-^2 = det V / nu_+^2: the difference
-    # (Delta - sqrt(Delta^2 - 4 det V))/2 cancels for squeezed states.
+def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
+                         rows: list) -> SymplecticSpectrum2:
+    # nu_-^2, nu_+^2 are the roots of z^2 - Delta z + det V = 0. The small root comes from
+    # Vieta, nu_-^2 = det V / nu_+^2: (Delta - sqrt(radicand))/2 cancels for squeezed states.
     rad = delta * delta - 4.0 * det_v
     band = tol.band(delta * delta, 4.0 * det_v)
     if rad < -band:
-        raise NumericalError(
-            f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
+        # For V > 0, given by its rows, rad = (nu_+^2 - nu_-^2)^2 >= 0, so it is clamped within
+        # its rounding bound eps (2 |Delta| sum |terms of Delta| + 4 sum |v_ij cof_ij|), cof =
+        # det V V^-T. Each term of Delta or Delta~ is v_ij v_kl, (k, l) = (i ^ 1, j ^ 1), so
+        # sum |v| * |v|[f][:, f] = 2 sum |terms of Delta|.
+        v, f = np.abs(rows), [1, 0, 3, 2]
+        cofactors = abs(det_v) * float((v * np.abs(np.linalg.inv(rows)).T).sum())
+        if -rad > math.ulp(1.0) * (abs(delta) * float((v * v[f][:, f]).sum()) + 4.0 * cofactors):
+            raise NumericalError(
+                f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
     root = math.sqrt(max(rad, 0.0))
     plus = (delta + root) / 2.0
     minus = det_v / plus if plus > 0.0 else (delta - root) / 2.0
@@ -135,25 +142,25 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     and nu_-^2 = det V / nu_+^2.
 
     Requires positive definite input (the closed form presumes a Williamson
-    decomposition exists). The radicand is clamped to 0 when within tolerance
-    (degenerate spectrum); larger violations raise NumericalError.
+    decomposition exists). The radicand is clamped to 0 when within tolerance or
+    its rounding bound (degenerate spectrum); larger violations raise NumericalError.
     """
-    v, scale, inv = _evaluate(v, tol)
+    v, rows, scale, inv = _evaluate(v, tol)
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
-    return _spectrum_from_delta(inv.delta, inv.det_V, tol)
+    return _spectrum_from_delta(inv.delta, inv.det_V, tol, rows)
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     """Symplectic spectrum of the partial transpose Lambda V Lambda (Delta~ in place of Delta)."""
-    v, scale, inv = _evaluate(v, tol)
+    v, rows, scale, inv = _evaluate(v, tol)
     # V > 0 iff Lambda V Lambda > 0
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
-    return _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
+    return _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows)
 
 
 def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, float, int]:
     """``_checked`` with the MAX_MODES cap; returns (v, scale, n)."""
-    v, scale, n = _checked(v, tol)
+    v, _, scale, n = _checked(v, tol)
     if n > MAX_MODES:
         raise DimensionError(f"supported up to {MAX_MODES} modes, got {n}")
     return v, scale, n

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
-from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, as_matrix, require_symmetric
+from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
 
 __all__ = [
     "BonaFideReport",
@@ -85,8 +85,8 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     margin is always available; values within tolerance of 0 count as not
     positive definite.
     """
-    m = as_matrix(m)
-    cut = tol._cut(require_symmetric(m, tol))
+    m, rows, flat = _read(m)
+    cut = tol._cut(_symmetric_scale(rows, flat, tol))
     return float(np.linalg.eigvalsh(m)[0]) > cut
 
 
@@ -97,11 +97,9 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     eigenvalue of the Hermitian matrix V + i Omega; the verdict is inclusive
     at the boundary (min_eig >= -tol).
     """
-    v, scale, n_modes = _checked(v, tol)
-    cut = tol._cut(scale)
-    h = v + 1j * _omega_form(n_modes)
-    min_eig = float(np.linalg.eigvalsh(h)[0])
-    return min_eig >= -cut, min_eig
+    v, _, scale, n_modes = _checked(v, tol)
+    min_eig = float(np.linalg.eigvalsh(v + _omega_form(n_modes, 1j))[0])
+    return min_eig >= -tol._cut(scale), min_eig
 
 
 def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, bool, list[str]]:
@@ -115,9 +113,9 @@ def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, 
     return not failed, borderline, failed
 
 
-def _global_report(v: np.ndarray, scale: float, inv: TwoModeInvariants, tol: Tolerance
-                   ) -> tuple[BonaFideReport, dict[str, float]]:
-    """Body of ``check_global`` on a validated matrix, its scale and invariants, with each band."""
+def _global_report(v: np.ndarray, rows: list, scale: float, inv: TwoModeInvariants,
+                   tol: Tolerance) -> tuple[BonaFideReport, dict[str, float]]:
+    """Body of ``check_global`` on a validated matrix, rows, scale and invariants, with bands."""
     margins = {
         "min_eig_V": float(np.linalg.eigvalsh(v)[0]),
         "det_V_minus_1": inv.det_V - 1.0,
@@ -127,7 +125,7 @@ def _global_report(v: np.ndarray, scale: float, inv: TwoModeInvariants, tol: Tol
              "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V)}
     verdict, borderline, failed = _verdict(margins, bands)
     nu_minus = (None if "min_eig_V" in failed
-                else _spectrum_from_delta(inv.delta, inv.det_V, tol).nu_minus)
+                else _spectrum_from_delta(inv.delta, inv.det_V, tol, rows).nu_minus)
     return BonaFideReport(verdict=verdict, route="global", margins=margins,
                           nu_minus=nu_minus, borderline=borderline), bands
 
@@ -149,10 +147,9 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     return min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
 
 
-def _local_report(v: np.ndarray, inv: TwoModeInvariants, tol: Tolerance
+def _local_report(rows: list, inv: TwoModeInvariants, tol: Tolerance
                   ) -> tuple[BonaFideReport, dict[str, float]]:
-    """Body of ``check_local`` on a validated matrix and its invariants, with each band."""
-    rows = v.tolist()
+    """Body of ``check_local`` on a validated matrix's rows and its invariants, with each band."""
     # det A det B >= 0 whenever both blocks pass positivity; the clamp only
     # keeps the margin finite on inputs that already failed.
     prod = max(inv.det_A * inv.det_B, 0.0)
@@ -182,8 +179,8 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     global conditions; kept free of any standard-form reduction so the two
     routes stay independent.
     """
-    v, _, inv = _evaluate(v, tol)
-    return _local_report(v, inv, tol)[0]
+    _, rows, _, inv = _evaluate(v, tol)
+    return _local_report(rows, inv, tol)[0]
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

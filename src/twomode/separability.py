@@ -81,13 +81,17 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ <= 1 + det V for separability) are evaluated alongside the
     spectral forms and the two must agree away from the boundary band.
     """
-    v, scale, inv = _evaluate(v, tol)
-    return _global_classification(inv, *_global_report(v, scale, inv, tol), tol)
+    v, rows, scale, inv = _evaluate(v, tol)
+    report, bands = _global_report(v, rows, scale, inv, tol)
+    # Partial transpose: same det V, Delta -> Delta~.
+    nu_tilde_minus = (None if report.nu_minus is None
+                      else _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows).nu_minus)
+    return _global_classification(inv, report, bands, nu_tilde_minus, tol)
 
 
-def _global_classification(inv: TwoModeInvariants, report: BonaFideReport,
-                           bands: dict[str, float], tol: Tolerance) -> Classification:
-    """Body of ``classify_global`` on the invariants, the global report and its bands."""
+def _global_classification(inv: TwoModeInvariants, report: BonaFideReport, bands: dict[str, float],
+                           nu_tilde_minus: float | None, tol: Tolerance) -> Classification:
+    """Body of ``classify_global`` on the invariants, the global report, its bands and nu~_-."""
     margins = dict(report.margins)
     dt_band = tol.band(inv.delta_tilde, 1.0 + inv.det_V)
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
@@ -95,10 +99,8 @@ def _global_classification(inv: TwoModeInvariants, report: BonaFideReport,
     nu_band = tol.band(1.0)
     # The report carries nu_- exactly when it found V > 0.
     if report.nu_minus is not None:
-        # Partial transpose: same det V, Delta -> Delta~.
-        ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol)
         margins["nu_minus_minus_1"] = report.nu_minus - 1.0
-        margins["nu_tilde_minus_minus_1"] = ppt.nu_minus - 1.0
+        margins["nu_tilde_minus_minus_1"] = nu_tilde_minus - 1.0
         # Physicality, spectral form: nu_- >= 1. Must match the verdict of
         # the determinant form except within the boundary band.
         phys_spec = margins["nu_minus_minus_1"] >= -nu_band
@@ -145,8 +147,8 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     two implementations share no intermediate quantities beyond the raw
     invariants.
     """
-    v, _, inv = _evaluate(v, tol)
-    report, bands = _local_report(v, inv, tol)
+    _, rows, _, inv = _evaluate(v, tol)
+    report, bands = _local_report(rows, inv, tol)
     margins = dict(report.margins)
     margins["gamma_margin"] = (1.0 + inv.det_V) - inv.gamma_sep
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
@@ -173,8 +175,8 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     hold for matrices that are not CMs at all), so callers must classify
     instead.
     """
-    v, scale, inv = _evaluate(v, tol)
-    report, _ = _global_report(v, scale, inv, tol)
+    v, rows, scale, inv = _evaluate(v, tol)
+    report, _ = _global_report(v, rows, scale, inv, tol)
     if not report.verdict:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "
@@ -192,7 +194,7 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     (1 + det C)^2 < det A + det B - det A det B + I4 <= (1 - det C)^2;
     otherwise unphysical. Raises NotPositiveDefinite outside its domain.
     """
-    v, scale, inv = _evaluate(v, tol)
+    v, _, scale, inv = _evaluate(v, tol)
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
 
     # s_mid is the middle member of the entangled-branch chain; the bounds

@@ -82,8 +82,8 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
     squeeze along the principal axes. Returns (s, a); raises
     NotPositiveDefinite if A is not a positive definite 2x2 matrix.
     """
-    m, scale, _ = _checked(a_block, tol, 1, what="block")
-    (p, _), (q, s) = m.tolist()  # the lower triangle, the one numpy's eigh reads
+    _, rows, scale, _ = _checked(a_block, tol, 1, what="block")
+    (p, _), (q, s) = rows  # the lower triangle, the one numpy's eigh reads
     min_eig = _min_eig_2x2(p, q, s)
     _require_positive_definite(min_eig, tol._cut(scale), what="block")
     (s00, s01, s10, s11), a = _single_mode(p, q, s, min_eig)
@@ -149,8 +149,7 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     diagonal blocks must be positive definite. Raises
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
-    v, scale, _ = _checked(v, tol, 2)
-    rows = v.tolist()
+    v, rows, scale, _ = _checked(v, tol, 2)
     # One closed form per block: the positivity check and the single-mode transform.
     transforms = []
     for name, i in (("A", 0), ("B", 2)):

@@ -9,14 +9,16 @@ Conventions used throughout the package:
 
 All public operations take and return plain float64 ndarrays and validate
 shape, finiteness and (where required) symmetry at the boundary. For every
-symmetric 2n x 2n input that boundary is one function, ``_checked``; only
-the operations that accept odd squares or need no symmetry keep their own.
+symmetric 2n x 2n input that boundary is one function, ``_checked``, which reads
+V once as floats and hands the rows on; only the operations that accept odd
+squares or need no symmetry keep their own.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -47,9 +49,9 @@ class Tolerance:
 
     ``scale`` is the largest absolute element of the operand (a cheap proxy
     for its spectral scale, adequate at the 4x4 sizes this package targets).
-    It is read once per validated matrix: ``require_symmetric`` returns it,
-    and every later cut is formed from floats already read, never by a second
-    scan. A block's cut reads all of its entries, off-diagonals included.
+    It is read once per validated matrix, from the floats the input boundary
+    reads and hands on, and every later cut is formed from floats already read,
+    never by a second scan. A block's cut reads all of its entries.
     """
 
     rel: float = 1e-9
@@ -89,34 +91,50 @@ MAX_MODES = 8
 _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _read(m) -> tuple[np.ndarray, list, list]:
+    """``as_matrix``'s checks on one read of the entries as floats: (array, rows, entries)."""
+    arr = np.array(m, dtype=float, copy=True)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+    if not arr.size:
+        raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
+    rows = arr.tolist()
+    flat = list(chain.from_iterable(rows))
+    if not all(map(math.isfinite, flat)):
+        raise NonFiniteError("matrix contains NaN or infinite entries")
+    return arr, rows, flat
+
+
 def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a square float64 matrix.
 
     Raises DimensionError for anything that is not a nonempty square 2D
     array and NonFiniteError if any entry is NaN or infinite.
     """
-    arr = np.array(m, dtype=float, copy=True)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not arr.size:
-        raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("matrix contains NaN or infinite entries")
-    return arr
+    return _read(m)[0]
 
 
 def symmetric_part(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> float:
-    """Raise SymmetryError unless ``m`` is symmetric within tolerance; return its
-    scale, max |m_ij|, read once here for every later cut on ``m``."""
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    gap = float(np.abs(m - m.T).max()) if m.size else 0.0
+def _symmetric_scale(rows: list, flat: list, tol: Tolerance, what: str = "matrix") -> float:
+    """``require_symmetric`` on the finite entries of a square matrix, as read by ``_read``."""
+    scale = max(map(abs, flat))
+    flat_t = list(chain.from_iterable(zip(*rows)))  # m_ji in the order of m_ij
+    gap = 0.0 if flat == flat_t else max(abs(x - y) for x, y in zip(flat, flat_t))
     if gap > tol._cut(scale):
         raise SymmetryError(f"{what} is not symmetric: max |M - M^T| = {gap:.3e}")
     return scale
+
+
+def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> float:
+    """Raise SymmetryError unless the square ``m`` is symmetric within tolerance; return its
+    scale, max |m_ij|. With a NaN or infinite entry ``m`` passes, and the scale is NaN or inf."""
+    try:
+        return _symmetric_scale(*_read(m)[1:], tol, what) if m.size else 0.0
+    except NonFiniteError:
+        return float(np.abs(m).max())
 
 
 def _require_positive_definite(min_eig: float, cut: float, what: str = "matrix") -> None:
@@ -136,15 +154,15 @@ def _mode_count(m: np.ndarray) -> int:
 
 
 def _checked(m, tol: Tolerance, modes: int | None = None,
-             what: str = "matrix") -> tuple[np.ndarray, float, int]:
-    """The input boundary: ``as_matrix``, a dimension of 2 * ``modes`` (any even one when
-    None) and ``require_symmetric``; returns (m, scale = max |m_ij|, number of modes)."""
-    m = as_matrix(m)
+             what: str = "matrix") -> tuple[np.ndarray, list, float, int]:
+    """The input boundary: ``as_matrix``, a dimension of 2 * ``modes`` (any even one when None)
+    and ``require_symmetric`` on one float read; returns (m, rows, max |m_ij|, modes)."""
+    m, rows, flat = _read(m)
     if modes is None:
         modes = _mode_count(m)
     elif m.shape[0] != 2 * modes:
         raise DimensionError(f"expected a {2 * modes}x{2 * modes} {what}, got shape {m.shape}")
-    return m, require_symmetric(m, tol, what), modes
+    return m, rows, _symmetric_scale(rows, flat, tol, what), modes
 
 
 def omega(n_modes: int) -> np.ndarray:
@@ -166,10 +184,10 @@ def omega(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), _OMEGA2)
 
 
-@functools.lru_cache(maxsize=MAX_MODES)
-def _omega_form(n_modes: int) -> np.ndarray:
-    """Cached ``omega(n_modes)``; the array is shared, so read-only."""
-    form = omega(n_modes)
+@functools.lru_cache(maxsize=2 * MAX_MODES)
+def _omega_form(n_modes: int, factor: complex = 1.0) -> np.ndarray:
+    """Cached ``factor * omega(n_modes)`` (1j for V + i Omega); shared, so read-only."""
+    form = factor * omega(n_modes)
     form.flags.writeable = False
     return form
 

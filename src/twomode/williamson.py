@@ -33,8 +33,8 @@ import numpy as np
 from .errors import (DegeneracyWarning, InternalInconsistency, PairingError, SingularInput,
                      SymmetryError)
 from .invariants import _spectrum_general, _validated_modes
-from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form,
-                         _require_positive_definite, as_matrix, require_symmetric)
+from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form, _read,
+                         _require_positive_definite, _symmetric_scale, as_matrix)
 
 __all__ = [
     "WilliamsonDecomposition",
@@ -70,8 +70,8 @@ class WilliamsonDecomposition:
 
 def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric M with M V M = I for symmetric positive definite V."""
-    v = as_matrix(v)
-    return _inv_sqrt(v, tol._cut(require_symmetric(v, tol)))
+    v, rows, flat = _read(v)
+    return _inv_sqrt(v, tol._cut(_symmetric_scale(rows, flat, tol)))
 
 
 def _inv_sqrt(v: np.ndarray, cut: float) -> np.ndarray:
@@ -90,7 +90,7 @@ def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
 
 def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The antisymmetric V^(-1/2) Omega V^(-1/2) for positive definite V."""
-    v, scale, n_modes = _checked(v, tol)
+    v, _, scale, n_modes = _checked(v, tol)
     return _skew_kernel(_inv_sqrt(v, tol._cut(scale)), n_modes)
 
 
@@ -188,8 +188,9 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
             f"eigenvector route spectrum {nus} disagrees with "
             f"product-eigenvalue route {reference}")
 
+    # nu scales with V, and the gaps' rounding with max nu: like X's cut, this one is relative only.
     nu = nus.tolist()
-    degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.band(*nu)
+    degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]
     if degenerate:
         warnings.warn(DegeneracyWarning(
             "symplectic spectrum is degenerate within tolerance; the "

@@ -343,6 +343,15 @@ def test_sweep_two_mode_squeezed_nu_tilde_column(run):
         assert row[8] == "EntangledGaussianCM"
 
 
+def test_sweep_strongly_squeezed_exits_0(run):
+    # From r = 4.2 the float radicand Delta^2 - 4 det V is a small negative
+    # rounding residue; it is clamped, not reported as an error.
+    code, out, err = run(["sweep", "--family", "two_mode_squeezed",
+                          "--from", "4", "--to", "5", "--step", "0.1"])
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 12
+
+
 def test_sweep_thermal_is_separable_everywhere(run):
     code, out, _ = run(["sweep", "--family", "thermal", "--from", "1.0",
                         "--to", "3.0", "--step", "1.0"])

@@ -151,6 +151,26 @@ def test_ppt_spectrum_strongly_squeezed(r):
     assert nu.nu_minus == pytest.approx(np.exp(-2 * r), rel=1e-8)
 
 
+@pytest.mark.parametrize("r", np.round(np.arange(4.0, 5.25, 0.1), 1).tolist())
+def test_squeezed_radicand_is_clamped_within_its_rounding_bound(r):
+    # Delta^2 - 4 det V = (nu_+^2 - nu_-^2)^2 is exactly 0 for a pure state, and
+    # its float value falls below -band from r = 4.2 on; it stays within the
+    # rounding bound of the terms of Delta and det V, so it is clamped to 0.
+    v = tm.two_mode_squeezed(r)
+    tm.check_global(v)
+    tm.classify_global(v)
+    spectrum = tm.symplectic_spectrum_2mode(v)
+    assert spectrum.nu_minus == pytest.approx(1.0, rel=1e-3)
+    assert spectrum.nu_plus == pytest.approx(1.0, rel=1e-3)
+
+
+def test_inconsistent_radicand_still_raises():
+    from twomode.invariants import _spectrum_from_delta
+    # With V = I the bound is eps-sized: Delta^2 - 4 det V = -3 is not rounding.
+    with pytest.raises(tm.NumericalError, match="negative beyond tolerance"):
+        _spectrum_from_delta(1.0, 1.0, tm.DEFAULT_TOL, np.eye(4).tolist())
+
+
 def test_ppt_spectrum_is_spectrum_of_partial_transpose():
     rng = np.random.default_rng(21)
     for _ in range(20):

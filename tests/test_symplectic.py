@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
+from twomode.symplectic import _checked
 
 from .support import random_local_symplectic, random_symplectic
 
@@ -124,6 +125,15 @@ def test_as_matrix_rejects_non_square():
         tm.as_matrix(np.ones((2, 3)))
 
 
+def test_require_symmetric_rejects_non_square():
+    # Its float read pairs m_ij with m_ji, which only a square array has; an
+    # empty array still reads as scale 0.
+    for m in (np.ones((2, 3)), np.ones(4), np.ones((4, 4, 1))):
+        with pytest.raises(tm.DimensionError, match="expected a square matrix"):
+            tm.require_symmetric(m)
+    assert tm.require_symmetric(np.zeros((0, 5))) == 0.0
+
+
 def test_partial_transpose_flips_last_momentum():
     rng = np.random.default_rng(4)
     m = rng.uniform(-1, 1, size=(4, 4))
@@ -200,6 +210,39 @@ def test_every_cut_uses_the_scale_read_at_validation(monkeypatch):
     for v, outcomes in zip(_SCALE_PROBES, expected):
         assert tm.require_symmetric(v) == float(np.abs(v).max())
         assert [_outcome(fn, v) for fn in _VALIDATING_CALLS] == outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(-12, 12),
+       st.sampled_from(["symmetric", "straddle", "non-finite"]), st.floats(0.5, 2.0))
+def test_checked_matches_the_numpy_reading(n, seed, log_scale, kind, factor):
+    # The boundary reads the entries once as floats; its scale, rows and
+    # verdicts must be numpy's on the same array, to the bit.
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(2 * n, 2 * n)) * 10.0**log_scale
+    m = m + m.T
+    i, j = rng.integers(2 * n, size=2)
+    tol = tm.DEFAULT_TOL
+    if kind == "straddle" and i != j:  # an asymmetry of about factor * the cut
+        m[i, j] += factor * tol._cut(float(np.abs(m).max()))
+    elif kind == "non-finite":
+        m[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    if not np.isfinite(m).all():
+        with pytest.raises(tm.NonFiniteError, match="^matrix contains NaN or infinite entries$"):
+            _checked(m, tol)
+        assert pickle.dumps(tm.require_symmetric(m)) == pickle.dumps(float(np.abs(m).max()))
+        return
+    scale, gap = float(np.abs(m).max()), float(np.abs(m - m.T).max())
+    if gap > tol._cut(scale):
+        message = f"matrix is not symmetric: max |M - M^T| = {gap:.3e}"
+        for check in (lambda: _checked(m, tol), lambda: tm.require_symmetric(m, tol)):
+            with pytest.raises(tm.SymmetryError) as err:
+                check()
+            assert str(err.value) == message
+        return
+    arr, rows, got_scale, modes = _checked(m, tol)
+    assert got_scale == scale and tm.require_symmetric(m, tol) == scale
+    assert rows == m.tolist() and arr.tobytes() == m.tobytes() and modes == n
 
 
 def test_tolerance_band_has_unit_floor():

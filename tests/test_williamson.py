@@ -240,6 +240,18 @@ def test_williamson_degeneracy_flag_and_warning():
     assert_valid_decomposition(v, dec)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+def test_williamson_degeneracy_cut_follows_the_spectrum_scale(c):
+    # The gap is compared with rel * max nu, which scales with the spectrum, so a
+    # well-separated spectrum is not degenerate at any scale, tol.abs's included.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", tm.DegeneracyWarning)
+        assert not tm.williamson_decompose(tm.thermal(1.5, 2.5) * c).degenerate
+    for v in (tm.thermal(2.0, 2.0) * c, np.eye(4)):
+        with pytest.warns(tm.DegeneracyWarning):
+            assert tm.williamson_decompose(v).degenerate
+
+
 @pytest.mark.parametrize("k", [12, 20, 80])
 def test_williamson_accepts_large_scale(k):
     # X = V^(-1/2) Omega V^(-1/2) is in units of 1/V: its singularity cut must
@@ -345,3 +357,10 @@ def test_cached_forms_are_not_shared_mutable_state():
     after = tm.williamson_decompose(v)
     for field in ("normal_form", "transform", "rotation", "skew", "spectrum"):
         assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
+    # The oracle's cached i Omega is read-only and stays 1j * omega(n).
+    from twomode.symplectic import _omega_form
+    oracle = tm.heisenberg_oracle(v)
+    with pytest.raises(ValueError):
+        _omega_form(2, 1j)[0, 1] = 7.0j
+    np.testing.assert_array_equal(_omega_form(2, 1j), 1j * tm.omega(2))
+    assert tm.heisenberg_oracle(v) == oracle
