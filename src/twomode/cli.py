@@ -176,10 +176,9 @@ def _evaluation(v, tol: Tolerance):
     """Invariants, global report with its bands and both spectra of V from one
     evaluation; the spectra are None unless the report found V > 0."""
     v, rows, scale, inv = _evaluate(v, tol)
-    report, bands = _global_report(v, rows, scale, inv, tol)
-    if report.nu_minus is None:
+    report, bands, spec = _global_report(v, rows, scale, inv, tol)
+    if spec is None:
         return inv, report, bands, dict.fromkeys(_SPECTRA)
-    spec = _spectrum_from_delta(inv.delta, inv.det_V, tol, rows)
     ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows)
     return inv, report, bands, dict(zip(_SPECTRA, (spec.nu_minus, spec.nu_plus,
                                                    ppt.nu_minus, ppt.nu_plus)))

@@ -175,16 +175,16 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     v, scale, n = _validated_modes(v, tol)
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
-    return _spectrum_general(v, n, tol)
+    return np.array(_spectrum_general(v, n, tol))
 
 
-def _spectrum_general(v: np.ndarray, n: int, tol: Tolerance) -> np.ndarray:
-    """Core of ``symplectic_spectrum_general`` on a validated positive definite v."""
-    mods = np.sort(np.abs(np.linalg.eigvals(_omega_form(n) @ v))).tolist()
+def _spectrum_general(v: np.ndarray, n: int, tol: Tolerance) -> list:
+    """Core of ``symplectic_spectrum_general`` on a validated positive definite v, as a list."""
+    mods = sorted(map(abs, np.linalg.eigvals(_omega_form(n) @ v).tolist()))
     nus = []
     for lo, hi in zip(mods[0::2], mods[1::2]):
         if hi - lo > tol.band(hi):
             raise PairingError(
                 f"eigenvalue moduli {lo!r} and {hi!r} fail to pair")
         nus.append((lo + hi) / 2.0)
-    return np.array(nus)
+    return nus

@@ -23,11 +23,12 @@ as borderline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
+from .invariants import SymplecticSpectrum2, TwoModeInvariants, _evaluate, _spectrum_from_delta
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
 
 __all__ = [
@@ -113,9 +114,10 @@ def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, 
     return not failed, borderline, failed
 
 
-def _global_report(v: np.ndarray, rows: list, scale: float, inv: TwoModeInvariants,
-                   tol: Tolerance) -> tuple[BonaFideReport, dict[str, float]]:
-    """Body of ``check_global`` on a validated matrix, rows, scale and invariants, with bands."""
+def _global_report(v: np.ndarray, rows: list, scale: float, inv: TwoModeInvariants, tol: Tolerance
+                   ) -> tuple[BonaFideReport, dict[str, float], SymplecticSpectrum2 | None]:
+    """Body of ``check_global`` on a validated matrix, rows, scale and invariants, with bands
+    and the spectrum it formed (None when V is not > 0)."""
     margins = {
         "min_eig_V": float(np.linalg.eigvalsh(v)[0]),
         "det_V_minus_1": inv.det_V - 1.0,
@@ -124,10 +126,10 @@ def _global_report(v: np.ndarray, rows: list, scale: float, inv: TwoModeInvarian
     bands = {"min_eig_V": tol._cut(scale), "det_V_minus_1": tol.band(inv.det_V),
              "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V)}
     verdict, borderline, failed = _verdict(margins, bands)
-    nu_minus = (None if "min_eig_V" in failed
-                else _spectrum_from_delta(inv.delta, inv.det_V, tol, rows).nu_minus)
-    return BonaFideReport(verdict=verdict, route="global", margins=margins,
-                          nu_minus=nu_minus, borderline=borderline), bands
+    spec = None if "min_eig_V" in failed else _spectrum_from_delta(inv.delta, inv.det_V, tol, rows)
+    report = BonaFideReport(verdict=verdict, route="global", margins=margins,
+                            nu_minus=spec.nu_minus if spec else None, borderline=borderline)
+    return report, bands, spec
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
@@ -141,10 +143,15 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     lambda_- = min(p, s) - (h - |d|) with d = (p - s)/2 and h = hypot(d, q);
     h - |d| is taken as q^2 / (h + |d|), which does not cancel. Both terms are
     at most max(|p|, |q|, |s|), so the error stays a few ulps of the block's
-    scale, and a diagonal block gives min(p, s) exactly.
+    scale, and a diagonal block gives min(p, s) exactly. A result below the
+    normal range, where those ulps are coarse, is recomputed on the block
+    scaled by a power of two to unit size (exponent 0 there ends the recursion).
     """
     d = (p - s) / 2.0
-    return min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
+    lam = min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
+    if abs(lam) < sys.float_info.min and (e := math.frexp(max(abs(p), abs(q), abs(s)))[1]):
+        return math.ldexp(_min_eig_2x2(math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(s, -e)), e)
+    return lam
 
 
 def _local_report(rows: list, inv: TwoModeInvariants, tol: Tolerance

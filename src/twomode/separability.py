@@ -82,7 +82,7 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     spectral forms and the two must agree away from the boundary band.
     """
     v, rows, scale, inv = _evaluate(v, tol)
-    report, bands = _global_report(v, rows, scale, inv, tol)
+    report, bands, _ = _global_report(v, rows, scale, inv, tol)
     # Partial transpose: same det V, Delta -> Delta~.
     nu_tilde_minus = (None if report.nu_minus is None
                       else _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows).nu_minus)
@@ -176,7 +176,7 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     instead.
     """
     v, rows, scale, inv = _evaluate(v, tol)
-    report, _ = _global_report(v, rows, scale, inv, tol)
+    report = _global_report(v, rows, scale, inv, tol)[0]
     if not report.verdict:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "

@@ -58,8 +58,9 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
-        if self.rel < 0 or self.abs < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0.0 <= self.rel < math.inf and 0.0 <= self.abs < math.inf):  # NaN fails too
+            raise ValueError(f"tolerances must be finite and nonnegative, got rel={self.rel}, "
+                             f"abs={self.abs}")
 
     def threshold(self, *operands: np.ndarray) -> float:
         """Absolute comparison threshold for the given matrix operands."""

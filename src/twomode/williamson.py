@@ -13,10 +13,12 @@ symplectic eigenvalues. The constructive route used here:
 4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k, R being O with its
    2-row blocks in reverse order (nu ascending).
 
-Each call validates its input once and factors each matrix once: one eigh of
-V (also the positivity check) and one of iX. The cross-checks kept are the
-orthogonality of O, det R = +1 and the spectrum from the independent route
-|eig(Omega V)|.
+Each call validates its input once and makes four LAPACK calls: eigh of V
+(also the positivity check), eigh of iX, and the cross-checks det R = +1 and
+the spectrum from the independent route |eig(Omega V)|; O is checked to be
+orthogonal. Between them the pairing, singularity and degeneracy tests, nu =
+1/a and the spectrum comparison run on Python floats, and O is one scaled copy
+of a real view of the eigenvectors of iX.
 
 S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
 = (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
@@ -43,6 +45,9 @@ __all__ = [
     "skew_block_rotation",
     "williamson_decompose",
 ]
+
+# Row 2k of O is -sqrt(2) Im p_k and row 2k+1 is sqrt(2) Re p_k.
+_ROW_SCALES = np.array([[-math.sqrt(2.0)], [math.sqrt(2.0)]])
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,13 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
     if anti_residual > cut:
         raise SymmetryError(
             f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
-    return _block_rotation(xs, n_modes, tol, cut, phases)
+    o, a_asc = _block_rotation(xs, n_modes, tol, cut, phases)
+    return o, np.array(a_asc)
 
 
 def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float,
-                    phases) -> tuple[np.ndarray, np.ndarray]:
-    """Core of ``skew_block_rotation`` on a validated antisymmetric xs whose cut is ``cut``."""
+                    phases) -> tuple[np.ndarray, list]:
+    """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = np.linalg.eigh(1j * xs)
     ev = evals.tolist()
@@ -140,19 +146,19 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float,
             f"(smallest pair magnitude {a_asc[0]:.3e})")
 
     dim = 2 * n_modes
-    plus = vecs[:, n_modes - 1::-1]  # column k: the +i a_asc[k] eigenvector of Xs
-    if phases is not None:
-        plus = plus * np.exp(1j * np.asarray(phases, dtype=float))
-    # Only p_k is read: its partner conj(p_k) is implied, which keeps the
-    # pairing exact under degeneracy.
-    o = np.empty((dim, dim))
-    o[0::2] = -math.sqrt(2.0) * plus.imag.T
-    o[1::2] = math.sqrt(2.0) * plus.real.T
-    ortho_residual = float(np.abs(o @ o.T - np.eye(dim)).max())
+    if phases is not None:  # column n-1-k is p_k
+        vecs[:, :n_modes] *= np.exp(1j * np.asarray(phases, dtype=float))[::-1]
+    # Only p_k is read: its partner conj(p_k) is implied, which keeps the pairing
+    # exact under degeneracy. vecs views as (Re, Im) float pairs; parts[k] = (Im p_k, Re p_k).
+    parts = vecs.view(float).reshape(dim, dim, 2)[:, n_modes - 1::-1, ::-1].transpose(1, 2, 0)
+    o = np.multiply(parts, _ROW_SCALES, order="C").reshape(dim, dim)
+    gram = o @ o.T
+    gram.flat[::dim + 1] -= 1.0
+    ortho_residual = float(np.abs(gram).max())
     if ortho_residual > 10.0 * tol.band(1.0):
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
-    return o, np.array(a_asc)
+    return o, a_asc
 
 
 def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
@@ -175,21 +181,22 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
     # Ascending nu = 1/a means descending a: reverse the order of the 2-row
     # blocks (an even permutation, hence still a proper rotation).
     r = o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape)
-    nus = 1.0 / a_asc[::-1]
-    w = np.diag(np.repeat(nus, 2))
-    s = np.repeat(np.sqrt(nus), 2)[:, None] * (r @ inv_root)
+    nu = [1.0 / a for a in reversed(a_asc)]
+    nus = np.array(nu)
+    nu_pairs = nus.repeat(2)
+    w = np.diag(nu_pairs)
+    s = np.sqrt(nu_pairs)[:, None] * (r @ inv_root)
 
     det_r = float(np.linalg.det(r))
     if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
         raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
     reference = _spectrum_general(v, n_modes, tol)
-    if float(np.abs(nus - reference).max()) > 1e-8 * float(reference.max()):
+    if max(abs(x - y) for x, y in zip(nu, reference)) > 1e-8 * max(reference):
         raise InternalInconsistency(
             f"eigenvector route spectrum {nus} disagrees with "
-            f"product-eigenvalue route {reference}")
+            f"product-eigenvalue route {np.array(reference)}")
 
     # nu scales with V, and the gaps' rounding with max nu: like X's cut, this one is relative only.
-    nu = nus.tolist()
     degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]
     if degenerate:
         warnings.warn(DegeneracyWarning(

@@ -498,6 +498,21 @@ def test_cli_flag_beats_document_tolerance(run):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["classify", "--tol-rel", "nan"], doc(tm.simon_vx(0.7))),
+    (["sweep", "--family", "simon_vx", "--from", "0.4", "--to", "0.6", "--step", "0.1",
+      "--tol-abs", "inf"], None),
+    # Would pass the symmetry check under a NaN tolerance, and exit 3 under any valid one.
+    (["classify"], json.dumps({"matrix": [[1, 5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                               "tolerance": {"rel": "nan"}})),
+])
+def test_non_finite_tolerance_exits_2(run, argv, text):
+    code, out, err = run(argv, stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tolerances must be finite and nonnegative")
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------- records and printer
 
 def test_each_cli_record_evaluates_the_matrix_once(run, monkeypatch):

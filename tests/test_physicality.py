@@ -168,6 +168,7 @@ def symmetric_blocks(draw):
 @example((0.1, 0.0, 0.1))
 @example((3.0, 0.0, -2.0))
 @example((-2.0, 0.0, -2.0))
+@example((2.5201843673e-314, 3.3736400867e-314, 4.5161169877e-314))  # exact -1.93e-324 -> -0.0
 def test_block_min_eig_matches_eigvalsh(block):
     # check_local's closed form against LAPACK's symmetric eigensolver.
     p, q, s = block

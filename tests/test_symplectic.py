@@ -175,6 +175,13 @@ def test_tolerance_threshold_scales_with_operands():
     assert big == pytest.approx(1e-12 + 1e-6)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-12])
+@pytest.mark.parametrize("field", ["rel", "abs"])
+def test_tolerance_must_be_finite_and_nonnegative(field, bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        tm.Tolerance(**{field: bad})
+
+
 # A physical, an unphysical (positive definite) and a non-positive-definite
 # matrix whose blocks are positive definite, so the standard form runs through.
 _SCALE_PROBES = (tm.random_physical(3), tm.simon_vx(0.3),

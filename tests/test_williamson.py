@@ -364,3 +364,45 @@ def test_cached_forms_are_not_shared_mutable_state():
         _omega_form(2, 1j)[0, 1] = 7.0j
     np.testing.assert_array_equal(_omega_form(2, 1j), 1j * tm.omega(2))
     assert tm.heisenberg_oracle(v) == oracle
+
+
+def _patched(monkeypatch, name, change):
+    """Make np.linalg.<name> pass its result through change(args, result)."""
+    original = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *args: change(args, original(*args)))
+
+
+def test_williamson_spectrum_cross_check_fires(monkeypatch):
+    # A product-eigenvalue route 1% off the eigenvector route: the moduli
+    # still pair, so only the comparison of the two spectra can catch it.
+    _patched(monkeypatch, "eigvals", lambda args, ev: ev * 1.01)
+    with pytest.raises(tm.InternalInconsistency, match="disagrees with product-eigenvalue route"):
+        tm.williamson_decompose(tm.thermal(1.5, 2.5))
+
+
+def test_general_spectrum_rejects_unpaired_moduli(monkeypatch):
+    def unpair(args, ev):
+        ev = ev.copy()
+        ev[0] *= 1.5
+        return ev
+    _patched(monkeypatch, "eigvals", unpair)
+    with pytest.raises(tm.PairingError, match="fail to pair"):
+        tm.symplectic_spectrum_general(tm.thermal(1.5, 2.5))
+
+
+def test_williamson_determinant_cross_check_fires(monkeypatch):
+    _patched(monkeypatch, "det", lambda args, d: -1.0)
+    with pytest.raises(tm.InternalInconsistency, match=r"rotation determinant -1\.0 is not \+1"):
+        tm.williamson_decompose(tm.simon_vx(0.7))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_block_rotation_orthogonality_check_fires(monkeypatch, n):
+    # Eigenvectors of iX (the one complex eigh) stretched by 10%.
+    def stretch(args, res):
+        return (res[0], res[1] * 1.1) if np.iscomplexobj(args[0]) else res
+    _patched(monkeypatch, "eigh", stretch)
+    v = random_spd(np.random.default_rng(n), 2 * n)
+    for call in (lambda: decompose_quietly(v), lambda: tm.skew_block_rotation(tm.build_x(v))):
+        with pytest.raises(tm.InternalInconsistency, match="departs from orthogonality"):
+            call()
