@@ -18,6 +18,7 @@ tolerance.
 
 Every matrix subcommand prints one record: with --format machine as one
 JSON line, otherwise as text (the same record without the echoed matrix).
+Each matrix subcommand is a record builder in _RECORDS.
 
 Exit codes: 0 success (a verdict, even Unphysical, is payload — never an
 error); 1 I/O, numerical or internal failure; 2 parse or parameter error;
@@ -45,9 +46,8 @@ from .errors import (
     TwoModeError,
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
-from .invariants import _evaluate, _spectrum_from_delta
-from .physicality import _global_report, heisenberg_oracle
-from .separability import _global_classification
+from .physicality import heisenberg_oracle
+from .separability import _global_classification, _global_route
 from .standard_form import reduce_to_standard_form
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, omega
 from .williamson import williamson_decompose
@@ -92,6 +92,8 @@ def _payload(text: str):
             tol = data.get("tolerance") or {}
             if not isinstance(tol, dict):
                 raise _DocumentError('"tolerance" must be an object')
+            if any(isinstance(tol.get(key), (list, dict, bool)) for key in ("rel", "abs")):
+                raise _DocumentError("tolerance values must be numbers, numeric strings or null")
             return data["matrix"], data.get("label"), tol.get("rel"), tol.get("abs")
         return data, None, None, None
     rows = []
@@ -110,34 +112,32 @@ def _payload(text: str):
     return rows, None, None, None
 
 
-def _validated(raw, label, rel, abs_, tol: Tolerance) -> MatrixDocument:
+def _resolve_tol(rel, abs_) -> Tolerance:
+    return Tolerance(rel=DEFAULT_TOL.rel if rel is None else float(rel),
+                     abs=DEFAULT_TOL.abs if abs_ is None else float(abs_))
+
+
+def _document(text: str, rel=None, abs_=None) -> tuple[MatrixDocument, Tolerance]:
+    """(document, tolerance); precedence: rel/abs_ (the flags), the document, the defaults."""
+    raw, label, doc_rel, doc_abs = _payload(text)
+    tol = _resolve_tol(doc_rel if rel is None else rel, doc_abs if abs_ is None else abs_)
     try:
         matrix = _checked(raw, tol, what="input matrix")[0]
     except TwoModeError:
         raise  # ValueError subclasses: keep exit 3, not a parse error (exit 2)
     except (TypeError, ValueError) as exc:
         raise _DocumentError(f"matrix entries are not numeric: {exc}") from exc
-    return MatrixDocument(matrix=matrix, label=label, tol_rel=rel, tol_abs=abs_)
+    return MatrixDocument(matrix=matrix, label=label, tol_rel=doc_rel, tol_abs=doc_abs), tol
 
 
-def _resolve_tol(rel, abs_) -> Tolerance:
-    return Tolerance(rel=DEFAULT_TOL.rel if rel is None else float(rel),
-                     abs=DEFAULT_TOL.abs if abs_ is None else float(abs_))
-
-
-def parse_document(text: str, tol: Tolerance | None = None) -> MatrixDocument:
-    """Parse and validate a matrix document.
+def parse_document(text: str) -> MatrixDocument:
+    """Parse and validate a matrix document under its own tolerance overrides.
 
     Raises _DocumentError for malformed documents and
     DimensionError/SymmetryError/NonFiniteError for matrices that parse but
-    are not square, even-dimensional, finite and symmetric. When the
-    document carries tolerance overrides they are applied (unless tol is
-    given, which wins).
+    are not square, even-dimensional, finite and symmetric.
     """
-    raw, label, rel, abs_ = _payload(text)
-    if tol is None:
-        tol = _resolve_tol(rel, abs_)
-    return _validated(raw, label, rel, abs_, tol)
+    return _document(text)[0]
 
 
 def _read_text(path: str) -> str:
@@ -148,17 +148,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise _DocumentError(f"cannot read {path}: {exc}") from exc
-
-
-def _load(args) -> tuple[MatrixDocument, Tolerance]:
-    """Read, parse and validate the input; resolve the effective tolerance.
-
-    Precedence: command-line flags, then document overrides, then defaults.
-    """
-    raw, label, rel, abs_ = _payload(_read_text(args.input))
-    tol = _resolve_tol(args.tol_rel if args.tol_rel is not None else rel,
-                       args.tol_abs if args.tol_abs is not None else abs_)
-    return _validated(raw, label, rel, abs_, tol), tol
 
 
 def _write_text(path: str, text: str) -> None:
@@ -173,15 +162,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _evaluation(v, tol: Tolerance):
-    """Invariants, global report with its bands and both spectra of V from one
-    evaluation; the spectra are None unless the report found V > 0."""
-    v, rows, scale, inv = _evaluate(v, tol)
-    report, bands, spec = _global_report(v, rows, scale, inv, tol)
-    if spec is None:
-        return inv, report, bands, dict.fromkeys(_SPECTRA)
-    ppt = _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows)
-    return inv, report, bands, dict(zip(_SPECTRA, (spec.nu_minus, spec.nu_plus,
-                                                   ppt.nu_minus, ppt.nu_plus)))
+    """The global route with its four spectra named; they are None unless V > 0."""
+    inv, report, bands, spec, ppt = _global_route(v, tol)
+    nus = (None,) * 4 if spec is None else (spec.nu_minus, spec.nu_plus, ppt.nu_minus, ppt.nu_plus)
+    return inv, report, bands, dict(zip(_SPECTRA, nus))
 
 
 def _cell(x, none: str) -> str:
@@ -204,9 +188,52 @@ def _text_lines(record: dict, indent: str = ""):
             yield f"{indent}{key}: {_cell(value, _UNDEFINED)}"
 
 
-def _emit(args, doc: MatrixDocument, fields: dict) -> int:
-    """Print the record {label, **fields, matrix}: one JSON line, or text
-    without the echoed matrix and with the label only when set."""
+def _classify_record(v, tol: Tolerance) -> dict:
+    inv, report, bands, spectra = _evaluation(v, tol)
+    result = _global_classification(inv, report, bands, spectra["nu_tilde_minus"], tol)
+    return {"tag": result.tag.value, "reason": result.reason, "margins": result.margins,
+            "invariants": asdict(inv), "report": asdict(report), **spectra}
+
+
+def _invariants_record(v, tol: Tolerance) -> dict:
+    inv, _, _, spectra = _evaluation(v, tol)
+    physical, min_eig = heisenberg_oracle(v, tol)
+    return {"invariants": asdict(inv), **spectra,
+            "heisenberg_margin": min_eig, "heisenberg_ok": physical}
+
+
+def _standard_form_record(v, tol: Tolerance) -> dict:
+    params = reduce_to_standard_form(v, tol)
+    return {"a": params.a, "b": params.b, "c_plus": params.c_plus, "c_minus": params.c_minus,
+            "s_local": params.s_local.tolist(), "residual": params.residual}
+
+
+def _williamson_record(v, tol: Tolerance) -> dict:
+    dec = williamson_decompose(v, tol)
+    form, s = omega(v.shape[0] // 2), dec.transform
+    return {"spectrum": dec.spectrum.tolist(), "normal_form": dec.normal_form.tolist(),
+            "transform": s.tolist(), "rotation": dec.rotation.tolist(),
+            "degenerate": dec.degenerate,
+            "residual_symplectic": float(np.max(np.abs(s @ form @ s.T - form))),
+            "residual_normal_form": float(np.max(np.abs(s @ v @ s.T - dec.normal_form)))}
+
+
+# Matrix subcommand -> (record builder on (V, tol), help text).
+_RECORDS = {
+    "classify": (_classify_record,
+                 "tag the matrix Unphysical / SeparableGaussianCM / EntangledGaussianCM"),
+    "invariants": (_invariants_record,
+                   "print symplectic invariants, spectra and the uncertainty margin"),
+    "standard-form": (_standard_form_record, "reduce to standard form via a local symplectic"),
+    "williamson": (_williamson_record, "Williamson normal form W, symplectic S and residuals"),
+}
+
+
+def cmd_record(args) -> int:
+    """Read the document and print its record {label, **fields, matrix}: one JSON
+    line, or text without the echoed matrix and with the label only when set."""
+    doc, tol = _document(_read_text(args.input), args.tol_rel, args.tol_abs)
+    fields = _RECORDS[args.command][0](doc.matrix, tol)
     record = {"label": doc.label, **fields, "matrix": doc.matrix.tolist()}
     if args.format == "machine":
         print(json.dumps(record), flush=True)
@@ -214,49 +241,6 @@ def _emit(args, doc: MatrixDocument, fields: dict) -> int:
         shown = {k: x for k, x in record.items() if k != "matrix" and (k != "label" or x)}
         print("\n".join(_text_lines(shown)), flush=True)
     return 0
-
-
-def cmd_classify(args) -> int:
-    doc, tol = _load(args)
-    inv, report, bands, spectra = _evaluation(doc.matrix, tol)
-    result = _global_classification(inv, report, bands, spectra["nu_tilde_minus"], tol)
-    return _emit(args, doc, {"tag": result.tag.value, "reason": result.reason,
-                             "margins": result.margins, "invariants": asdict(inv),
-                             "report": asdict(report), **spectra})
-
-
-def cmd_invariants(args) -> int:
-    doc, tol = _load(args)
-    inv, _, _, spectra = _evaluation(doc.matrix, tol)
-    physical, min_eig = heisenberg_oracle(doc.matrix, tol)
-    return _emit(args, doc, {"invariants": asdict(inv), **spectra,
-                             "heisenberg_margin": min_eig, "heisenberg_ok": physical})
-
-
-def cmd_standard_form(args) -> int:
-    doc, tol = _load(args)
-    params = reduce_to_standard_form(doc.matrix, tol)
-    return _emit(args, doc, {"a": params.a, "b": params.b,
-                             "c_plus": params.c_plus, "c_minus": params.c_minus,
-                             "s_local": params.s_local.tolist(),
-                             "residual": params.residual})
-
-
-def cmd_williamson(args) -> int:
-    doc, tol = _load(args)
-    v = doc.matrix
-    dec = williamson_decompose(v, tol)
-    form = omega(v.shape[0] // 2)
-    resid_sympl = float(np.max(np.abs(dec.transform @ form @ dec.transform.T - form)))
-    resid_form = float(np.max(np.abs(
-        dec.transform @ v @ dec.transform.T - dec.normal_form)))
-    return _emit(args, doc, {"spectrum": dec.spectrum.tolist(),
-                             "normal_form": dec.normal_form.tolist(),
-                             "transform": dec.transform.tolist(),
-                             "rotation": dec.rotation.tolist(),
-                             "degenerate": dec.degenerate,
-                             "residual_symplectic": resid_sympl,
-                             "residual_normal_form": resid_form})
 
 
 def _parse_params(pairs) -> dict[str, float]:
@@ -307,11 +291,11 @@ def cmd_sweep(args) -> int:
     lines = [",".join(_SWEEP_HEADER)]
     for value in _sweep_values(args.start, args.stop, args.step):
         v = generate(FamilySpec(args.family, {param: float(value)}))
-        inv, report, bands, spectra = _evaluation(v, tol)
-        _, heis = heisenberg_oracle(v, tol)
-        tag = _global_classification(inv, report, bands, spectra["nu_tilde_minus"], tol).tag.value
-        row = (float(value), inv.det_V, inv.delta, inv.delta_tilde, spectra["nu_minus"],
-               spectra["nu_tilde_minus"], heis, report.margins["delta_margin"], tag)
+        rec = _classify_record(v, tol)
+        inv = rec["invariants"]
+        row = (float(value), inv["det_V"], inv["delta"], inv["delta_tilde"], rec["nu_minus"],
+               rec["nu_tilde_minus"], heisenberg_oracle(v, tol)[1],
+               rec["margins"]["delta_margin"], rec["tag"])
         lines.append(",".join(_cell(x, "nan") for x in row))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -339,19 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="text",
                            help="report style: human text or one-line JSON")
 
-    commands = (
-        ("classify", cmd_classify,
-         "tag the matrix Unphysical / SeparableGaussianCM / EntangledGaussianCM"),
-        ("invariants", cmd_invariants,
-         "print symplectic invariants, spectra and the uncertainty margin"),
-        ("standard-form", cmd_standard_form,
-         "reduce to standard form via a local symplectic"),
-        ("williamson", cmd_williamson,
-         "Williamson normal form W, symplectic S and residuals"),
-    )
-    for name, func, help_text in commands:
-        sp = sub.add_parser(name, parents=[matrix_io], help=help_text)
-        sp.set_defaults(func=func)
+    for name, (_, help_text) in _RECORDS.items():
+        sub.add_parser(name, parents=[matrix_io], help=help_text).set_defaults(func=cmd_record)
 
     gen = sub.add_parser(
         "gen", help="generate a named family member as a matrix document",

@@ -81,7 +81,8 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, TwoModeInvari
     v, rows, scale, _ = _checked(v, tol, 2)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
-    det_v = float(np.linalg.det(v))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
+        det_v = float(np.linalg.det(v))
     # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
     r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
                               (b00, b01, b10, b11)), (c00, c10, c01, c11))

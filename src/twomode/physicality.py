@@ -144,12 +144,13 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     h - |d| is taken as q^2 / (h + |d|), which does not cancel. Both terms are
     at most max(|p|, |q|, |s|), so the error stays a few ulps of the block's
     scale, and a diagonal block gives min(p, s) exactly. A result below the
-    normal range, where those ulps are coarse, is recomputed on the block
-    scaled by a power of two to unit size (exponent 0 there ends the recursion).
+    normal range, where those ulps are coarse, is recomputed on a block below
+    1/2 scaled up by a power of two to unit size (exponent 0 there ends the
+    recursion); scaling a larger block down would round a subnormal entry.
     """
     d = (p - s) / 2.0
     lam = min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
-    if abs(lam) < sys.float_info.min and (e := math.frexp(max(abs(p), abs(q), abs(s)))[1]):
+    if abs(lam) < sys.float_info.min and (e := math.frexp(max(abs(p), abs(q), abs(s)))[1]) < 0:
         return math.ldexp(_min_eig_2x2(math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(s, -e)), e)
     return lam
 

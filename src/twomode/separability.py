@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, PreconditionViolated
-from .invariants import TwoModeInvariants, _evaluate, _spectrum_from_delta
+from .invariants import SymplecticSpectrum2, TwoModeInvariants, _evaluate, _spectrum_from_delta
 from .physicality import BonaFideReport, _global_report, _local_report, _verdict
 from .symplectic import DEFAULT_TOL, Tolerance, _require_positive_definite
 
@@ -81,12 +81,20 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ <= 1 + det V for separability) are evaluated alongside the
     spectral forms and the two must agree away from the boundary band.
     """
+    inv, report, bands, _, ppt = _global_route(v, tol)
+    return _global_classification(inv, report, bands, None if ppt is None else ppt.nu_minus, tol)
+
+
+def _global_route(v, tol: Tolerance) -> tuple[TwoModeInvariants, BonaFideReport, dict[str, float],
+                                              SymplecticSpectrum2 | None,
+                                              SymplecticSpectrum2 | None]:
+    """One evaluation of the global route: the invariants, the global report, its bands, and the
+    spectra of V and of its partial transpose (both None unless the report found V > 0)."""
     v, rows, scale, inv = _evaluate(v, tol)
-    report, bands, _ = _global_report(v, rows, scale, inv, tol)
+    report, bands, spec = _global_report(v, rows, scale, inv, tol)
     # Partial transpose: same det V, Delta -> Delta~.
-    nu_tilde_minus = (None if report.nu_minus is None
-                      else _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows).nu_minus)
-    return _global_classification(inv, report, bands, nu_tilde_minus, tol)
+    ppt = None if spec is None else _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows)
+    return inv, report, bands, spec, ppt
 
 
 def _global_classification(inv: TwoModeInvariants, report: BonaFideReport, bands: dict[str, float],

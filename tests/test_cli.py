@@ -609,3 +609,65 @@ def test_closed_pipe_exits_1_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("exponent", [80, 300])
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_overflowing_invariants_print_one_error_line(command, exponent):
+    # In a fresh process, with numpy's warnings at their defaults: the
+    # overflow of det V is reported by the error line alone.
+    grid = "".join(" ".join(f"{x}e{exponent}" for x in row) + "\n"
+                   for row in ((1, 0, 1, 0), (0, 1, 0, -1), (1, 0, 2, 0), (0, -1, 0, 2)))
+    src = str(Path(tm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "twomode.cli", command], input=grid.encode(),
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode().startswith("error: invariants overflow")
+    assert proc.stderr.count(b"\n") == 1
+
+
+_BAD_TOLERANCES = [{"rel": [1]}, {"rel": {"value": 1}}, {"abs": True}]
+
+
+@pytest.mark.parametrize("tolerance", _BAD_TOLERANCES)
+def test_parse_rejects_a_tolerance_that_is_not_a_number(tolerance):
+    from twomode.cli import _DocumentError
+    with pytest.raises(_DocumentError, match="tolerance values must be numbers"):
+        parse_document(doc(np.eye(4), tolerance=tolerance))
+
+
+@pytest.mark.parametrize("tolerance", _BAD_TOLERANCES)
+def test_tolerance_that_is_not_a_number_exits_2(run, tolerance):
+    code, out, err = run(["classify"], stdin_text=doc(np.eye(4), tolerance=tolerance))
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance values must be numbers, numeric strings or null\n"
+
+
+@pytest.mark.parametrize("family, param, value", [
+    ("simon_vx", "x", "0.3"), ("simon_vx", "x", "0.7"),
+    ("two_mode_squeezed", "r", "0.5"), ("thermal", "nu", "2"),
+])
+def test_sweep_row_matches_the_records(run, family, param, value):
+    code, csv, _ = run(["sweep", "--family", family, "--from", value, "--to", value,
+                        "--step", "1"])
+    assert code == 0
+    header, line = csv.splitlines()
+    row = dict(zip(header.split(","), line.split(",")))
+    code, document, _ = run(["gen", "--family", family, "--param", f"{param}={value}"])
+    assert code == 0
+    records = {}
+    for command in ("classify", "invariants"):
+        code, out, _ = run([command, "--format", "machine"], stdin_text=document)
+        assert code == 0
+        records[command] = json.loads(out)
+    classify = records["classify"]
+    expected = {"det_V": classify["invariants"]["det_V"],
+                "delta": classify["invariants"]["delta"],
+                "delta_tilde": classify["invariants"]["delta_tilde"],
+                "nu_minus": classify["nu_minus"], "nu_tilde_minus": classify["nu_tilde_minus"],
+                "simon_margin": classify["margins"]["delta_margin"],
+                "heisenberg_margin": records["invariants"]["heisenberg_margin"]}
+    for column, number in expected.items():
+        assert float(row[column]).hex() == float(number).hex(), column
+    assert row["tag"] == classify["tag"]

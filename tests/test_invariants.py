@@ -1,4 +1,6 @@
 """Invariants, the determinant identity, and symplectic spectra."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,14 @@ def test_general_spectrum_is_ascending():
         nus = tm.symplectic_spectrum_general(v)
         assert nus.shape == (n,)
         assert np.all(np.diff(nus) >= -1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e200, 1e300])
+def test_overflowing_det_raises_without_a_numpy_warning(scale):
+    # det V overflows (or turns NaN) inside LU; the magnitude check reports
+    # it as a NumericalError and numpy's RuntimeWarning stays silent.
+    grid = scale * np.array([[1.0, 0, 1, 0], [0, 1, 0, -1], [1, 0, 2, 0], [0, -1, 0, 2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tm.NumericalError, match="overflow"):
+            tm.two_mode_invariants(grid)

@@ -226,3 +226,16 @@ def test_closed_form_spectrum_mixing_family():
         eigs = tm.standard_form_hermitian_eigs(s, s, (4.0 * x - 1.0) / 2.0, -2.0 * x)
         _, min_eig = tm.heisenberg_oracle(tm.simon_vx(x))
         assert eigs.lambda_pm == pytest.approx(min_eig, abs=1e-12)
+
+
+@pytest.mark.parametrize("block, expected", [
+    ((10.0, 0.0, 2.22507385850696e-310), 2.22507385850696e-310),
+    ((1e10, 1e-160, 2.22507385850696e-310), 2.22507385850696e-310),
+    ((2.5e-310, 0.0, 4.0), 2.5e-310),
+])
+def test_block_min_eig_keeps_a_subnormal_entry_beside_a_large_one(block, expected):
+    # A subnormal smaller eigenvalue of a block whose scale is 1 or more is
+    # exact to 2^-1074 as computed; rescaling the block would round it.
+    assert _min_eig_2x2(*block) == expected
+    assert _min_eig_2x2(*block) == np.linalg.eigvalsh(np.array([[block[0], block[1]],
+                                                                [block[1], block[2]]]))[0]
