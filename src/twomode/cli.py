@@ -66,7 +66,7 @@ class _DocumentError(Exception):
     """Unparseable matrix document (exit code 2)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatrixDocument:
     """A validated input matrix plus optional metadata."""
 
@@ -86,16 +86,19 @@ def _payload(text: str):
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise _DocumentError(f"invalid JSON document: {exc}") from exc
+        matrix, label, tol = data, None, {}
         if isinstance(data, dict):
             if "matrix" not in data:
                 raise _DocumentError('JSON document lacks a "matrix" key')
-            tol = data.get("tolerance") or {}
+            matrix, label, tol = data["matrix"], data.get("label"), data.get("tolerance") or {}
             if not isinstance(tol, dict):
                 raise _DocumentError('"tolerance" must be an object')
             if any(isinstance(tol.get(key), (list, dict, bool)) for key in ("rel", "abs")):
                 raise _DocumentError("tolerance values must be numbers, numeric strings or null")
-            return data["matrix"], data.get("label"), tol.get("rel"), tol.get("abs")
-        return data, None, None, None
+        if isinstance(matrix, list) and any(  # numpy would read true and false as 1 and 0
+                isinstance(x, bool) for row in matrix if isinstance(row, list) for x in row):
+            raise _DocumentError("matrix entries must be numbers or numeric strings, not booleans")
+        return matrix, label, tol.get("rel"), tol.get("abs")
     rows = []
     for line in stripped.splitlines():
         line = line.strip()
@@ -260,12 +263,10 @@ def cmd_gen(args) -> int:
     params = _parse_params(args.param)
     if args.seed is not None:
         params["seed"] = args.seed
-    spec = FamilySpec(args.family, params)
-    matrix = generate(spec)
+    matrix = generate(FamilySpec(args.family, params))
     shown = ", ".join(f"{k}={params[k]:g}" for k in sorted(params))
     label = args.label or (f"{args.family}({shown})" if shown else args.family)
-    document = {"label": label, "matrix": matrix.tolist()}
-    _write_text(args.out, json.dumps(document) + "\n")
+    _write_text(args.out, json.dumps({"label": label, "matrix": matrix.tolist()}) + "\n")
     return 0
 
 

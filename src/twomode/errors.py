@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 __all__ = [
-    "TwoModeError", "DimensionError", "SymmetryError", "NonFiniteError",
+    "TwoModeError", "DimensionError", "SymmetryError", "NonFiniteError", "NonRealError",
     "NotPositiveDefinite", "BlockNotPositiveDefinite", "SingularInput",
     "PreconditionViolated", "NumericalError", "PairingError",
     "InternalInconsistency", "DegeneracyWarning",
@@ -22,6 +22,10 @@ class SymmetryError(TwoModeError, ValueError):
 
 class NonFiniteError(TwoModeError, ValueError):
     """Matrix contains NaN or infinite entries."""
+
+
+class NonRealError(TwoModeError, ValueError):
+    """Matrix is complex; a correlation matrix is real."""
 
 
 class NotPositiveDefinite(TwoModeError, ValueError):

@@ -42,7 +42,7 @@ __all__ = [
     "balanced_mixer",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilySpec:
     """A family name plus its parameter assignment."""
 

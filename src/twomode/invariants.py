@@ -13,6 +13,7 @@ and satisfy det V = det A det B + det C^2 - I4 for every symmetric V.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,12 @@ __all__ = [
 # The det V identity holds for every symmetric 4x4, so a violation beyond
 # this (relative) band means the determinant or trace arithmetic went wrong.
 _IDENTITY_BAND = 1e-8
+# Hadamard: |det V| <= prod ||row_i||_2 <= 16 scale^4, and pivoted LU entries stay within 8 scale,
+# so below this scale det V sets no overflow/invalid flag (2x spare: numpy's det is exp(log|det|)).
+_DET_SAFE_SCALE = (sys.float_info.max / 32.0) ** 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoModeInvariants:
     """Local and global symplectic invariants of a two-mode matrix."""
 
@@ -60,7 +64,7 @@ class TwoModeInvariants:
     gamma_sep: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymplecticSpectrum2:
     """Two-mode symplectic spectrum, nu_minus <= nu_plus."""
 
@@ -81,8 +85,11 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, TwoModeInvari
     v, rows, scale, _ = _checked(v, tol, 2)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError below
+    if scale < _DET_SAFE_SCALE:
         det_v = float(np.linalg.det(v))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises NumericalError below
+            det_v = float(np.linalg.det(v))
     # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
     r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
                               (b00, b01, b10, b11)), (c00, c10, c01, c11))

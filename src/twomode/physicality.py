@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BonaFideReport:
     """Physicality verdict with per-condition margins.
 
@@ -59,7 +59,7 @@ class BonaFideReport:
     borderline: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StandardFormEigs:
     """Closed-form eigenvalues of V + i Omega for a standard-form matrix.
 

@@ -44,7 +44,7 @@ class Tag(enum.Enum):
     ENTANGLED = "EntangledGaussianCM"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Tag plus the margins that led to it and a human-readable reason."""
 

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StandardFormParams:
     """Standard-form parameters and the local symplectic achieving them.
 

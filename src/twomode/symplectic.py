@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError, NotPositiveDefinite, SymmetryError
+from .errors import DimensionError, NonFiniteError, NonRealError, NotPositiveDefinite, SymmetryError
 
 __all__ = [
     "Tolerance",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tolerance:
     """Comparison tolerances, applied as ``abs + rel * scale``.
 
@@ -76,11 +76,11 @@ class Tolerance:
         return self.abs + self.rel * scale
 
     def band(self, *values: float) -> float:
-        """Threshold for scalar margin comparisons; scale floor of 1."""
+        """Threshold for scalar margin comparisons; scale floor of 1, NaN and +-inf skipped."""
         scale = 1.0
         for v in values:
-            if math.isfinite(v):
-                scale = max(scale, abs(float(v)))
+            if scale < (a := abs(float(v))) < math.inf:  # NaN fails both tests, +-inf the second
+                scale = a
         return self.abs + self.rel * scale
 
 
@@ -94,6 +94,8 @@ _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def _read(m) -> tuple[np.ndarray, list, list]:
     """``as_matrix``'s checks on one read of the entries as floats: (array, rows, entries)."""
+    if isinstance(m, np.ndarray) and m.dtype.kind == "c":  # float64 keeps only the real part
+        raise NonRealError(f"expected a real matrix, got dtype {m.dtype}")
     arr = np.array(m, dtype=float, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
@@ -109,8 +111,8 @@ def _read(m) -> tuple[np.ndarray, list, list]:
 def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a square float64 matrix.
 
-    Raises DimensionError for anything that is not a nonempty square 2D
-    array and NonFiniteError if any entry is NaN or infinite.
+    Raises NonRealError for a complex array, DimensionError for anything that is not a nonempty
+    square 2D array and NonFiniteError if any entry is NaN or infinite.
     """
     return _read(m)[0]
 
@@ -245,7 +247,7 @@ def congruence(v, s) -> np.ndarray:
     return symmetric_part(s @ v @ s.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoModeBlocks:
     """2x2 blocks of a two-mode correlation matrix [[A, C], [C^T, B]]."""
 

@@ -50,7 +50,7 @@ __all__ = [
 _ROW_SCALES = np.array([[-math.sqrt(2.0)], [math.sqrt(2.0)]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WilliamsonDecomposition:
     """Normal form W, the symplectic S achieving it, and the pieces.
 

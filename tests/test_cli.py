@@ -671,3 +671,23 @@ def test_sweep_row_matches_the_records(run, family, param, value):
     for column, number in expected.items():
         assert float(row[column]).hex() == float(number).hex(), column
     assert row["tag"] == classify["tag"]
+
+
+_BOOLEAN_DOCUMENTS = [
+    '{"matrix": [[true,0,0,0],[0,true,0,0],[0,0,true,0],[0,0,0,true]]}',
+    '[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,false]]',
+]
+
+
+@pytest.mark.parametrize("text", _BOOLEAN_DOCUMENTS)
+def test_parse_rejects_boolean_matrix_entries(text):
+    from twomode.cli import _DocumentError
+    with pytest.raises(_DocumentError, match="not booleans"):
+        parse_document(text)
+
+
+@pytest.mark.parametrize("text", _BOOLEAN_DOCUMENTS)
+def test_boolean_matrix_entries_exit_2(run, text):
+    code, out, err = run(["classify"], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix entries must be numbers or numeric strings, not booleans\n"

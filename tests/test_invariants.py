@@ -1,4 +1,5 @@
 """Invariants, the determinant identity, and symplectic spectra."""
+import math
 import warnings
 
 import numpy as np
@@ -239,3 +240,27 @@ def test_overflowing_det_raises_without_a_numpy_warning(scale):
         warnings.simplefilter("error")
         with pytest.raises(tm.NumericalError, match="overflow"):
             tm.two_mode_invariants(grid)
+
+
+@pytest.mark.parametrize("s", [1e76, 5.8e76, 1e77, 1e200])
+def test_det_near_the_overflow_guard_is_exact_and_silent(s):
+    # diag(s, 1/s, 1, 1) sits on either side of the scale below which det V
+    # runs without numpy's errstate; it has det V = 1 on both sides.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tm.two_mode_invariants(np.diag([s, 1.0 / s, 1.0, 1.0])).det_V == 1.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_det_just_below_the_overflow_guard_matches_numpy(seed):
+    # Scaled so that max |v_ij| is just below the guard: det V takes the path
+    # without errstate and must read numpy's det, with no warning.
+    from twomode.invariants import _DET_SAFE_SCALE
+    v = random_symmetric(np.random.default_rng(seed))
+    v *= np.nextafter(_DET_SAFE_SCALE, 0.0) / np.abs(v).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = float(np.linalg.det(v))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tm.two_mode_invariants(v).det_V
+    assert got == expected and math.isfinite(got)

@@ -1,5 +1,7 @@
 """Core conventions: symplectic form, basic transforms, blocks, tolerances."""
+import math
 import pickle
+import struct
 import warnings
 
 import numpy as np
@@ -264,3 +266,39 @@ def test_rotation_squeeze_products_stay_symplectic(t1, t2, xi):
     s = tm.rotation(t1) @ tm.squeeze(xi) @ tm.rotation(t2)
     assert tm.is_symplectic(s)
     assert np.linalg.det(s) == pytest.approx(1.0, abs=1e-9)
+
+
+def _band_reference(tol, *values):
+    """Tolerance.band as a loop of isfinite and max: the reference for the one-comparison form."""
+    scale = 1.0
+    for v in values:
+        if math.isfinite(v):
+            scale = max(scale, abs(float(v)))
+    return tol.abs + tol.rel * scale
+
+
+_BAND_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**300, 10**300),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 1, -1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_BAND_VALUES, max_size=6), st.sampled_from([tm.DEFAULT_TOL, tm.Tolerance(0.0, 0.0),
+                                                             tm.Tolerance(rel=1e-3, abs=0.5)]))
+def test_tolerance_band_matches_the_loop_it_replaced(values, tol):
+    got = tol.band(*values)
+    assert type(got) is float
+    assert struct.pack("<d", got) == struct.pack("<d", _band_reference(tol, *values))
+
+
+@pytest.mark.parametrize("fn", [tm.as_matrix, tm.heisenberg_oracle, tm.classify_global,
+                                tm.classify_local, tm.two_mode_invariants, tm.check_local])
+def test_complex_matrix_is_refused_not_truncated(fn):
+    # float64 conversion of V + 5i Omega would keep V and only warn.
+    v = tm.simon_vx(0.7) + 5j * tm.omega(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tm.NonRealError, match="complex"):
+            fn(v)
+    assert issubclass(tm.NonRealError, tm.TwoModeError) and issubclass(tm.NonRealError, ValueError)
