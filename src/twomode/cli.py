@@ -90,8 +90,8 @@ def _payload(text: str):
         if isinstance(data, dict):
             if "matrix" not in data:
                 raise _DocumentError('JSON document lacks a "matrix" key')
-            matrix, label, tol = data["matrix"], data.get("label"), data.get("tolerance") or {}
-            if not isinstance(tol, dict):
+            matrix, label, tol = data["matrix"], data.get("label"), data.get("tolerance")
+            if not isinstance(tol := {} if tol is None else tol, dict):  # null or no key: defaults
                 raise _DocumentError('"tolerance" must be an object')
             if any(isinstance(tol.get(key), (list, dict, bool)) for key in ("rel", "abs")):
                 raise _DocumentError("tolerance values must be numbers, numeric strings or null")

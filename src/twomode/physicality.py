@@ -18,7 +18,8 @@ Verdict policy, implemented once by ``_verdict``: each route builds its
 margins and, beside them, one band per condition. Inequality margins are
 inclusive (>= -band); strict positive definiteness (the ``min_eig_*``
 margins) uses > +band, and a margin within its band of 0 flags the report
-as borderline.
+as borderline. The classifiers in ``separability`` add their PPT condition
+to the same bands and take every tag from the same policy.
 """
 from __future__ import annotations
 

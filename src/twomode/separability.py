@@ -5,9 +5,12 @@ again physical, which reduces to nu~_- >= 1 for the PPT symplectic spectrum
 or, in determinant form, Delta~ <= 1 + det V (equivalently
 Gamma = det A + det B + 2|det C| <= 1 + det V once Delta <= 1 + det V holds).
 
-Both the spectrum route and the determinant route are evaluated and cross
-checked; the production verdict comes from the determinant route, which is
-better conditioned near the boundary. Disagreement beyond the tolerance band
+Each classifier is one table of its route's conditions in checking order, bona
+fide then PPT: the first that ``physicality._verdict`` finds failed beyond its
+band gives the tag and reason, and none failed means separable. The global
+route also evaluates the spectral forms nu_- >= 1 and nu~_- >= 1 and cross
+checks them against the determinant forms that decide, which are better
+conditioned near the boundary. Disagreement beyond _BOUNDARY_FACTOR bands
 raises InternalInconsistency and indicates a bug, never bad input.
 
 Each call validates V and computes the raw invariants once. The global route
@@ -58,20 +61,36 @@ class Classification:
 _BOUNDARY_FACTOR = 10.0
 
 
-def _near(margin: float, band: float) -> bool:
-    return abs(margin) <= _BOUNDARY_FACTOR * band
+def _forms_agree(agree: bool, *near: tuple[float, float]) -> bool:
+    """The two forms agree, or some (margin, band) in ``near`` lies within
+    _BOUNDARY_FACTOR bands of 0."""
+    return agree or any(abs(margin) <= _BOUNDARY_FACTOR * band for margin, band in near)
 
 
-# The reason for an Unphysical tag, per route, keyed by the first condition
-# that failed.
-_GLOBAL_REASONS = {"min_eig_V": "V is not positive definite", "det_V_minus_1": "det V < 1",
-                   "delta_margin": "Delta > 1 + det V"}
-_LOCAL_REASONS = {"min_eig_A": "block A is not positive definite",
-                  "min_eig_B": "block B is not positive definite",
-                  "delta_margin": "Delta > 1 + det V",
-                  "block_margin": "2 sqrt(det A det B) + det C^2 > det V + det A det B"}
-_POSDEF_REASONS = {"det_V_minus_1": "det V < 1 (neither branch applies)",
-                   "delta_margin": "Delta > 1 + det V (neither branch applies)"}
+# Each route's conditions in checking order, then under None the result when none fails.
+_GLOBAL = {"min_eig_V": (Tag.UNPHYSICAL, "V is not positive definite"),
+           "det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1"),
+           "delta_margin": (Tag.UNPHYSICAL, "Delta > 1 + det V"),
+           "delta_tilde_margin": (Tag.ENTANGLED, "partial transpose violates the uncertainty "
+                                  "principle (nu~_- < 1, Delta~ > 1 + det V)"),
+           None: (Tag.SEPARABLE, "partial transpose is physical (nu~_- >= 1)")}
+_LOCAL = {"min_eig_A": (Tag.UNPHYSICAL, "block A is not positive definite"),
+          "min_eig_B": (Tag.UNPHYSICAL, "block B is not positive definite"),
+          "delta_margin": (Tag.UNPHYSICAL, "Delta > 1 + det V"),
+          "block_margin": (Tag.UNPHYSICAL, "2 sqrt(det A det B) + det C^2 > det V + det A det B"),
+          "gamma_margin": (Tag.ENTANGLED, "Gamma > 1 + det V with Delta <= 1 + det V "
+                           "(PPT violated)"),
+          None: (Tag.SEPARABLE, "Gamma <= 1 + det V (PPT holds)")}
+_POSDEF = {"det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1 (neither branch applies)"),
+           "delta_margin": (Tag.UNPHYSICAL, "Delta > 1 + det V (neither branch applies)"),
+           "gamma_margin": (Tag.ENTANGLED, "det V >= 1 and Delta <= 1 + det V < Delta~"),
+           None: (Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V")}
+
+
+def _decide(table: dict, margins: dict[str, float], bands: dict[str, float]) -> Classification:
+    """The table entry of the first condition in ``bands`` that fails, or its None entry."""
+    failed = _verdict(margins, bands)[2]
+    return Classification(*table[failed[0] if failed else None], margins)
 
 
 def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
@@ -99,51 +118,35 @@ def _global_route(v, tol: Tolerance) -> tuple[TwoModeInvariants, BonaFideReport,
 
 def _global_classification(inv: TwoModeInvariants, report: BonaFideReport, bands: dict[str, float],
                            nu_tilde_minus: float | None, tol: Tolerance) -> Classification:
-    """Body of ``classify_global`` on the invariants, the global report, its bands and nu~_-."""
+    """Body of ``classify_global`` on the invariants, the global report, its bands and nu~_-;
+    adds the Delta~ band to ``bands``."""
     margins = dict(report.margins)
-    dt_band = tol.band(inv.delta_tilde, 1.0 + inv.det_V)
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
-
+    # det V~ = det V, so once V is physical the PPT stage is decided by Delta~ alone.
+    bands["delta_tilde_margin"] = tol.band(inv.delta_tilde, 1.0 + inv.det_V)
     nu_band = tol.band(1.0)
     # The report carries nu_- exactly when it found V > 0.
     if report.nu_minus is not None:
-        margins["nu_minus_minus_1"] = report.nu_minus - 1.0
-        margins["nu_tilde_minus_minus_1"] = nu_tilde_minus - 1.0
-        # Physicality, spectral form: nu_- >= 1. Must match the verdict of
-        # the determinant form except within the boundary band.
-        phys_spec = margins["nu_minus_minus_1"] >= -nu_band
-        if phys_spec != report.verdict and not (
-                _near(margins["nu_minus_minus_1"], nu_band)
-                or _near(margins["det_V_minus_1"], bands["det_V_minus_1"])
-                or _near(margins["delta_margin"], bands["delta_margin"])):
+        margins["nu_minus_minus_1"] = nu_m1 = report.nu_minus - 1.0
+        margins["nu_tilde_minus_minus_1"] = nu_tilde_m1 = nu_tilde_minus - 1.0
+        # Physicality, spectral form: nu_- >= 1 must match the determinant form.
+        if not _forms_agree((nu_m1 >= -nu_band) == report.verdict, (nu_m1, nu_band),
+                            (margins["det_V_minus_1"], bands["det_V_minus_1"]),
+                            (margins["delta_margin"], bands["delta_margin"])):
             raise InternalInconsistency(
                 "spectral and determinant physicality forms disagree: "
-                f"nu_- - 1 = {margins['nu_minus_minus_1']:.3e}, margins {margins}")
+                f"nu_- - 1 = {nu_m1:.3e}, margins {margins}")
 
-    if not report.verdict:
-        failed = _verdict(report.margins, bands)[2]
-        return Classification(Tag.UNPHYSICAL, _GLOBAL_REASONS[failed[0]], margins)
-
-    # Physical from here on; det V~ = det V >= 1 already holds, so the PPT
-    # stage is decided by Delta~ alone.
-    if margins["det_V_minus_1"] < -_BOUNDARY_FACTOR * bands["det_V_minus_1"]:
-        raise InternalInconsistency("physical verdict with det V < 1")
-
-    sep_det = margins["delta_tilde_margin"] >= -dt_band
-    sep_spec = margins["nu_tilde_minus_minus_1"] >= -nu_band
-    if sep_det != sep_spec and not (
-            _near(margins["delta_tilde_margin"], dt_band)
-            or _near(margins["nu_tilde_minus_minus_1"], nu_band)):
+    result = _decide(_GLOBAL, margins, bands)
+    # A physical verdict implies V > 0, so nu~_- was set above.
+    if report.verdict and not _forms_agree(
+            (nu_tilde_m1 >= -nu_band) == (result.tag is Tag.SEPARABLE),
+            (margins["delta_tilde_margin"], bands["delta_tilde_margin"]), (nu_tilde_m1, nu_band)):
         raise InternalInconsistency(
             "spectral and determinant separability forms disagree: "
-            f"nu~_- - 1 = {margins['nu_tilde_minus_minus_1']:.3e}, "
+            f"nu~_- - 1 = {nu_tilde_m1:.3e}, "
             f"Delta~ margin = {margins['delta_tilde_margin']:.3e}")
-    if sep_det:
-        return Classification(
-            Tag.SEPARABLE, "partial transpose is physical (nu~_- >= 1)", margins)
-    return Classification(
-        Tag.ENTANGLED, "partial transpose violates the uncertainty principle "
-        "(nu~_- < 1, Delta~ > 1 + det V)", margins)
+    return result
 
 
 def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
@@ -160,17 +163,8 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     margins = dict(report.margins)
     margins["gamma_margin"] = (1.0 + inv.det_V) - inv.gamma_sep
     margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
-
-    if not report.verdict:
-        failed = _verdict(report.margins, bands)[2]
-        return Classification(Tag.UNPHYSICAL, _LOCAL_REASONS[failed[0]], margins)
-
-    if margins["gamma_margin"] >= -tol.band(inv.gamma_sep, 1.0 + inv.det_V):
-        return Classification(
-            Tag.SEPARABLE, "Gamma <= 1 + det V (PPT holds)", margins)
-    return Classification(
-        Tag.ENTANGLED, "Gamma > 1 + det V with Delta <= 1 + det V "
-        "(PPT violated)", margins)
+    bands["gamma_margin"] = tol.band(inv.gamma_sep, 1.0 + inv.det_V)
+    return _decide(_LOCAL, margins, bands)
 
 
 def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -216,12 +210,6 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
         "delta_tilde_margin": (1.0 + inv.det_C) ** 2 - s_mid,
     }
     bands = {"det_V_minus_1": tol.band(inv.det_V),
-             "delta_margin": tol.band(s_mid, (1.0 - inv.det_C) ** 2)}
-    physical, _, failed = _verdict(margins, bands)
-    if not physical:
-        return Classification(Tag.UNPHYSICAL, _POSDEF_REASONS[failed[0]], margins)
-    if margins["gamma_margin"] >= -tol.band(s_mid, (1.0 + inv.det_C) ** 2):
-        return Classification(
-            Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V", margins)
-    return Classification(
-        Tag.ENTANGLED, "det V >= 1 and Delta <= 1 + det V < Delta~", margins)
+             "delta_margin": tol.band(s_mid, (1.0 - inv.det_C) ** 2),
+             "gamma_margin": tol.band(s_mid, (1.0 + inv.det_C) ** 2)}
+    return _decide(_POSDEF, margins, bands)

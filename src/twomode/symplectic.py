@@ -94,8 +94,11 @@ _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def _read(m) -> tuple[np.ndarray, list, list]:
     """``as_matrix``'s checks on one read of the entries as floats: (array, rows, entries)."""
-    if isinstance(m, np.ndarray) and m.dtype.kind == "c":  # float64 keeps only the real part
-        raise NonRealError(f"expected a real matrix, got dtype {m.dtype}")
+    # float64 keeps only the real part of complex entries, in an array or a nested list. The
+    # conversion reads m, not this probe: a list mixing strings and numbers probes as strings.
+    probe = m if isinstance(m, np.ndarray) else np.asarray(m)
+    if probe.dtype.kind == "c":
+        raise NonRealError(f"expected a real matrix, got dtype {probe.dtype}")
     arr = np.array(m, dtype=float, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")

@@ -99,8 +99,7 @@ def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _skew_kernel(_inv_sqrt(v, tol._cut(scale)), n_modes)
 
 
-def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
-                        phases=None) -> tuple[np.ndarray, np.ndarray]:
+def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Proper-rotation block-diagonalization of a nonsingular antisymmetric Xs.
 
     Returns (o, a) with o @ Xs @ o.T = (+)_k a_k omega, the a_k positive and
@@ -110,26 +109,20 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL, *,
     a (-Im p) and -Im p to -a Re p. So the rows
     sqrt(2) (-Im p_k)^T, sqrt(2) (Re p_k)^T form a real orthogonal o for any
     eigenbasis.
-
-    phases, when given, multiplies the k-th eigenvector p_k by
-    e^{i phases[k]} before assembly; the result is another valid rotation
-    (used to exercise the eigenbasis freedom in tests).
     """
     xs = as_matrix(xs)
     n_modes = _mode_count(xs)
-    if phases is not None and len(phases) != n_modes:  # before any solve
-        raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
     anti_residual = float(np.abs(xs + xs.T).max())
     cut = tol._cut(float(np.abs(xs).max()))
     if anti_residual > cut:
         raise SymmetryError(
             f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
-    o, a_asc = _block_rotation(xs, n_modes, tol, cut, phases)
+    o, a_asc = _block_rotation(xs, n_modes, tol, cut)
     return o, np.array(a_asc)
 
 
-def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float,
-                    phases) -> tuple[np.ndarray, list]:
+def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
+                    ) -> tuple[np.ndarray, list]:
     """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = np.linalg.eigh(1j * xs)
@@ -146,8 +139,6 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float,
             f"(smallest pair magnitude {a_asc[0]:.3e})")
 
     dim = 2 * n_modes
-    if phases is not None:  # column n-1-k is p_k
-        vecs[:, :n_modes] *= np.exp(1j * np.asarray(phases, dtype=float))[::-1]
     # Only p_k is read: its partner conj(p_k) is implied, which keeps the pairing
     # exact under degeneracy. vecs views as (Re, Im) float pairs; parts[k] = (Im p_k, Re p_k).
     parts = vecs.view(float).reshape(dim, dim, 2)[:, n_modes - 1::-1, ::-1].transpose(1, 2, 0)
@@ -161,8 +152,7 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float,
     return o, a_asc
 
 
-def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
-                         phases=None) -> WilliamsonDecomposition:
+def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposition:
     """Full Williamson decomposition of a symmetric positive definite V.
 
     Computes W, the symplectic S with S V S^T = W and S Omega S^T = Omega,
@@ -171,12 +161,10 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL, *,
     coincide within tolerance; the decomposition itself remains valid.
     """
     v, scale, n_modes = _validated_modes(v, tol)
-    if phases is not None and len(phases) != n_modes:
-        raise ValueError(f"expected {n_modes} phases, got {len(phases)}")
     inv_root = _inv_sqrt(v, tol._cut(scale))
     skew = _skew_kernel(inv_root, n_modes)
     # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
-    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()), phases)
+    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
 
     # Ascending nu = 1/a means descending a: reverse the order of the 2-row
     # blocks (an even permutation, hence still a proper rotation).

@@ -644,6 +644,22 @@ def test_tolerance_that_is_not_a_number_exits_2(run, tolerance):
     assert err == "error: tolerance values must be numbers, numeric strings or null\n"
 
 
+@pytest.mark.parametrize("tolerance", [False, 0, "", [], [1], "x"])
+def test_tolerance_that_is_not_an_object_exits_2(run, tolerance):
+    # Falsy values used to run silently with the default tolerances.
+    code, out, err = run(["classify"], stdin_text=doc(np.eye(4), tolerance=tolerance))
+    assert (code, out) == (2, "")
+    assert err == 'error: "tolerance" must be an object\n'
+
+
+def test_null_or_missing_tolerance_means_the_defaults(run):
+    outputs = [run(["classify", "--format", "machine"], stdin_text=text)
+               for text in (doc(np.eye(4)), doc(np.eye(4), tolerance=None),
+                            doc(np.eye(4), tolerance={}))]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
+    assert outputs[1] == outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize("family, param, value", [
     ("simon_vx", "x", "0.3"), ("simon_vx", "x", "0.7"),
     ("two_mode_squeezed", "r", "0.5"), ("thermal", "nu", "2"),

@@ -1,9 +1,11 @@
 """Separable/entangled/unphysical classification and the criterion forms."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import twomode as tm
-from twomode import Tag
+from twomode import Tag, physicality, separability
 
 from .support import (
     boundary_biased,
@@ -87,6 +89,50 @@ def test_unphysical_reason_is_the_first_condition_failed_beyond_its_band():
     assert out.tag is Tag.UNPHYSICAL
     assert out.reason == tm.classify_local(v).reason == "Delta > 1 + det V"
     assert tm.posdef_criterion(v).reason == "Delta > 1 + det V (neither branch applies)"
+
+
+@pytest.mark.parametrize("classify, separable, entangled", [
+    (tm.classify_global, "partial transpose is physical (nu~_- >= 1)",
+     "partial transpose violates the uncertainty principle (nu~_- < 1, Delta~ > 1 + det V)"),
+    (tm.classify_local, "Gamma <= 1 + det V (PPT holds)",
+     "Gamma > 1 + det V with Delta <= 1 + det V (PPT violated)"),
+    (tm.posdef_criterion, "det V >= 1 and Gamma <= 1 + det V",
+     "det V >= 1 and Delta <= 1 + det V < Delta~"),
+], ids=["global", "local", "posdef"])
+def test_each_ppt_reason(classify, separable, entangled):
+    out = classify(tm.thermal(2.0, 1.5))
+    assert (out.tag, out.reason) == (Tag.SEPARABLE, separable)
+    out = classify(tm.two_mode_squeezed(0.5))
+    assert (out.tag, out.reason) == (Tag.ENTANGLED, entangled)
+
+
+def _shift_nu_minus(monkeypatch, module, nu_minus):
+    """Make ``module._spectrum_from_delta`` report nu_minus in place of the computed value."""
+    original = module._spectrum_from_delta
+    monkeypatch.setattr(module, "_spectrum_from_delta", lambda *args: dataclasses.replace(
+        original(*args), nu_minus=nu_minus))
+
+
+@pytest.mark.parametrize("module, v, nu_minus, form", [
+    (physicality, tm.thermal(2.0, 1.5), 0.5, "physicality"),
+    (separability, tm.thermal(2.0, 1.5), 0.5, "separability"),
+    (separability, tm.two_mode_squeezed(0.5), 2.0, "separability"),
+], ids=["nu_minus", "nu_tilde_minus-below", "nu_tilde_minus-above"])
+def test_spectral_form_far_from_the_determinant_form_raises(monkeypatch, module, v, nu_minus,
+                                                           form):
+    # nu_- is formed in physicality, nu~_- in separability; each is put far on
+    # the wrong side of 1 while the determinant forms still decide the other way.
+    _shift_nu_minus(monkeypatch, module, nu_minus)
+    with pytest.raises(tm.InternalInconsistency,
+                       match=f"spectral and determinant {form} forms disagree"):
+        tm.classify_global(v)
+
+
+@pytest.mark.parametrize("module", [physicality, separability])
+def test_spectral_form_disagreeing_within_ten_bands_does_not_raise(monkeypatch, module):
+    # nu - 1 = -5 bands fails the spectral form, but lies within 10 bands of 0.
+    _shift_nu_minus(monkeypatch, module, 1.0 - 5.0 * tm.DEFAULT_TOL.band(1.0))
+    assert tm.classify_global(tm.thermal(2.0, 1.5)).tag is Tag.SEPARABLE
 
 
 def test_product_state_is_separable():

@@ -302,3 +302,16 @@ def test_complex_matrix_is_refused_not_truncated(fn):
         with pytest.raises(tm.NonRealError, match="complex"):
             fn(v)
     assert issubclass(tm.NonRealError, tm.TwoModeError) and issubclass(tm.NonRealError, ValueError)
+
+
+@pytest.mark.parametrize("entry", [np.complex128, complex])
+@pytest.mark.parametrize("fn", [tm.as_matrix, tm.classify_global, tm.heisenberg_oracle,
+                                tm.williamson_decompose])
+def test_complex_nested_list_is_refused_not_truncated(fn, entry):
+    # A list of numpy complex entries used to keep V with only a ComplexWarning,
+    # one of Python complex entries to raise numpy's bare TypeError.
+    v = [[entry(x) for x in row] for row in (tm.simon_vx(0.7) + 5j * tm.omega(2)).tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tm.NonRealError, match="complex"):
+            fn(v)
