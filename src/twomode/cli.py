@@ -46,7 +46,8 @@ from .errors import (
     TwoModeError,
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
-from .physicality import heisenberg_oracle
+from .invariants import TwoModeInvariants
+from .physicality import _bona_fide_report, heisenberg_oracle
 from .separability import _global_classification, _global_route
 from .standard_form import reduce_to_standard_form
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, omega
@@ -64,6 +65,10 @@ _UNDEFINED = "undefined (V not > 0)"
 
 class _DocumentError(Exception):
     """Unparseable matrix document (exit code 2)."""
+
+
+class _NullEntryError(_DocumentError, NonFiniteError):
+    """A JSON null matrix entry: a parse error, and non-finite as numpy would read it (NaN)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,9 +100,11 @@ def _payload(text: str):
                 raise _DocumentError('"tolerance" must be an object')
             if any(isinstance(tol.get(key), (list, dict, bool)) for key in ("rel", "abs")):
                 raise _DocumentError("tolerance values must be numbers, numeric strings or null")
-        if isinstance(matrix, list) and any(  # numpy would read true and false as 1 and 0
-                isinstance(x, bool) for row in matrix if isinstance(row, list) for x in row):
-            raise _DocumentError("matrix entries must be numbers or numeric strings, not booleans")
+        if isinstance(matrix, list) and (bad := {bool, type(None)}.intersection(  # numpy: 1, 0, NaN
+                type(x) for row in matrix if isinstance(row, list) for x in row)):
+            raise (_DocumentError if bool in bad else _NullEntryError)(
+                "matrix entries must be numbers or numeric strings, not "
+                + ("booleans" if bool in bad else "null"))
         return matrix, label, tol.get("rel"), tol.get("abs")
     rows = []
     for line in stripped.splitlines():
@@ -165,16 +172,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _evaluation(v, tol: Tolerance):
-    """The global route with its four spectra named; they are None unless V > 0."""
-    inv, report, bands, spec, ppt = _global_route(v, tol)
+    """The global route, its invariants' fields and its four spectra, None unless V > 0."""
+    inv, _, _, spec, ppt = route = _global_route(v, tol)
     nus = (None,) * 4 if spec is None else (spec.nu_minus, spec.nu_plus, ppt.nu_minus, ppt.nu_plus)
-    return inv, report, bands, dict(zip(_SPECTRA, nus))
+    return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, nus))
 
 
 def _cell(x, none: str) -> str:
-    if x is None:
-        return none
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
+    return none if x is None else f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _text_lines(record: dict, indent: str = ""):
@@ -192,17 +197,17 @@ def _text_lines(record: dict, indent: str = ""):
 
 
 def _classify_record(v, tol: Tolerance) -> dict:
-    inv, report, bands, spectra = _evaluation(v, tol)
-    result = _global_classification(inv, report, bands, spectra["nu_tilde_minus"], tol)
+    route, inv, spectra = _evaluation(v, tol)
+    report = asdict(_bona_fide_report("global", *route[1:3], spectra["nu_minus"]))
+    result = _global_classification(*route, tol)
     return {"tag": result.tag.value, "reason": result.reason, "margins": result.margins,
-            "invariants": asdict(inv), "report": asdict(report), **spectra}
+            "invariants": inv, "report": report, **spectra}
 
 
 def _invariants_record(v, tol: Tolerance) -> dict:
-    inv, _, _, spectra = _evaluation(v, tol)
+    _, inv, spectra = _evaluation(v, tol)
     physical, min_eig = heisenberg_oracle(v, tol)
-    return {"invariants": asdict(inv), **spectra,
-            "heisenberg_margin": min_eig, "heisenberg_ok": physical}
+    return {"invariants": inv, **spectra, "heisenberg_margin": min_eig, "heisenberg_ok": physical}
 
 
 def _standard_form_record(v, tol: Tolerance) -> dict:
@@ -320,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_io.add_argument("--input", default="-", metavar="PATH",
                            help="matrix document (JSON or whitespace grid); "
                                 "'-' reads stdin (default)")
-    matrix_io.add_argument("--format", choices=("text", "machine"),
-                           default="text",
+    matrix_io.add_argument("--format", choices=("text", "machine"), default="text",
                            help="report style: human text or one-line JSON")
 
     for name, (_, help_text) in _RECORDS.items():
@@ -339,11 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--family", required=True, choices=FAMILY_NAMES)
     gen.add_argument("--param", action="append", default=[],
                      metavar="NAME=VALUE", help="family parameter (repeatable)")
-    gen.add_argument("--seed", type=int, default=None,
-                     help="seed for the random families")
+    gen.add_argument("--seed", type=int, default=None, help="seed for the random families")
     gen.add_argument("--label", default=None, help="document label override")
-    gen.add_argument("--out", default="-", metavar="PATH",
-                     help="output path ('-' = stdout)")
+    gen.add_argument("--out", default="-", metavar="PATH", help="output path ('-' = stdout)")
     gen.set_defaults(func=cmd_gen)
 
     sweep = sub.add_parser(
@@ -354,13 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
                "of V + i Omega), simon_margin (det-form uncertainty "
                "inequality, left minus right), tag. Reals carry 17 "
                "significant digits.")
-    sweep.add_argument("--family", required=True,
-                       choices=tuple(sorted(_SWEEP_PARAMS)))
+    sweep.add_argument("--family", required=True, choices=tuple(sorted(_SWEEP_PARAMS)))
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--step", type=float, required=True)
-    sweep.add_argument("--out", default="-", metavar="PATH",
-                       help="output CSV path ('-' = stdout)")
+    sweep.add_argument("--out", default="-", metavar="PATH", help="output CSV path ('-' = stdout)")
     sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -80,8 +80,9 @@ def _w_product(x: tuple, y: tuple) -> tuple:
             x10 * y10 - x11 * y00, x10 * y11 - x11 * y01)
 
 
-def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, TwoModeInvariants]:
-    """Validate ``v`` and compute its invariants, the one path: (v, rows, scale, invariants)."""
+def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, ...]]:
+    """Validate ``v`` and compute its invariants, the one path: (v, rows, scale, invariants), the
+    invariants as floats in ``TwoModeInvariants`` field order; only public calls build records."""
     v, rows, scale, _ = _checked(v, tol, 2)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
     det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
@@ -101,10 +102,8 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, TwoModeInvari
     if abs(residual) > _IDENTITY_BAND * magnitude:
         raise InternalInconsistency(
             f"det V identity violated: residual {residual:.3e} at scale {magnitude:.3e}")
-    return v, rows, scale, TwoModeInvariants(
-        det_A=det_a, det_B=det_b, det_C=det_c, det_V=det_v, I4=i4,
-        delta=det_a + det_b + 2 * det_c, delta_tilde=det_a + det_b - 2 * det_c,
-        gamma_sep=det_a + det_b + 2 * abs(det_c))
+    return v, rows, scale, (det_a, det_b, det_c, det_v, i4, det_a + det_b + 2 * det_c,
+                            det_a + det_b - 2 * det_c, det_a + det_b + 2 * abs(det_c))
 
 
 def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
@@ -116,7 +115,7 @@ def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     det V = det A det B + det C^2 - I4 is then asserted as a free self-test
     (InternalInconsistency on failure).
     """
-    return _evaluate(v, tol)[3]
+    return TwoModeInvariants(*_evaluate(v, tol)[3])
 
 
 def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
@@ -153,17 +152,17 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     decomposition exists). The radicand is clamped to 0 when within tolerance or
     its rounding bound (degenerate spectrum); larger violations raise NumericalError.
     """
-    v, rows, scale, inv = _evaluate(v, tol)
+    v, rows, scale, (_, _, _, det_v, _, delta, _, _) = _evaluate(v, tol)
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
-    return _spectrum_from_delta(inv.delta, inv.det_V, tol, rows)
+    return _spectrum_from_delta(delta, det_v, tol, rows)
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     """Symplectic spectrum of the partial transpose Lambda V Lambda (Delta~ in place of Delta)."""
-    v, rows, scale, inv = _evaluate(v, tol)
+    v, rows, scale, (_, _, _, det_v, _, _, delta_tilde, _) = _evaluate(v, tol)
     # V > 0 iff Lambda V Lambda > 0
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
-    return _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows)
+    return _spectrum_from_delta(delta_tilde, det_v, tol, rows)
 
 
 def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, float, int]:

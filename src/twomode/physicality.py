@@ -9,8 +9,9 @@ Three independent routes are provided and must agree:
   2 sqrt(det A det B) + det C^2 <= det V + det A det B,
   evaluated directly on the blocks, never via the standard-form reduction.
 
-Each call validates V and computes the raw invariants once; each route then
-evaluates its own inequalities, the global one with eigvalsh(V) and
+Each call validates V and computes the raw invariants once, as plain floats;
+each route's core then evaluates its own inequalities into plain dicts and
+builds no record, the global one with eigvalsh(V) and
 nu_-^2 = det V / nu_+^2 (Vieta form), the local one with the smaller
 eigenvalue of each block from its 2x2 closed form.
 
@@ -18,8 +19,9 @@ Verdict policy, implemented once by ``_verdict``: each route builds its
 margins and, beside them, one band per condition. Inequality margins are
 inclusive (>= -band); strict positive definiteness (the ``min_eig_*``
 margins) uses > +band, and a margin within its band of 0 flags the report
-as borderline. The classifiers in ``separability`` add their PPT condition
-to the same bands and take every tag from the same policy.
+as borderline. It runs once per public call: ``check_*`` over the bona fide
+conditions, each classifier in ``separability`` over the same bands plus its
+PPT condition, taking every tag from the same policy.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invariants import SymplecticSpectrum2, TwoModeInvariants, _evaluate, _spectrum_from_delta
+from .invariants import SymplecticSpectrum2, _evaluate, _spectrum_from_delta
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
 
 __all__ = [
@@ -115,27 +117,31 @@ def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, 
     return not failed, borderline, failed
 
 
-def _global_report(v: np.ndarray, rows: list, scale: float, inv: TwoModeInvariants, tol: Tolerance
-                   ) -> tuple[BonaFideReport, dict[str, float], SymplecticSpectrum2 | None]:
-    """Body of ``check_global`` on a validated matrix, rows, scale and invariants, with bands
-    and the spectrum it formed (None when V is not > 0)."""
-    margins = {
-        "min_eig_V": float(np.linalg.eigvalsh(v)[0]),
-        "det_V_minus_1": inv.det_V - 1.0,
-        "delta_margin": (1.0 + inv.det_V) - inv.delta,
-    }
-    bands = {"min_eig_V": tol._cut(scale), "det_V_minus_1": tol.band(inv.det_V),
-             "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V)}
-    verdict, borderline, failed = _verdict(margins, bands)
-    spec = None if "min_eig_V" in failed else _spectrum_from_delta(inv.delta, inv.det_V, tol, rows)
-    report = BonaFideReport(verdict=verdict, route="global", margins=margins,
-                            nu_minus=spec.nu_minus if spec else None, borderline=borderline)
-    return report, bands, spec
+def _bona_fide_report(route: str, margins: dict[str, float], bands: dict[str, float],
+                      nu_minus: float | None = None) -> BonaFideReport:
+    """The report of a route's margins and bands, from one ``_verdict`` pass."""
+    verdict, borderline, _ = _verdict(margins, bands)
+    return BonaFideReport(verdict, route, margins, nu_minus, borderline)
+
+
+def _global_report(v: np.ndarray, rows: list, scale: float, inv: tuple, tol: Tolerance
+                   ) -> tuple[dict[str, float], dict[str, float], SymplecticSpectrum2 | None]:
+    """Body of ``check_global`` on a validated matrix, rows, scale and invariants: its margins,
+    bands and the spectrum it formed (None when V is not > 0)."""
+    _, _, _, det_v, _, delta, _, _ = inv
+    min_eig, cut = float(np.linalg.eigvalsh(v)[0]), tol._cut(scale)
+    margins = {"min_eig_V": min_eig, "det_V_minus_1": det_v - 1.0,
+               "delta_margin": (1.0 + det_v) - delta}
+    bands = {"min_eig_V": cut, "det_V_minus_1": tol.band(det_v),
+             "delta_margin": tol.band(delta, 1.0 + det_v)}
+    # V > 0 as _verdict reads min_eig_V; the closed form presumes it.
+    return margins, bands, _spectrum_from_delta(delta, det_v, tol, rows) if min_eig > cut else None
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    return _global_report(*_evaluate(v, tol), tol)[0]
+    margins, bands, spec = _global_report(*_evaluate(v, tol), tol)
+    return _bona_fide_report("global", margins, bands, None if spec is None else spec.nu_minus)
 
 
 def _min_eig_2x2(p: float, q: float, s: float) -> float:
@@ -156,28 +162,26 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     return lam
 
 
-def _local_report(rows: list, inv: TwoModeInvariants, tol: Tolerance
-                  ) -> tuple[BonaFideReport, dict[str, float]]:
-    """Body of ``check_local`` on a validated matrix's rows and its invariants, with each band."""
+def _local_report(rows: list, inv: tuple, tol: Tolerance
+                  ) -> tuple[dict[str, float], dict[str, float]]:
+    """Body of ``check_local`` on a validated matrix's rows and its invariants: margins, bands."""
+    det_a, det_b, det_c, det_v, _, delta, _, _ = inv
     # det A det B >= 0 whenever both blocks pass positivity; the clamp only
     # keeps the margin finite on inputs that already failed.
-    prod = max(inv.det_A * inv.det_B, 0.0)
-    block_margin = (inv.det_V + inv.det_A * inv.det_B) - (2.0 * math.sqrt(prod) + inv.det_C**2)
+    prod = max(det_a * det_b, 0.0)
     margins = {
         # Each block's lower triangle, the one eigvalsh reads: V is symmetric
         # only within tolerance.
         "min_eig_A": _min_eig_2x2(rows[0][0], rows[1][0], rows[1][1]),
         "min_eig_B": _min_eig_2x2(rows[2][2], rows[3][2], rows[3][3]),
-        "delta_margin": (1.0 + inv.det_V) - inv.delta,
-        "block_margin": block_margin,
+        "delta_margin": (1.0 + det_v) - delta,
+        "block_margin": (det_v + det_a * det_b) - (2.0 * math.sqrt(prod) + det_c**2),
     }
     bands = {"min_eig_A": tol._cut(max(map(abs, rows[0][:2] + rows[1][:2]))),
              "min_eig_B": tol._cut(max(map(abs, rows[2][2:] + rows[3][2:]))),
-             "delta_margin": tol.band(inv.delta, 1.0 + inv.det_V),
-             "block_margin": tol.band(inv.det_V, inv.det_A * inv.det_B, inv.det_C**2)}
-    verdict, borderline, _ = _verdict(margins, bands)
-    return BonaFideReport(verdict=verdict, route="local", margins=margins,
-                          borderline=borderline), bands
+             "delta_margin": tol.band(delta, 1.0 + det_v),
+             "block_margin": tol.band(det_v, det_a * det_b, det_c**2)}
+    return margins, bands
 
 
 def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
@@ -189,7 +193,7 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     routes stay independent.
     """
     _, rows, _, inv = _evaluate(v, tol)
-    return _local_report(rows, inv, tol)[0]
+    return _bona_fide_report("local", *_local_report(rows, inv, tol))
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

@@ -13,9 +13,11 @@ checks them against the determinant forms that decide, which are better
 conditioned near the boundary. Disagreement beyond _BOUNDARY_FACTOR bands
 raises InternalInconsistency and indicates a bug, never bad input.
 
-Each call validates V and computes the raw invariants once. The global route
-adds eigvalsh(V) and the spectra from (Delta, det V) and (Delta~, det V), the
-local route the closed-form block eigenvalues; the two share nothing else.
+Each call validates V and computes the raw invariants once, as plain floats.
+The global route adds eigvalsh(V) and the spectra from (Delta, det V) and
+(Delta~, det V), the local route the closed-form block eigenvalues; the two
+share nothing else. A classifier builds only its ``Classification``, and the
+global cross-checks take the bona fide verdict from its one ``_verdict`` pass.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, PreconditionViolated
-from .invariants import SymplecticSpectrum2, TwoModeInvariants, _evaluate, _spectrum_from_delta
-from .physicality import BonaFideReport, _global_report, _local_report, _verdict
+from .invariants import SymplecticSpectrum2, _evaluate, _spectrum_from_delta
+from .physicality import _global_report, _local_report, _verdict
 from .symplectic import DEFAULT_TOL, Tolerance, _require_positive_definite
 
 __all__ = [
@@ -87,9 +89,8 @@ _POSDEF = {"det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1 (neither branch applies)
            None: (Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V")}
 
 
-def _decide(table: dict, margins: dict[str, float], bands: dict[str, float]) -> Classification:
-    """The table entry of the first condition in ``bands`` that fails, or its None entry."""
-    failed = _verdict(margins, bands)[2]
+def _decide(table: dict, failed: list[str], margins: dict[str, float]) -> Classification:
+    """The table entry of the first ``failed`` condition, or its None entry."""
     return Classification(*table[failed[0] if failed else None], margins)
 
 
@@ -100,53 +101,52 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ <= 1 + det V for separability) are evaluated alongside the
     spectral forms and the two must agree away from the boundary band.
     """
-    inv, report, bands, _, ppt = _global_route(v, tol)
-    return _global_classification(inv, report, bands, None if ppt is None else ppt.nu_minus, tol)
+    return _global_classification(*_global_route(v, tol), tol)
 
 
-def _global_route(v, tol: Tolerance) -> tuple[TwoModeInvariants, BonaFideReport, dict[str, float],
+def _global_route(v, tol: Tolerance) -> tuple[tuple, dict[str, float], dict[str, float],
                                               SymplecticSpectrum2 | None,
                                               SymplecticSpectrum2 | None]:
-    """One evaluation of the global route: the invariants, the global report, its bands, and the
-    spectra of V and of its partial transpose (both None unless the report found V > 0)."""
+    """One evaluation of the global route: the invariants as floats, the route's margins and
+    bands, and the spectra of V and of its partial transpose (both None unless V > 0)."""
     v, rows, scale, inv = _evaluate(v, tol)
-    report, bands, spec = _global_report(v, rows, scale, inv, tol)
-    # Partial transpose: same det V, Delta -> Delta~.
-    ppt = None if spec is None else _spectrum_from_delta(inv.delta_tilde, inv.det_V, tol, rows)
-    return inv, report, bands, spec, ppt
+    margins, bands, spec = _global_report(v, rows, scale, inv, tol)
+    # Partial transpose: same det V (inv[3]), Delta -> Delta~ (inv[6]).
+    ppt = None if spec is None else _spectrum_from_delta(inv[6], inv[3], tol, rows)
+    return inv, margins, bands, spec, ppt
 
 
-def _global_classification(inv: TwoModeInvariants, report: BonaFideReport, bands: dict[str, float],
-                           nu_tilde_minus: float | None, tol: Tolerance) -> Classification:
-    """Body of ``classify_global`` on the invariants, the global report, its bands and nu~_-;
-    adds the Delta~ band to ``bands``."""
-    margins = dict(report.margins)
-    margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
+def _global_classification(inv: tuple, margins: dict[str, float], bands: dict[str, float],
+                           spec: SymplecticSpectrum2 | None, ppt: SymplecticSpectrum2 | None,
+                           tol: Tolerance) -> Classification:
+    """Body of ``classify_global`` on the route's invariants, margins, bands and spectra; adds
+    the Delta~ and spectral margins and the Delta~ band to the route's dicts."""
+    _, _, _, det_v, _, _, delta_tilde, _ = inv
+    margins["delta_tilde_margin"] = (1.0 + det_v) - delta_tilde
     # det V~ = det V, so once V is physical the PPT stage is decided by Delta~ alone.
-    bands["delta_tilde_margin"] = tol.band(inv.delta_tilde, 1.0 + inv.det_V)
-    nu_band = tol.band(1.0)
-    # The report carries nu_- exactly when it found V > 0.
-    if report.nu_minus is not None:
-        margins["nu_minus_minus_1"] = nu_m1 = report.nu_minus - 1.0
-        margins["nu_tilde_minus_minus_1"] = nu_tilde_m1 = nu_tilde_minus - 1.0
+    bands["delta_tilde_margin"] = tol.band(delta_tilde, 1.0 + det_v)
+    failed = _verdict(margins, bands)[2]
+    physical = not failed or failed[0] == "delta_tilde_margin"  # the PPT condition is last
+    if spec is not None:  # V > 0, which a physical verdict implies
+        nu_band = tol.band(1.0)
+        margins["nu_minus_minus_1"] = nu_m1 = spec.nu_minus - 1.0
+        margins["nu_tilde_minus_minus_1"] = nu_tilde_m1 = ppt.nu_minus - 1.0
         # Physicality, spectral form: nu_- >= 1 must match the determinant form.
-        if not _forms_agree((nu_m1 >= -nu_band) == report.verdict, (nu_m1, nu_band),
+        if not _forms_agree((nu_m1 >= -nu_band) == physical, (nu_m1, nu_band),
                             (margins["det_V_minus_1"], bands["det_V_minus_1"]),
                             (margins["delta_margin"], bands["delta_margin"])):
             raise InternalInconsistency(
                 "spectral and determinant physicality forms disagree: "
                 f"nu_- - 1 = {nu_m1:.3e}, margins {margins}")
-
-    result = _decide(_GLOBAL, margins, bands)
-    # A physical verdict implies V > 0, so nu~_- was set above.
-    if report.verdict and not _forms_agree(
-            (nu_tilde_m1 >= -nu_band) == (result.tag is Tag.SEPARABLE),
-            (margins["delta_tilde_margin"], bands["delta_tilde_margin"]), (nu_tilde_m1, nu_band)):
-        raise InternalInconsistency(
-            "spectral and determinant separability forms disagree: "
-            f"nu~_- - 1 = {nu_tilde_m1:.3e}, "
-            f"Delta~ margin = {margins['delta_tilde_margin']:.3e}")
-    return result
+        if physical and not _forms_agree(
+                (nu_tilde_m1 >= -nu_band) == (not failed),
+                (margins["delta_tilde_margin"], bands["delta_tilde_margin"]),
+                (nu_tilde_m1, nu_band)):
+            raise InternalInconsistency(
+                "spectral and determinant separability forms disagree: "
+                f"nu~_- - 1 = {nu_tilde_m1:.3e}, "
+                f"Delta~ margin = {margins['delta_tilde_margin']:.3e}")
+    return _decide(_GLOBAL, failed, margins)
 
 
 def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
@@ -159,12 +159,12 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     invariants.
     """
     _, rows, _, inv = _evaluate(v, tol)
-    report, bands = _local_report(rows, inv, tol)
-    margins = dict(report.margins)
-    margins["gamma_margin"] = (1.0 + inv.det_V) - inv.gamma_sep
-    margins["delta_tilde_margin"] = (1.0 + inv.det_V) - inv.delta_tilde
-    bands["gamma_margin"] = tol.band(inv.gamma_sep, 1.0 + inv.det_V)
-    return _decide(_LOCAL, margins, bands)
+    margins, bands = _local_report(rows, inv, tol)
+    _, _, _, det_v, _, _, delta_tilde, gamma_sep = inv
+    margins["gamma_margin"] = (1.0 + det_v) - gamma_sep
+    margins["delta_tilde_margin"] = (1.0 + det_v) - delta_tilde
+    bands["gamma_margin"] = tol.band(gamma_sep, 1.0 + det_v)
+    return _decide(_LOCAL, _verdict(margins, bands)[2], margins)
 
 
 def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -178,13 +178,14 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     instead.
     """
     v, rows, scale, inv = _evaluate(v, tol)
-    report = _global_report(v, rows, scale, inv, tol)[0]
-    if not report.verdict:
+    margins, bands, _ = _global_report(v, rows, scale, inv, tol)
+    if not _verdict(margins, bands)[0]:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "
-            f"{report.margins} (classify the matrix instead)")
-    lhs = inv.det_A * inv.det_B + (1.0 + inv.det_C) ** 2 - inv.I4
-    rhs = inv.det_A + inv.det_B
+            f"{margins} (classify the matrix instead)")
+    det_a, det_b, det_c, _, i4, _, _, _ = inv
+    lhs = det_a * det_b + (1.0 + det_c) ** 2 - i4
+    rhs = det_a + det_b
     return lhs - rhs >= -tol.band(lhs, rhs)
 
 
@@ -196,20 +197,19 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     (1 + det C)^2 < det A + det B - det A det B + I4 <= (1 - det C)^2;
     otherwise unphysical. Raises NotPositiveDefinite outside its domain.
     """
-    v, _, scale, inv = _evaluate(v, tol)
+    v, _, scale, (det_a, det_b, det_c, det_v, i4, _, _, _) = _evaluate(v, tol)
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
 
     # s_mid is the middle member of the entangled-branch chain; the bounds
     # (1 -+ det C)^2 translate to the Delta~ / Delta margins.
-    s_mid = inv.det_A + inv.det_B - inv.det_A * inv.det_B + inv.I4
+    s_mid = det_a + det_b - det_a * det_b + i4
     margins = {
-        "det_V_minus_1": inv.det_V - 1.0,
-        "gamma_margin": inv.det_A * inv.det_B + (1.0 - abs(inv.det_C)) ** 2
-                        - inv.I4 - inv.det_A - inv.det_B,
-        "delta_margin": (1.0 - inv.det_C) ** 2 - s_mid,
-        "delta_tilde_margin": (1.0 + inv.det_C) ** 2 - s_mid,
+        "det_V_minus_1": det_v - 1.0,
+        "gamma_margin": det_a * det_b + (1.0 - abs(det_c)) ** 2 - i4 - det_a - det_b,
+        "delta_margin": (1.0 - det_c) ** 2 - s_mid,
+        "delta_tilde_margin": (1.0 + det_c) ** 2 - s_mid,
     }
-    bands = {"det_V_minus_1": tol.band(inv.det_V),
-             "delta_margin": tol.band(s_mid, (1.0 - inv.det_C) ** 2),
-             "gamma_margin": tol.band(s_mid, (1.0 + inv.det_C) ** 2)}
-    return _decide(_POSDEF, margins, bands)
+    bands = {"det_V_minus_1": tol.band(det_v),
+             "delta_margin": tol.band(s_mid, (1.0 - det_c) ** 2),
+             "gamma_margin": tol.band(s_mid, (1.0 + det_c) ** 2)}
+    return _decide(_POSDEF, _verdict(margins, bands)[2], margins)

@@ -97,6 +97,8 @@ def _read(m) -> tuple[np.ndarray, list, list]:
     # float64 keeps only the real part of complex entries, in an array or a nested list. The
     # conversion reads m, not this probe: a list mixing strings and numbers probes as strings.
     probe = m if isinstance(m, np.ndarray) else np.asarray(m)
+    if probe.dtype.kind == "O":  # an object array's dtype hides its entries' types
+        probe = np.asarray(probe.tolist())
     if probe.dtype.kind == "c":
         raise NonRealError(f"expected a real matrix, got dtype {probe.dtype}")
     arr = np.array(m, dtype=float, copy=True)

@@ -707,3 +707,26 @@ def test_boolean_matrix_entries_exit_2(run, text):
     code, out, err = run(["classify"], stdin_text=text)
     assert (code, out) == (2, "")
     assert err == "error: matrix entries must be numbers or numeric strings, not booleans\n"
+
+
+_NULL_DOCUMENTS = [
+    '{"matrix": [[null,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}',
+    '[[1,0,0,0],[0,1,0,0],[0,0,1,null],[0,0,null,1]]',
+]
+
+
+@pytest.mark.parametrize("text", _NULL_DOCUMENTS)
+def test_null_matrix_entries_exit_2(run, text):
+    # numpy reads null as NaN, which used to exit 3 as a non-finite matrix.
+    code, out, err = run(["classify", "--format", "machine"], stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err == "error: matrix entries must be numbers or numeric strings, not null\n"
+
+
+@pytest.mark.parametrize("text", _NULL_DOCUMENTS)
+def test_parse_rejects_null_matrix_entries_as_a_document_error(text):
+    # A parse error that is still a NonFiniteError for callers that catch that.
+    from twomode.cli import _DocumentError
+    with pytest.raises(_DocumentError, match="not null") as caught:
+        parse_document(text)
+    assert isinstance(caught.value, tm.NonFiniteError)

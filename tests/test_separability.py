@@ -12,6 +12,7 @@ from .support import (
     near_boundary,
     random_local_symplectic,
     random_physical_cm,
+    random_symmetric,
     swap_modes,
 )
 
@@ -310,3 +311,53 @@ def test_classification_is_scale_covariant_at_large_magnitude():
 def test_thermal_states_always_separable():
     for nu1, nu2 in ((1.0, 1.0), (1.0, 5.0), (3.0, 2.0), (50.0, 1.0)):
         assert tm.classify_global(tm.thermal(nu1, nu2)).tag is Tag.SEPARABLE
+
+
+@pytest.fixture
+def records_built(monkeypatch):
+    """Count the result records built, by name, through each slotted class's ``__init__``."""
+    counts = {}
+
+    def counting(name, init):
+        def wrapped(self, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            init(self, *args, **kwargs)
+        return wrapped
+
+    for cls in (tm.TwoModeInvariants, tm.BonaFideReport, tm.Classification):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    return counts
+
+
+@pytest.mark.parametrize("fn, record", [
+    (tm.classify_global, "Classification"), (tm.classify_local, "Classification"),
+    (tm.check_global, "BonaFideReport"), (tm.check_local, "BonaFideReport"),
+    (tm.two_mode_invariants, "TwoModeInvariants"),
+])
+@pytest.mark.parametrize("v", [tm.thermal(2.0, 1.5), tm.two_mode_squeezed(0.5), tm.simon_vx(0.3),
+                               np.diag([2.0, 2.0, -1.0, 2.0])],
+                         ids=["separable", "entangled", "unphysical", "not-positive"])
+def test_each_public_call_builds_only_the_record_it_returns(records_built, fn, record, v):
+    fn(v)
+    assert records_built == {record: 1}
+
+
+def _report_population(name):
+    rng = np.random.default_rng(15)
+    if name == "random_physical":
+        return [random_physical_cm(rng) for _ in range(60)]
+    if name == "random_symmetric":
+        return [random_symmetric(rng) for _ in range(60)]
+    if name == "simon_vx":
+        return [tm.simon_vx(x) for x in np.linspace(0.05, 1.2, 47)]
+    return [tm.two_mode_squeezed(r) for r in np.linspace(0.0, 3.0, 31)]
+
+
+@pytest.mark.parametrize("name", ["random_physical", "random_symmetric", "simon_vx", "squeezed"])
+def test_reports_carry_the_classifiers_bona_fide_margins_and_verdict(name):
+    for v in _report_population(name):
+        for check, classify, count in ((tm.check_global, tm.classify_global, 3),
+                                       (tm.check_local, tm.classify_local, 4)):
+            report, result = check(v), classify(v)
+            assert list(report.margins.items()) == list(result.margins.items())[:count]
+            assert report.verdict == (result.tag is not Tag.UNPHYSICAL)

@@ -315,3 +315,40 @@ def test_complex_nested_list_is_refused_not_truncated(fn, entry):
         warnings.simplefilter("error")
         with pytest.raises(tm.NonRealError, match="complex"):
             fn(v)
+
+
+def _object_with_complex(kind):
+    """simon_vx(0.7) as an object array: all of V + 5i Omega, or one np.complex128 entry."""
+    if kind == "all":
+        return (tm.simon_vx(0.7) + 5j * tm.omega(2)).astype(object)
+    v = tm.simon_vx(0.7).astype(object)
+    v[0, 1] = np.complex128(v[0, 1] + 5j)
+    return v
+
+
+@pytest.mark.parametrize("kind", ["all", "one-numpy-entry"])
+@pytest.mark.parametrize("fn", [tm.as_matrix, tm.classify_global, tm.heisenberg_oracle,
+                                tm.williamson_decompose])
+def test_complex_object_array_is_refused_not_truncated(fn, kind):
+    # An object array of complex entries used to raise numpy's bare TypeError, one
+    # holding a single np.complex128 entry to keep its real part with a ComplexWarning.
+    v = _object_with_complex(kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tm.NonRealError, match="complex"):
+            fn(v)
+
+
+@pytest.mark.parametrize("fn", [tm.as_matrix, tm.classify_global, tm.classify_local,
+                                tm.heisenberg_oracle])
+def test_real_object_array_reads_as_its_float_copy(fn):
+    v = tm.simon_vx(0.7)
+    mixed = v.astype(object)
+    mixed[0, 0], mixed[2, 2] = int(round(v[0, 0])), float(v[2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = fn(mixed), fn(mixed.astype(float))
+    if isinstance(got, np.ndarray):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)
