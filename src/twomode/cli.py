@@ -100,8 +100,10 @@ def _payload(text: str):
                 raise _DocumentError('"tolerance" must be an object')
             if any(isinstance(tol.get(key), (list, dict, bool)) for key in ("rel", "abs")):
                 raise _DocumentError("tolerance values must be numbers, numeric strings or null")
-        if isinstance(matrix, list) and (bad := {bool, type(None)}.intersection(  # numpy: 1, 0, NaN
-                type(x) for row in matrix if isinstance(row, list) for x in row)):
+        entries = [matrix]
+        for x in entries:  # at every depth, as numpy reads true, false and null as 1, 0 and NaN
+            entries.extend(x if isinstance(x, list) else ())
+        if bad := {bool, type(None)}.intersection(map(type, entries)):
             raise (_DocumentError if bool in bad else _NullEntryError)(
                 "matrix entries must be numbers or numeric strings, not "
                 + ("booleans" if bool in bad else "null"))
@@ -115,10 +117,8 @@ def _payload(text: str):
             rows.append([float(token) for token in line.split()])
         except ValueError as exc:
             raise _DocumentError(f"non-numeric entry in row {line!r}") from exc
-    if not rows:
-        raise _DocumentError("no numeric rows found")
     if len({len(r) for r in rows}) != 1:
-        raise _DocumentError("rows have unequal lengths")
+        raise _DocumentError("rows have unequal lengths" if rows else "no numeric rows found")
     return rows, None, None, None
 
 
@@ -173,7 +173,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _evaluation(v, tol: Tolerance):
     """The global route, its invariants' fields and its four spectra, None unless V > 0."""
-    inv, _, _, spec, ppt = route = _global_route(v, tol)
+    inv, _, spec, ppt = route = _global_route(v, tol)
     nus = (None,) * 4 if spec is None else (spec.nu_minus, spec.nu_plus, ppt.nu_minus, ppt.nu_plus)
     return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, nus))
 
@@ -198,7 +198,7 @@ def _text_lines(record: dict, indent: str = ""):
 
 def _classify_record(v, tol: Tolerance) -> dict:
     route, inv, spectra = _evaluation(v, tol)
-    report = asdict(_bona_fide_report("global", *route[1:3], spectra["nu_minus"]))
+    report = asdict(_bona_fide_report("global", route[1], spectra["nu_minus"]))
     result = _global_classification(*route, tol)
     return {"tag": result.tag.value, "reason": result.reason, "margins": result.margins,
             "invariants": inv, "report": report, **spectra}

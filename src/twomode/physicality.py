@@ -10,18 +10,19 @@ Three independent routes are provided and must agree:
   evaluated directly on the blocks, never via the standard-form reduction.
 
 Each call validates V and computes the raw invariants once, as plain floats;
-each route's core then evaluates its own inequalities into plain dicts and
-builds no record, the global one with eigvalsh(V) and
+each route's core then evaluates its own inequalities into one dict of
+conditions and builds no record, the global one with eigvalsh(V) and
 nu_-^2 = det V / nu_+^2 (Vieta form), the local one with the smaller
 eigenvalue of each block from its 2x2 closed form.
 
-Verdict policy, implemented once by ``_verdict``: each route builds its
-margins and, beside them, one band per condition. Inequality margins are
-inclusive (>= -band); strict positive definiteness (the ``min_eig_*``
-margins) uses > +band, and a margin within its band of 0 flags the report
-as borderline. It runs once per public call: ``check_*`` over the bona fide
-conditions, each classifier in ``separability`` over the same bands plus its
-PPT condition, taking every tag from the same policy.
+Verdict policy, implemented once by ``_verdict``: each route builds one
+ordered dict of its conditions, each key mapped to its ``(margin, band)``
+entry in checking order. Inequality margins are inclusive (>= -band); strict
+positive definiteness (the ``min_eig_*`` margins) uses > +band, and a margin
+within its band of 0 flags the report as borderline. It runs once per public
+call and returns the first failed key with the margins: ``check_*`` over the
+bona fide conditions, each classifier in ``separability`` over a new dict of
+the same entries plus its PPT condition, taking every tag from the same policy.
 """
 from __future__ import annotations
 
@@ -106,42 +107,42 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return min_eig >= -tol._cut(scale), min_eig
 
 
-def _verdict(margins: dict[str, float], bands: dict[str, float]) -> tuple[bool, bool, list[str]]:
-    """The verdict policy over the conditions in ``bands``: returns
-    ``(verdict, borderline, failed)``, the failed conditions in band order."""
-    failed, borderline = [], False
-    for key, band in bands.items():
-        if not (margins[key] > band if key.startswith("min_eig_") else margins[key] >= -band):
-            failed.append(key)
-        borderline = borderline or abs(margins[key]) <= band
-    return not failed, borderline, failed
+def _verdict(conditions: dict[str, tuple[float, float]]
+             ) -> tuple[str | None, bool, dict[str, float]]:
+    """The verdict policy, one pass over a route's ``key -> (margin, band)`` conditions in
+    checking order: returns ``(failed, borderline, margins)``, the first failed key or None."""
+    failed, borderline, margins = None, False, {}
+    for key, (margin, band) in conditions.items():
+        if not (margin > band if key.startswith("min_eig_") else margin >= -band):
+            failed = failed or key
+        borderline = borderline or abs(margin) <= band
+        margins[key] = margin
+    return failed, borderline, margins
 
 
-def _bona_fide_report(route: str, margins: dict[str, float], bands: dict[str, float],
+def _bona_fide_report(route: str, conditions: dict[str, tuple[float, float]],
                       nu_minus: float | None = None) -> BonaFideReport:
-    """The report of a route's margins and bands, from one ``_verdict`` pass."""
-    verdict, borderline, _ = _verdict(margins, bands)
-    return BonaFideReport(verdict, route, margins, nu_minus, borderline)
+    """The report of a route's conditions, from one ``_verdict`` pass."""
+    failed, borderline, margins = _verdict(conditions)
+    return BonaFideReport(failed is None, route, margins, nu_minus, borderline)
 
 
 def _global_report(v: np.ndarray, rows: list, scale: float, inv: tuple, tol: Tolerance
-                   ) -> tuple[dict[str, float], dict[str, float], SymplecticSpectrum2 | None]:
-    """Body of ``check_global`` on a validated matrix, rows, scale and invariants: its margins,
-    bands and the spectrum it formed (None when V is not > 0)."""
+                   ) -> tuple[dict[str, tuple[float, float]], SymplecticSpectrum2 | None]:
+    """Body of ``check_global`` on a validated matrix, rows, scale and invariants: its
+    conditions and the spectrum it formed (None when V is not > 0)."""
     _, _, _, det_v, _, delta, _, _ = inv
     min_eig, cut = float(np.linalg.eigvalsh(v)[0]), tol._cut(scale)
-    margins = {"min_eig_V": min_eig, "det_V_minus_1": det_v - 1.0,
-               "delta_margin": (1.0 + det_v) - delta}
-    bands = {"min_eig_V": cut, "det_V_minus_1": tol.band(det_v),
-             "delta_margin": tol.band(delta, 1.0 + det_v)}
+    conditions = {"min_eig_V": (min_eig, cut), "det_V_minus_1": (det_v - 1.0, tol.band(det_v)),
+                  "delta_margin": ((1.0 + det_v) - delta, tol.band(delta, 1.0 + det_v))}
     # V > 0 as _verdict reads min_eig_V; the closed form presumes it.
-    return margins, bands, _spectrum_from_delta(delta, det_v, tol, rows) if min_eig > cut else None
+    return conditions, _spectrum_from_delta(delta, det_v, tol, rows) if min_eig > cut else None
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    margins, bands, spec = _global_report(*_evaluate(v, tol), tol)
-    return _bona_fide_report("global", margins, bands, None if spec is None else spec.nu_minus)
+    conditions, spec = _global_report(*_evaluate(v, tol), tol)
+    return _bona_fide_report("global", conditions, None if spec is None else spec.nu_minus)
 
 
 def _min_eig_2x2(p: float, q: float, s: float) -> float:
@@ -162,26 +163,24 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     return lam
 
 
-def _local_report(rows: list, inv: tuple, tol: Tolerance
-                  ) -> tuple[dict[str, float], dict[str, float]]:
-    """Body of ``check_local`` on a validated matrix's rows and its invariants: margins, bands."""
+def _block_min_eig(rows: list, i: int, tol: Tolerance) -> tuple[float, float]:
+    """Smaller eigenvalue of V's diagonal block on rows and columns i, i + 1, and the cut that
+    it must exceed for the block to be positive definite."""
+    # The block's lower triangle, the one eigvalsh reads: V is symmetric only within tolerance.
+    return (_min_eig_2x2(rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]),
+            tol._cut(max(map(abs, rows[i][i:i + 2] + rows[i + 1][i:i + 2]))))
+
+
+def _local_report(rows: list, inv: tuple, tol: Tolerance) -> dict[str, tuple[float, float]]:
+    """Body of ``check_local`` on a validated matrix's rows and its invariants: its conditions."""
     det_a, det_b, det_c, det_v, _, delta, _, _ = inv
     # det A det B >= 0 whenever both blocks pass positivity; the clamp only
     # keeps the margin finite on inputs that already failed.
     prod = max(det_a * det_b, 0.0)
-    margins = {
-        # Each block's lower triangle, the one eigvalsh reads: V is symmetric
-        # only within tolerance.
-        "min_eig_A": _min_eig_2x2(rows[0][0], rows[1][0], rows[1][1]),
-        "min_eig_B": _min_eig_2x2(rows[2][2], rows[3][2], rows[3][3]),
-        "delta_margin": (1.0 + det_v) - delta,
-        "block_margin": (det_v + det_a * det_b) - (2.0 * math.sqrt(prod) + det_c**2),
-    }
-    bands = {"min_eig_A": tol._cut(max(map(abs, rows[0][:2] + rows[1][:2]))),
-             "min_eig_B": tol._cut(max(map(abs, rows[2][2:] + rows[3][2:]))),
-             "delta_margin": tol.band(delta, 1.0 + det_v),
-             "block_margin": tol.band(det_v, det_a * det_b, det_c**2)}
-    return margins, bands
+    return {"min_eig_A": _block_min_eig(rows, 0, tol), "min_eig_B": _block_min_eig(rows, 2, tol),
+            "delta_margin": ((1.0 + det_v) - delta, tol.band(delta, 1.0 + det_v)),
+            "block_margin": ((det_v + det_a * det_b) - (2.0 * math.sqrt(prod) + det_c**2),
+                             tol.band(det_v, det_a * det_b, det_c**2))}
 
 
 def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
@@ -193,7 +192,7 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     routes stay independent.
     """
     _, rows, _, inv = _evaluate(v, tol)
-    return _bona_fide_report("local", *_local_report(rows, inv, tol))
+    return _bona_fide_report("local", _local_report(rows, inv, tol))
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

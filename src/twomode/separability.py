@@ -6,18 +6,21 @@ or, in determinant form, Delta~ <= 1 + det V (equivalently
 Gamma = det A + det B + 2|det C| <= 1 + det V once Delta <= 1 + det V holds).
 
 Each classifier is one table of its route's conditions in checking order, bona
-fide then PPT: the first that ``physicality._verdict`` finds failed beyond its
-band gives the tag and reason, and none failed means separable. The global
-route also evaluates the spectral forms nu_- >= 1 and nu~_- >= 1 and cross
-checks them against the determinant forms that decide, which are better
-conditioned near the boundary. Disagreement beyond _BOUNDARY_FACTOR bands
-raises InternalInconsistency and indicates a bug, never bad input.
+fide then PPT. One ``physicality._verdict`` pass over a new dict of the route's
+``(margin, band)`` entries plus the PPT entry returns the margins and the first
+key that failed beyond its band: that key gives the tag and reason, and None
+(none failed) means separable. The global route also evaluates the spectral
+forms nu_- >= 1 and nu~_- >= 1 and cross checks them against the determinant
+forms that decide, which are better conditioned near the boundary.
+Disagreement beyond _BOUNDARY_FACTOR bands raises InternalInconsistency and
+indicates a bug, never bad input.
 
 Each call validates V and computes the raw invariants once, as plain floats.
 The global route adds eigvalsh(V) and the spectra from (Delta, det V) and
 (Delta~, det V), the local route the closed-form block eigenvalues; the two
 share nothing else. A classifier builds only its ``Classification``, and the
-global cross-checks take the bona fide verdict from its one ``_verdict`` pass.
+global cross-checks take the bona fide verdict and the entries they compare
+from its one ``_verdict`` pass.
 """
 from __future__ import annotations
 
@@ -89,11 +92,6 @@ _POSDEF = {"det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1 (neither branch applies)
            None: (Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V")}
 
 
-def _decide(table: dict, failed: list[str], margins: dict[str, float]) -> Classification:
-    """The table entry of the first ``failed`` condition, or its None entry."""
-    return Classification(*table[failed[0] if failed else None], margins)
-
-
 def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """Classify via the global route: V > 0, nu_- >= 1, then nu~_- vs 1.
 
@@ -104,49 +102,45 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     return _global_classification(*_global_route(v, tol), tol)
 
 
-def _global_route(v, tol: Tolerance) -> tuple[tuple, dict[str, float], dict[str, float],
+def _global_route(v, tol: Tolerance) -> tuple[tuple, dict[str, tuple[float, float]],
                                               SymplecticSpectrum2 | None,
                                               SymplecticSpectrum2 | None]:
-    """One evaluation of the global route: the invariants as floats, the route's margins and
-    bands, and the spectra of V and of its partial transpose (both None unless V > 0)."""
+    """One evaluation of the global route: the invariants as floats, the route's conditions,
+    and the spectra of V and of its partial transpose (both None unless V > 0)."""
     v, rows, scale, inv = _evaluate(v, tol)
-    margins, bands, spec = _global_report(v, rows, scale, inv, tol)
+    conditions, spec = _global_report(v, rows, scale, inv, tol)
     # Partial transpose: same det V (inv[3]), Delta -> Delta~ (inv[6]).
     ppt = None if spec is None else _spectrum_from_delta(inv[6], inv[3], tol, rows)
-    return inv, margins, bands, spec, ppt
+    return inv, conditions, spec, ppt
 
 
-def _global_classification(inv: tuple, margins: dict[str, float], bands: dict[str, float],
+def _global_classification(inv: tuple, bona_fide: dict[str, tuple[float, float]],
                            spec: SymplecticSpectrum2 | None, ppt: SymplecticSpectrum2 | None,
                            tol: Tolerance) -> Classification:
-    """Body of ``classify_global`` on the route's invariants, margins, bands and spectra; adds
-    the Delta~ and spectral margins and the Delta~ band to the route's dicts."""
+    """Body of ``classify_global`` on the route's invariants, bona fide conditions and spectra;
+    adds the Delta~ condition and the spectral margins."""
     _, _, _, det_v, _, _, delta_tilde, _ = inv
-    margins["delta_tilde_margin"] = (1.0 + det_v) - delta_tilde
     # det V~ = det V, so once V is physical the PPT stage is decided by Delta~ alone.
-    bands["delta_tilde_margin"] = tol.band(delta_tilde, 1.0 + det_v)
-    failed = _verdict(margins, bands)[2]
-    physical = not failed or failed[0] == "delta_tilde_margin"  # the PPT condition is last
+    ppt_entry = ((1.0 + det_v) - delta_tilde, tol.band(delta_tilde, 1.0 + det_v))
+    failed, _, margins = _verdict({**bona_fide, "delta_tilde_margin": ppt_entry})
+    physical = failed in (None, "delta_tilde_margin")  # the PPT condition is last
     if spec is not None:  # V > 0, which a physical verdict implies
         nu_band = tol.band(1.0)
         margins["nu_minus_minus_1"] = nu_m1 = spec.nu_minus - 1.0
         margins["nu_tilde_minus_minus_1"] = nu_tilde_m1 = ppt.nu_minus - 1.0
         # Physicality, spectral form: nu_- >= 1 must match the determinant form.
         if not _forms_agree((nu_m1 >= -nu_band) == physical, (nu_m1, nu_band),
-                            (margins["det_V_minus_1"], bands["det_V_minus_1"]),
-                            (margins["delta_margin"], bands["delta_margin"])):
+                            bona_fide["det_V_minus_1"], bona_fide["delta_margin"]):
             raise InternalInconsistency(
                 "spectral and determinant physicality forms disagree: "
                 f"nu_- - 1 = {nu_m1:.3e}, margins {margins}")
-        if physical and not _forms_agree(
-                (nu_tilde_m1 >= -nu_band) == (not failed),
-                (margins["delta_tilde_margin"], bands["delta_tilde_margin"]),
-                (nu_tilde_m1, nu_band)):
+        if physical and not _forms_agree((nu_tilde_m1 >= -nu_band) == (failed is None),
+                                         ppt_entry, (nu_tilde_m1, nu_band)):
             raise InternalInconsistency(
                 "spectral and determinant separability forms disagree: "
                 f"nu~_- - 1 = {nu_tilde_m1:.3e}, "
                 f"Delta~ margin = {margins['delta_tilde_margin']:.3e}")
-    return _decide(_GLOBAL, failed, margins)
+    return Classification(*_GLOBAL[failed], margins)
 
 
 def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
@@ -159,12 +153,11 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     invariants.
     """
     _, rows, _, inv = _evaluate(v, tol)
-    margins, bands = _local_report(rows, inv, tol)
     _, _, _, det_v, _, _, delta_tilde, gamma_sep = inv
-    margins["gamma_margin"] = (1.0 + det_v) - gamma_sep
+    ppt_entry = ((1.0 + det_v) - gamma_sep, tol.band(gamma_sep, 1.0 + det_v))
+    failed, _, margins = _verdict({**_local_report(rows, inv, tol), "gamma_margin": ppt_entry})
     margins["delta_tilde_margin"] = (1.0 + det_v) - delta_tilde
-    bands["gamma_margin"] = tol.band(gamma_sep, 1.0 + det_v)
-    return _decide(_LOCAL, _verdict(margins, bands)[2], margins)
+    return Classification(*_LOCAL[failed], margins)
 
 
 def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -178,8 +171,8 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     instead.
     """
     v, rows, scale, inv = _evaluate(v, tol)
-    margins, bands, _ = _global_report(v, rows, scale, inv, tol)
-    if not _verdict(margins, bands)[0]:
+    failed, _, margins = _verdict(_global_report(v, rows, scale, inv, tol)[0])
+    if failed is not None:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "
             f"{margins} (classify the matrix instead)")
@@ -203,13 +196,13 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     # s_mid is the middle member of the entangled-branch chain; the bounds
     # (1 -+ det C)^2 translate to the Delta~ / Delta margins.
     s_mid = det_a + det_b - det_a * det_b + i4
-    margins = {
-        "det_V_minus_1": det_v - 1.0,
-        "gamma_margin": det_a * det_b + (1.0 - abs(det_c)) ** 2 - i4 - det_a - det_b,
-        "delta_margin": (1.0 - det_c) ** 2 - s_mid,
-        "delta_tilde_margin": (1.0 + det_c) ** 2 - s_mid,
-    }
-    bands = {"det_V_minus_1": tol.band(det_v),
-             "delta_margin": tol.band(s_mid, (1.0 - det_c) ** 2),
-             "gamma_margin": tol.band(s_mid, (1.0 + det_c) ** 2)}
-    return _decide(_POSDEF, _verdict(margins, bands)[2], margins)
+    failed, _, checked = _verdict({
+        "det_V_minus_1": (det_v - 1.0, tol.band(det_v)),
+        "delta_margin": ((1.0 - det_c) ** 2 - s_mid, tol.band(s_mid, (1.0 - det_c) ** 2)),
+        "gamma_margin": (det_a * det_b + (1.0 - abs(det_c)) ** 2 - i4 - det_a - det_b,
+                         tol.band(s_mid, (1.0 + det_c) ** 2)),
+    })
+    # Reported in the order det V, Gamma, Delta, Delta~; checked in _POSDEF's order.
+    margins = {key: checked[key] for key in ("det_V_minus_1", "gamma_margin", "delta_margin")}
+    margins["delta_tilde_margin"] = (1.0 + det_c) ** 2 - s_mid
+    return Classification(*_POSDEF[failed], margins)

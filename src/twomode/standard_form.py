@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockNotPositiveDefinite, InternalInconsistency
-from .physicality import _min_eig_2x2
+from .physicality import _block_min_eig, _min_eig_2x2
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _require_positive_definite, symmetric_part
 
 __all__ = [
@@ -153,14 +153,12 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     # One closed form per block: the positivity check and the single-mode transform.
     transforms = []
     for name, i in (("A", 0), ("B", 2)):
-        # The lower triangle, the one numpy's eigh reads: V is symmetric only within tolerance.
-        p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
-        min_eig = _min_eig_2x2(p, q, s)
-        if min_eig <= tol._cut(max(map(abs, rows[i][i:i + 2] + rows[i + 1][i:i + 2]))):
+        min_eig, block_cut = _block_min_eig(rows, i, tol)
+        if min_eig <= block_cut:
             raise BlockNotPositiveDefinite(
                 f"block {name} is not positive definite "
                 f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)
-        transforms.append(_single_mode(p, q, s, min_eig))
+        transforms.append(_single_mode(rows[i][i], rows[i + 1][i], rows[i + 1][i + 1], min_eig))
     (s_a, a), (s_b, b) = transforms
     m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), (s_b[0], s_b[2], s_b[1], s_b[3]))
     cut = tol._cut(max(map(abs, m)))

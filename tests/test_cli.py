@@ -567,6 +567,24 @@ def test_numerical_error_exits_1(run, monkeypatch):
         assert err == "error: squared symplectic eigenvalue -1 < 0\n"
 
 
+def test_invariants_never_runs_the_classifiers_cross_checks(run, monkeypatch):
+    # nu_- far below 1 on a physical state: the classifier's spectral cross-check
+    # fails, while the invariants record only reports the spectrum.
+    import dataclasses
+
+    from twomode import physicality
+    original = physicality._spectrum_from_delta
+    monkeypatch.setattr(physicality, "_spectrum_from_delta", lambda *args: dataclasses.replace(
+        original(*args), nu_minus=0.5))
+    v = tm.thermal(2.0, 1.5)
+    code, out, err = run(["classify"], stdin_text=doc(v))
+    assert code == 1 and out == ""
+    assert err.startswith("error: spectral and determinant physicality forms disagree")
+    code, out, _ = run(["invariants", "--format", "machine"], stdin_text=doc(v))
+    assert code == 0
+    assert json.loads(out)["invariants"] == dataclasses.asdict(tm.two_mode_invariants(v))
+
+
 @pytest.mark.parametrize("command", ["classify", "invariants", "standard-form",
                                      "williamson"])
 def test_text_output_renders_the_machine_record(run, command):
@@ -692,6 +710,7 @@ def test_sweep_row_matches_the_records(run, family, param, value):
 _BOOLEAN_DOCUMENTS = [
     '{"matrix": [[true,0,0,0],[0,true,0,0],[0,0,true,0],[0,0,0,true]]}',
     '[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,false]]',
+    '{"matrix": [true, false]}',
 ]
 
 
@@ -712,6 +731,9 @@ def test_boolean_matrix_entries_exit_2(run, text):
 _NULL_DOCUMENTS = [
     '{"matrix": [[null,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}',
     '[[1,0,0,0],[0,1,0,0],[0,0,1,null],[0,0,null,1]]',
+    '{"matrix": null}',
+    '{"matrix": [null, null, null, null]}',
+    '[null]',
 ]
 
 
@@ -730,3 +752,11 @@ def test_parse_rejects_null_matrix_entries_as_a_document_error(text):
     with pytest.raises(_DocumentError, match="not null") as caught:
         parse_document(text)
     assert isinstance(caught.value, tm.NonFiniteError)
+
+
+@pytest.mark.parametrize("text", ['{"matrix": [1, 2, 3, 4]}', '{"matrix": 5}'])
+def test_numeric_matrix_of_the_wrong_shape_exits_3(run, text):
+    # Well-formed numbers that are not a square matrix: a dimension error, not a parse error.
+    code, out, err = run(["classify", "--format", "machine"], stdin_text=text)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: expected a square matrix")

@@ -361,3 +361,15 @@ def test_reports_carry_the_classifiers_bona_fide_margins_and_verdict(name):
             report, result = check(v), classify(v)
             assert list(report.margins.items()) == list(result.margins.items())[:count]
             assert report.verdict == (result.tag is not Tag.UNPHYSICAL)
+
+
+@pytest.mark.parametrize("name", ["random_physical", "random_symmetric", "simon_vx", "squeezed"])
+def test_cli_classify_record_matches_the_public_calls(name):
+    # The CLI shares one global-route evaluation between its report and its
+    # classification; each must read as the public call would.
+    from twomode.cli import _classify_record
+    for v in _report_population(name):
+        record, result = _classify_record(v, tm.DEFAULT_TOL), tm.classify_global(v)
+        assert record["report"] == dataclasses.asdict(tm.check_global(v))
+        assert (record["tag"], record["reason"]) == (result.tag.value, result.reason)
+        assert list(record["margins"].items()) == list(result.margins.items())
