@@ -89,7 +89,7 @@ def _payload(text: str):
     if stripped[0] in "[{":
         try:
             data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise _DocumentError(f"invalid JSON document: {exc}") from exc
         matrix, label, tol = data, None, {}
         if isinstance(data, dict):

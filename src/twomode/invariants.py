@@ -8,7 +8,8 @@ combine into the global invariants
     Delta~      = det A + det B - 2 det C   (partial transpose)
     Gamma_sep   = det A + det B + 2 |det C| = max(Delta, Delta~)
 
-and satisfy det V = det A det B + det C^2 - I4 for every symmetric V.
+and satisfy det V = det A det B + det C^2 - I4 for every symmetric V. The one
+test of V > 0, for the spectra and the routes alike, is ``_min_eig``.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .symplectic import (
     _checked,
     _omega_form,
     _require_positive_definite,
+    partial_transpose,
 )
 
 __all__ = [
@@ -122,8 +124,7 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
                          rows: list) -> SymplecticSpectrum2:
     # nu_-^2, nu_+^2 are the roots of z^2 - Delta z + det V = 0. The small root comes from
     # Vieta, nu_-^2 = det V / nu_+^2: (Delta - sqrt(radicand))/2 cancels for squeezed states.
-    rad = delta * delta - 4.0 * det_v
-    band = tol.band(delta * delta, 4.0 * det_v)
+    rad, band = tol._at_most(4.0 * det_v, delta * delta)
     if rad < -band:
         # For V > 0, given by its rows, rad = (nu_+^2 - nu_-^2)^2 >= 0, so it is clamped within
         # its rounding bound eps (2 |Delta| sum |terms of Delta| + 4 sum |v_ij cof_ij|), cof =
@@ -153,16 +154,18 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     its rounding bound (degenerate spectrum); larger violations raise NumericalError.
     """
     v, rows, scale, (_, _, _, det_v, _, delta, _, _) = _evaluate(v, tol)
-    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
+    _require_positive_definite(*_min_eig(v, scale, tol))
     return _spectrum_from_delta(delta, det_v, tol, rows)
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     """Symplectic spectrum of the partial transpose Lambda V Lambda (Delta~ in place of Delta)."""
-    v, rows, scale, (_, _, _, det_v, _, _, delta_tilde, _) = _evaluate(v, tol)
-    # V > 0 iff Lambda V Lambda > 0
-    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
-    return _spectrum_from_delta(delta_tilde, det_v, tol, rows)
+    return symplectic_spectrum_2mode(partial_transpose(v), tol)
+
+
+def _min_eig(v: np.ndarray, scale: float, tol: Tolerance) -> tuple[float, float]:
+    """The one eigenvalue test of V > 0, on a validated symmetric v: (min eigenvalue, its cut)."""
+    return float(np.linalg.eigvalsh(v)[0]), tol._cut(scale)
 
 
 def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, float, int]:
@@ -181,7 +184,7 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     its mean. PairingError if a pair gap exceeds tolerance.
     """
     v, scale, n = _validated_modes(v, tol)
-    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
+    _require_positive_definite(*_min_eig(v, scale, tol))
     return np.array(_spectrum_general(v, n, tol))
 
 

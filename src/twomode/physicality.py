@@ -11,9 +11,9 @@ Three independent routes are provided and must agree:
 
 Each call validates V and computes the raw invariants once, as plain floats;
 each route's core then evaluates its own inequalities into one dict of
-conditions and builds no record, the global one with eigvalsh(V) and
-nu_-^2 = det V / nu_+^2 (Vieta form), the local one with the smaller
-eigenvalue of each block from its 2x2 closed form.
+conditions and builds no record: the global one with ``invariants._min_eig`` and
+nu_-^2 = det V / nu_+^2 (Vieta form), the local one with ``_block_min_eig``, and
+each entry lhs <= rhs from ``Tolerance._at_most``, the one home of each test.
 
 Verdict policy, implemented once by ``_verdict``: each route builds one
 ordered dict of its conditions, each key mapped to its ``(margin, band)``
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invariants import SymplecticSpectrum2, _evaluate, _spectrum_from_delta
+from .invariants import SymplecticSpectrum2, _evaluate, _min_eig, _spectrum_from_delta
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
 
 __all__ = [
@@ -91,8 +91,8 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     positive definite.
     """
     m, rows, flat = _read(m)
-    cut = tol._cut(_symmetric_scale(rows, flat, tol))
-    return float(np.linalg.eigvalsh(m)[0]) > cut
+    min_eig, cut = _min_eig(m, _symmetric_scale(rows, flat, tol), tol)
+    return min_eig > cut
 
 
 def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
@@ -132,9 +132,9 @@ def _global_report(v: np.ndarray, rows: list, scale: float, inv: tuple, tol: Tol
     """Body of ``check_global`` on a validated matrix, rows, scale and invariants: its
     conditions and the spectrum it formed (None when V is not > 0)."""
     _, _, _, det_v, _, delta, _, _ = inv
-    min_eig, cut = float(np.linalg.eigvalsh(v)[0]), tol._cut(scale)
-    conditions = {"min_eig_V": (min_eig, cut), "det_V_minus_1": (det_v - 1.0, tol.band(det_v)),
-                  "delta_margin": ((1.0 + det_v) - delta, tol.band(delta, 1.0 + det_v))}
+    min_eig, cut = _min_eig(v, scale, tol)
+    conditions = {"min_eig_V": (min_eig, cut), "det_V_minus_1": tol._at_most(1.0, det_v),
+                  "delta_margin": tol._at_most(delta, 1.0 + det_v)}
     # V > 0 as _verdict reads min_eig_V; the closed form presumes it.
     return conditions, _spectrum_from_delta(delta, det_v, tol, rows) if min_eig > cut else None
 
@@ -178,7 +178,7 @@ def _local_report(rows: list, inv: tuple, tol: Tolerance) -> dict[str, tuple[flo
     # keeps the margin finite on inputs that already failed.
     prod = max(det_a * det_b, 0.0)
     return {"min_eig_A": _block_min_eig(rows, 0, tol), "min_eig_B": _block_min_eig(rows, 2, tol),
-            "delta_margin": ((1.0 + det_v) - delta, tol.band(delta, 1.0 + det_v)),
+            "delta_margin": tol._at_most(delta, 1.0 + det_v),
             "block_margin": ((det_v + det_a * det_b) - (2.0 * math.sqrt(prod) + det_c**2),
                              tol.band(det_v, det_a * det_b, det_c**2))}
 

@@ -15,22 +15,20 @@ forms that decide, which are better conditioned near the boundary.
 Disagreement beyond _BOUNDARY_FACTOR bands raises InternalInconsistency and
 indicates a bug, never bad input.
 
-Each call validates V and computes the raw invariants once, as plain floats.
-The global route adds eigvalsh(V) and the spectra from (Delta, det V) and
-(Delta~, det V), the local route the closed-form block eigenvalues; the two
-share nothing else. A classifier builds only its ``Classification``, and the
-global cross-checks take the bona fide verdict and the entries they compare
-from its one ``_verdict`` pass.
+Each call validates V and computes the raw invariants once, as plain floats. The
+global route adds ``invariants._min_eig`` and the spectra from (Delta, det V)
+and (Delta~, det V), the local route the closed-form block eigenvalues; the two
+share nothing else. Every entry lhs <= rhs is ``Tolerance._at_most``'s. A
+classifier builds only its ``Classification``, and the global cross-checks take
+the bona fide verdict and the entries they compare from its one ``_verdict`` pass.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InternalInconsistency, PreconditionViolated
-from .invariants import SymplecticSpectrum2, _evaluate, _spectrum_from_delta
+from .invariants import SymplecticSpectrum2, _evaluate, _min_eig, _spectrum_from_delta
 from .physicality import _global_report, _local_report, _verdict
 from .symplectic import DEFAULT_TOL, Tolerance, _require_positive_definite
 
@@ -121,7 +119,7 @@ def _global_classification(inv: tuple, bona_fide: dict[str, tuple[float, float]]
     adds the Delta~ condition and the spectral margins."""
     _, _, _, det_v, _, _, delta_tilde, _ = inv
     # det V~ = det V, so once V is physical the PPT stage is decided by Delta~ alone.
-    ppt_entry = ((1.0 + det_v) - delta_tilde, tol.band(delta_tilde, 1.0 + det_v))
+    ppt_entry = tol._at_most(delta_tilde, 1.0 + det_v)
     failed, _, margins = _verdict({**bona_fide, "delta_tilde_margin": ppt_entry})
     physical = failed in (None, "delta_tilde_margin")  # the PPT condition is last
     if spec is not None:  # V > 0, which a physical verdict implies
@@ -154,7 +152,7 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """
     _, rows, _, inv = _evaluate(v, tol)
     _, _, _, det_v, _, _, delta_tilde, gamma_sep = inv
-    ppt_entry = ((1.0 + det_v) - gamma_sep, tol.band(gamma_sep, 1.0 + det_v))
+    ppt_entry = tol._at_most(gamma_sep, 1.0 + det_v)
     failed, _, margins = _verdict({**_local_report(rows, inv, tol), "gamma_margin": ppt_entry})
     margins["delta_tilde_margin"] = (1.0 + det_v) - delta_tilde
     return Classification(*_LOCAL[failed], margins)
@@ -177,9 +175,8 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
             "simon_criterion requires a bona fide CM; margins "
             f"{margins} (classify the matrix instead)")
     det_a, det_b, det_c, _, i4, _, _, _ = inv
-    lhs = det_a * det_b + (1.0 + det_c) ** 2 - i4
-    rhs = det_a + det_b
-    return lhs - rhs >= -tol.band(lhs, rhs)
+    margin, band = tol._at_most(det_a + det_b, det_a * det_b + (1.0 + det_c) ** 2 - i4)
+    return margin >= -band
 
 
 def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
@@ -191,14 +188,14 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     otherwise unphysical. Raises NotPositiveDefinite outside its domain.
     """
     v, _, scale, (det_a, det_b, det_c, det_v, i4, _, _, _) = _evaluate(v, tol)
-    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
+    _require_positive_definite(*_min_eig(v, scale, tol))
 
     # s_mid is the middle member of the entangled-branch chain; the bounds
     # (1 -+ det C)^2 translate to the Delta~ / Delta margins.
     s_mid = det_a + det_b - det_a * det_b + i4
     failed, _, checked = _verdict({
-        "det_V_minus_1": (det_v - 1.0, tol.band(det_v)),
-        "delta_margin": ((1.0 - det_c) ** 2 - s_mid, tol.band(s_mid, (1.0 - det_c) ** 2)),
+        "det_V_minus_1": tol._at_most(1.0, det_v),
+        "delta_margin": tol._at_most(s_mid, (1.0 - det_c) ** 2),
         "gamma_margin": (det_a * det_b + (1.0 - abs(det_c)) ** 2 - i4 - det_a - det_b,
                          tol.band(s_mid, (1.0 + det_c) ** 2)),
     })

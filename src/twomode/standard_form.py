@@ -8,13 +8,13 @@ congruent, under a block-diagonal local symplectic S_local = S_A (+) S_B, to
      [c+, 0, b, 0],
      [0, c-, 0, b]]
 
-with a^2 = det A, b^2 = det B, c+ c- = det C and
-(ab - c+^2)(ab - c-^2) = det V. The construction Williamson-diagonalizes each
-block [[p, q], [q, s]], eigenvalues lambda_+ >= lambda_-, in closed form:
-S = sqrt(a) diag(lambda_+, lambda_-)^(-1/2) R(phi)^T, phi = atan2(q, (p - s)/2)/2,
-a = sqrt(lambda_+) sqrt(lambda_-) (no overflow). It then picks two rotation
-angles that diagonalize the transformed off-diagonal block in closed form, all
-on Python floats.
+with a^2 = det A, b^2 = det B, c+ c- = det C and (ab - c+^2)(ab - c-^2) = det V.
+The construction Williamson-diagonalizes each block [[p, q], [q, s]] in closed
+form from its eigenvalues lambda_+ >= lambda_-, lambda_- being the one block test
+``physicality._block_min_eig``: S = sqrt(a) diag(lambda_+, lambda_-)^(-1/2) R(phi)^T,
+phi = atan2(q, (p - s)/2)/2, a = sqrt(lambda_+) sqrt(lambda_-) (no overflow). It
+then picks two rotation angles that diagonalize the transformed off-diagonal
+block in closed form, all on Python floats.
 
 The pair (c+, c-) is only determined up to sign/order freedom; this module
 fixes the canonical cell c+ >= |c-| with c+ >= 0 (the sign of det C then
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockNotPositiveDefinite, InternalInconsistency
-from .physicality import _block_min_eig, _min_eig_2x2
+from .physicality import _block_min_eig
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _require_positive_definite, symmetric_part
 
 __all__ = [
@@ -82,17 +82,16 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
     squeeze along the principal axes. Returns (s, a); raises
     NotPositiveDefinite if A is not a positive definite 2x2 matrix.
     """
-    _, rows, scale, _ = _checked(a_block, tol, 1, what="block")
-    (p, _), (q, s) = rows  # the lower triangle, the one numpy's eigh reads
-    min_eig = _min_eig_2x2(p, q, s)
-    _require_positive_definite(min_eig, tol._cut(scale), what="block")
-    (s00, s01, s10, s11), a = _single_mode(p, q, s, min_eig)
+    rows = _checked(a_block, tol, 1, what="block")[1]
+    min_eig = _require_positive_definite(*_block_min_eig(rows, 0, tol), what="block")
+    (s00, s01, s10, s11), a = _single_mode(rows, 0, min_eig)
     return np.array([[s00, s01], [s10, s11]]), a
 
 
-def _single_mode(p: float, q: float, s: float, min_eig: float) -> tuple[tuple, float]:
-    """Core of ``single_mode_williamson`` for a positive definite [[p, q], [q, s]]
-    with smaller eigenvalue ``min_eig``: (S as a row-major 4-tuple, a)."""
+def _single_mode(rows: list, i: int, min_eig: float) -> tuple[tuple, float]:
+    """``single_mode_williamson``'s core on the positive definite block of rows and columns i,
+    i + 1, read as ``_block_min_eig`` does, with lambda_- = ``min_eig``: (S as a 4-tuple, a)."""
+    p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
     big = max(p, s) + (min(p, s) - min_eig)  # min(p, s) - lambda_- = q^2/(h + |d|) >= 0
     a = math.sqrt(big) * math.sqrt(min_eig)
     # Major axis (cos phi, sin phi); a scalar block has phi = 0, so S = I.
@@ -158,7 +157,7 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
             raise BlockNotPositiveDefinite(
                 f"block {name} is not positive definite "
                 f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)
-        transforms.append(_single_mode(rows[i][i], rows[i + 1][i], rows[i + 1][i + 1], min_eig))
+        transforms.append(_single_mode(rows, i, min_eig))
     (s_a, a), (s_b, b) = transforms
     m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), (s_b[0], s_b[2], s_b[1], s_b[3]))
     cut = tol._cut(max(map(abs, m)))

@@ -62,18 +62,17 @@ class Tolerance:
             raise ValueError(f"tolerances must be finite and nonnegative, got rel={self.rel}, "
                              f"abs={self.abs}")
 
-    def threshold(self, *operands: np.ndarray) -> float:
-        """Absolute comparison threshold for the given matrix operands."""
-        scale = 0.0
-        for m in operands:
-            m = np.asarray(m)
-            if m.size:
-                scale = max(scale, float(np.abs(m).max()))
-        return self._cut(scale)
+    def threshold(self, m: np.ndarray) -> float:
+        """Absolute comparison threshold for the matrix ``m``; ``_cut(0.0)`` if empty or NaN."""
+        return self._cut(max(0.0, float(np.abs(m).max())) if np.size(m) else 0.0)
 
     def _cut(self, scale: float) -> float:
         """The comparison threshold for operands whose largest |element| is ``scale``."""
         return self.abs + self.rel * scale
+
+    def _at_most(self, lhs: float, rhs: float) -> tuple[float, float]:
+        """The one band rule of a condition lhs <= rhs: its ``(margin, band)`` entry."""
+        return rhs - lhs, self.band(lhs, rhs)
 
     def band(self, *values: float) -> float:
         """Threshold for scalar margin comparisons; scale floor of 1, NaN and +-inf skipped."""
@@ -145,12 +144,13 @@ def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "
         return float(np.abs(m).max())
 
 
-def _require_positive_definite(min_eig: float, cut: float, what: str = "matrix") -> None:
-    """Raise NotPositiveDefinite unless the smallest eigenvalue exceeds ``cut``."""
+def _require_positive_definite(min_eig: float, cut: float, what: str = "matrix") -> float:
+    """Raise NotPositiveDefinite unless the smallest eigenvalue exceeds ``cut``; return it."""
     if min_eig <= cut:
         raise NotPositiveDefinite(
             f"{what} is not positive definite (min eigenvalue {min_eig:.3e})",
             min_eig=float(min_eig))
+    return min_eig
 
 
 def _mode_count(m: np.ndarray) -> int:

@@ -7,6 +7,9 @@ equivalent formulations would show up first).
 """
 from __future__ import annotations
 
+import math
+from itertools import permutations
+
 import numpy as np
 
 import twomode as tm
@@ -162,3 +165,60 @@ def swap_modes(v: np.ndarray) -> np.ndarray:
     """Exchange the two modes: blocks A and B swap, C transposes."""
     perm = [2, 3, 0, 1]
     return v[np.ix_(perm, perm)]
+
+
+def count_linalg(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls to the named ``np.linalg`` functions until the test ends;
+    returns the live ``name -> count`` dict (a name appears once it is called)."""
+    counts: dict[str, int] = {}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return counts
+
+
+# Integer pure states V = S S^T, S an integer symplectic in the order (q1, p1, q2, p2).
+# Each factor is I plus the entries {(row, column): value} of one shear.
+PURE_FAMILIES = ("C", "C.shear", "mixer.C.shear")
+PURE_EXPONENTS = range(21)  # t = 2^k
+
+
+def _shear(entries: dict) -> list[list[int]]:
+    m = [[int(i == j) for j in range(4)] for i in range(4)]
+    for (i, j), x in entries.items():
+        m[i][j] += x
+    return m
+
+
+def _int_product(x: list, y: list) -> list[list[int]]:
+    return [[sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
+            for i in range(len(x))]
+
+
+def int_det(m: list) -> int:
+    """Exact determinant of a square matrix of Python ints (Leibniz formula)."""
+    n = len(m)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * math.prod(m[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def integer_pure_state(family: str, k: int) -> list[list[int]]:
+    """V = S S^T on Python ints, t = 2^k. C(t) is p1 += t q2, p2 += t q1; shear(a, b) is
+    p1 += a q1, p2 += b q2; the mixer is q1 += q2, p2 -= p1. S is C(t), C(t) shear(t, 1) or
+    mixer C(t) shear(1, t). Every entry is below 2^53, so float64 holds V exactly."""
+    t = 2**k
+    s = _shear({(1, 2): t, (3, 0): t})
+    if family == "C.shear":
+        s = _int_product(s, _shear({(1, 0): t, (3, 2): 1}))
+    elif family == "mixer.C.shear":
+        s = _int_product(_int_product(_shear({(0, 2): 1, (3, 1): -1}), s),
+                         _shear({(1, 0): 1, (3, 2): t}))
+    return _int_product(s, [list(col) for col in zip(*s)])

@@ -13,6 +13,11 @@ import pytest
 import twomode as tm
 from twomode.cli import main, parse_document
 
+from .support import count_linalg
+
+# Nested far past the interpreter's recursion limit: json.loads raises RecursionError.
+DEEP_DOCUMENT = '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
 
 @pytest.fixture()
 def run(monkeypatch, capsys):
@@ -64,7 +69,7 @@ def test_parse_whitespace_grid_with_comments():
 def test_parse_rejects_garbage():
     from twomode.cli import _DocumentError
     for bad in ("", "{not json", '{"label": "no matrix"}', "1 2\n3 x",
-                "1 2\n3", '{"matrix": [[1,0],[0,1]], "tolerance": 3}'):
+                "1 2\n3", '{"matrix": [[1,0],[0,1]], "tolerance": 3}', DEEP_DOCUMENT):
         with pytest.raises(_DocumentError):
             parse_document(bad)
 
@@ -449,8 +454,9 @@ def test_sweep_rejects_unsweepable_family(run):
 # --------------------------------------------------------------- exit codes
 
 def test_exit_code_2_for_garbage_input(run):
-    code, _, err = run(["classify"], stdin_text="not a matrix")
-    assert code == 2 and "error:" in err
+    for text in ("not a matrix", DEEP_DOCUMENT):
+        code, _, err = run(["classify"], stdin_text=text)
+        assert code == 2 and "error:" in err
 
 
 def test_exit_code_3_for_odd_dimension(run):
@@ -519,18 +525,7 @@ def test_each_cli_record_evaluates_the_matrix_once(run, monkeypatch):
     # One det V and one eigvalsh(V) per record; invariants and each sweep
     # row add the oracle's eigvalsh(V + i Omega). The spectra come from
     # (Delta, det V) and (Delta~, det V) of the same evaluation.
-    counts = {}
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("det", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    counts = count_linalg(monkeypatch, "det", "eigvalsh")
     text = doc(tm.random_physical(3))
     for argv, expected in ((["classify", "--format", "machine"], {"det": 1, "eigvalsh": 1}),
                            (["invariants"], {"det": 1, "eigvalsh": 2}),

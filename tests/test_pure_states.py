@@ -1,0 +1,74 @@
+"""Integer pure states V = S S^T: exact in float64, physical and entangled on every route.
+
+S is an integer symplectic matrix, so V has integer entries, det V = 1 and Delta = 2 with
+no input rounding (see ``support.integer_pure_state``). The cells that fail today are
+strict xfails: each is one of ROADMAP item 2's float cuts and bands.
+"""
+import numpy as np
+import pytest
+
+import twomode as tm
+from twomode import Tag
+
+from .support import PURE_EXPONENTS, PURE_FAMILIES, int_det, integer_pure_state
+
+# Each route's answer for a physical, entangled state.
+ROUTES = {
+    "heisenberg_oracle": lambda v: tm.heisenberg_oracle(v)[0],
+    "check_global": lambda v: tm.check_global(v).verdict,
+    "classify_global": lambda v: tm.classify_global(v).tag is Tag.ENTANGLED,
+    "posdef_criterion": lambda v: tm.posdef_criterion(v).tag is Tag.ENTANGLED,
+    "simon_criterion": lambda v: tm.simon_criterion(v) is False,
+    "check_local": lambda v: tm.check_local(v).verdict,
+    "classify_local": lambda v: tm.classify_local(v).tag is Tag.ENTANGLED,
+}
+# The first k at which each route fails today, and the error that a failing cell raises.
+_GLOBAL_FROM = {"C": 8, "C.shear": 7, "mixer.C.shear": 8}
+_LOCAL_FROM = {"C": 15, "C.shear": 14, "mixer.C.shear": 14}
+_GLOBAL_ERRORS = {"check_global": AssertionError, "classify_global": AssertionError,
+                  "posdef_criterion": tm.NotPositiveDefinite,
+                  "simon_criterion": tm.PreconditionViolated}
+
+
+def _known_failure(family, k, route):
+    """(error, reason) of a cell that fails today, or None."""
+    if route in _GLOBAL_ERRORS and k >= _GLOBAL_FROM[family]:
+        return _GLOBAL_ERRORS[route], ("ROADMAP item 2: the min_eig_V cut abs + rel max|v_ij| "
+                                       "exceeds lambda_min(V) = 1/lambda_max(V) of a pure state")
+    if route.endswith("_local") and k >= _LOCAL_FROM[family]:
+        if family == "mixer.C.shear" and k == 14:
+            return AssertionError, ("ROADMAP item 2: det V by LU misses 1 by -3.4e-8, beyond "
+                                    "the fixed band of delta_margin")
+        return AssertionError, ("ROADMAP item 2: the block cut abs + rel max|a_ij| exceeds "
+                                "lambda_-(A) (1 for C(2^15), whose A is diag(1, 1 + 2^30))")
+    return None
+
+
+def _cell(family, k, route):
+    known = _known_failure(family, k, route)
+    marks = () if known is None else pytest.mark.xfail(strict=True, raises=known[0],
+                                                       reason=known[1])
+    return pytest.param(family, k, route, marks=marks, id=f"{family}-k{k}-{route}")
+
+
+@pytest.mark.parametrize("family", PURE_FAMILIES)
+def test_integer_pure_states_are_exact_pure_and_entangled(family):
+    for k in PURE_EXPONENTS:
+        v = integer_pure_state(family, k)
+        assert v == [list(col) for col in zip(*v)]
+        # float64 holds every entry exactly: all are below 2^53.
+        assert max(abs(x) for row in v for x in row) <= 2.2e12
+        assert [[int(x) for x in row] for row in np.array(v, dtype=float).tolist()] == v
+        assert int_det(v) == 1
+        det_a = v[0][0] * v[1][1] - v[0][1] * v[1][0]
+        det_b = v[2][2] * v[3][3] - v[2][3] * v[3][2]
+        det_c = v[0][2] * v[1][3] - v[0][3] * v[1][2]
+        assert det_a + det_b + 2 * det_c == 2  # Delta = 1 + det V: pure
+        assert det_a + det_b - 2 * det_c > 2  # Delta~ > 1 + det V: entangled
+
+
+@pytest.mark.parametrize("family, k, route", [
+    _cell(family, k, route)
+    for family in PURE_FAMILIES for k in PURE_EXPONENTS for route in ROUTES])
+def test_integer_pure_state_is_physical_and_entangled(family, k, route):
+    assert ROUTES[route](np.array(integer_pure_state(family, k), dtype=float))

@@ -9,6 +9,7 @@ from twomode import Tag, physicality, separability
 
 from .support import (
     boundary_biased,
+    count_linalg,
     near_boundary,
     random_local_symplectic,
     random_physical_cm,
@@ -200,18 +201,7 @@ def test_each_classifier_evaluates_the_matrix_once(monkeypatch):
     # One det V per call, and on the global route one eigvalsh(V): the
     # spectra come from (Delta, det V) and (Delta~, det V), not new calls.
     # The local route takes the block eigenvalues from their closed form.
-    counts = {}
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("det", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    counts = count_linalg(monkeypatch, "det", "eigvalsh")
     v = tm.random_physical(3)
     assert tm.classify_global(v).tag is not Tag.UNPHYSICAL
     assert counts == {"det": 1, "eigvalsh": 1}
@@ -373,3 +363,30 @@ def test_cli_classify_record_matches_the_public_calls(name):
         assert record["report"] == dataclasses.asdict(tm.check_global(v))
         assert (record["tag"], record["reason"]) == (result.tag.value, result.reason)
         assert list(record["margins"].items()) == list(result.margins.items())
+
+
+def _outcome(fn, v):
+    """repr of the result, or the error's type and message."""
+    try:
+        return repr(fn(v))
+    except tm.TwoModeError as exc:
+        return type(exc), str(exc)
+
+
+_BAD_INPUTS = [np.array([[1.0, 0.5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+               np.diag([1.0, np.nan, 1.0, 1.0]), np.diag([1.0, 1.0, 1.0, np.inf]),
+               np.eye(4) + 1j * np.eye(4), np.diag([2.0, 2.0, -1.0, 2.0]), np.zeros((4, 4)),
+               np.eye(2), np.eye(6), np.ones((4, 3)), [[1.0, 0.0], [0.0, 1.0]]]
+
+
+@pytest.mark.parametrize("name", ["random_physical", "random_symmetric", "simon_vx", "squeezed",
+                                  "bad"])
+def test_ppt_spectrum_is_the_spectrum_of_the_partial_transpose(name):
+    # Lambda V Lambda flips the signs of row and column 4; a shape that has no such
+    # flip must fail with the same error either way.
+    population = _BAD_INPUTS if name == "bad" else _report_population(name)
+    flip = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
+    for v in population:
+        flipped = v * flip if np.shape(v) == (4, 4) else v
+        assert (_outcome(tm.ppt_spectrum_2mode, v)
+                == _outcome(tm.symplectic_spectrum_2mode, flipped))

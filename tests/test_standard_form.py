@@ -69,6 +69,37 @@ def test_single_mode_williamson_random_blocks(d1, d2, angle):
                                atol=1e-9 * max(1.0, d1, d2))
 
 
+def _raised(fn, m, error):
+    """The ``error`` that ``fn(m)`` raises, or None when it returns."""
+    try:
+        fn(m)
+    except error as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-8.0, 8.0), st.floats(-1.0, 3.0),
+       st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
+def test_block_positivity_is_one_test(log_big, factor, angle):
+    # R diag(big, small) R^T with small near the block cut abs + rel * big: the single-mode
+    # transform and the standard form's block A decide it alike and report the same min_eig.
+    tol = tm.DEFAULT_TOL
+    big = 10.0**log_big
+    small = factor * (tol.abs + tol.rel * big)
+    c, s = np.cos(angle), np.sin(angle)
+    p, q, r = c * c * big + s * s * small, c * s * (big - small), s * s * big + c * c * small
+    a = np.array([[p, q], [q, r]])
+    single = _raised(tm.single_mode_williamson, a, tm.NotPositiveDefinite)
+    v = np.zeros((4, 4))
+    v[:2, :2], v[2:, 2:] = a, np.eye(2)
+    reduced = _raised(tm.reduce_to_standard_form, v, tm.BlockNotPositiveDefinite)
+    assert (single is None) == (reduced is None)
+    if reduced is not None:
+        assert reduced.block == "A"
+        assert repr(single.min_eig) == repr(reduced.min_eig)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(-6.0, 6.0), st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
        st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))

@@ -8,7 +8,7 @@ import pytest
 import twomode as tm
 from twomode import cli
 
-from .support import random_physical_cm, random_spd
+from .support import count_linalg, random_physical_cm, random_spd
 
 
 def decompose_quietly(v):
@@ -339,18 +339,7 @@ def test_each_normal_form_factors_the_matrix_once(monkeypatch):
     # Williamson: eigh(V) is both V^(-1/2) and the positivity check, then
     # eigh(iX) and the two cross-checks det R and eigvals(Omega V). The
     # standard form: closed forms on each diagonal block, no LAPACK call.
-    counts = {}
-
-    def counting(name):
-        original = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    for name in ("eigh", "eigvals", "det", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name))
+    counts = count_linalg(monkeypatch, "eigh", "eigvals", "det", "eigvalsh")
     v = tm.random_physical(3)
     decompose_quietly(v)
     assert counts.pop("det", 0) <= 1
