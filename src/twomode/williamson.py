@@ -13,12 +13,19 @@ symplectic eigenvalues. The constructive route used here:
 4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k, R being O with its
    2-row blocks in reverse order (nu ascending).
 
-Each call validates its input once and makes four LAPACK calls: eigh of V
-(also the positivity check), eigh of iX, and the cross-checks det R = +1 and
-the spectrum from the independent route |eig(Omega V)|; O is checked to be
-orthogonal. Between them the pairing, singularity and degeneracy tests, nu =
-1/a and the spectrum comparison run on Python floats, and O is one scaled copy
-of a real view of the eigenvectors of iX.
+Each call validates its input once. For two or more modes it makes four LAPACK
+calls: eigh of V (also the positivity check), eigh of iX, and the cross-checks
+det R = +1 and the spectrum from the independent route |eig(Omega V)|; O is
+checked to be orthogonal. Between them the pairing, singularity and degeneracy
+tests, nu = 1/a and the spectrum comparison run on Python floats, and O is one
+scaled copy of a real view of the eigenvectors of iX.
+
+One mode needs no eigenproblem of iX: every 2x2 antisymmetric matrix is a
+multiple of omega, so X = omega/nu is already in block form. nu = sqrt(det V)
+comes from the eigenvalues of the eigh of V, R = I and S = sqrt(nu) V^{-1/2},
+on Python floats; the spectrum is still checked against |eig(Omega V)|. That
+is two LAPACK calls, and nothing is left for the pairing, singularity,
+orthogonality and det R checks to test.
 
 S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
 = (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
@@ -152,6 +159,37 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
     return o, a_asc
 
 
+def _one_mode(v: np.ndarray, cut: float) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """One mode from eigh(V) alone, X = omega/nu being in block form: (nu as a list, R = I,
+    R V^(-1/2), X) with nu = sqrt(lambda_-) sqrt(lambda_+) and V^(-1/2) exactly symmetric."""
+    evals, q = np.linalg.eigh(v)
+    (lo, hi), ((q00, q01), (q10, q11)) = evals.tolist(), q.tolist()
+    _require_positive_definite(lo, cut)
+    nu = math.sqrt(lo) * math.sqrt(hi)
+    d0, d1 = 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)
+    m01 = q00 * q10 * d0 + q01 * q11 * d1
+    inv_root = np.array([[q00 * q00 * d0 + q01 * q01 * d1, m01],
+                         [m01, q10 * q10 * d0 + q11 * q11 * d1]])
+    return [nu], np.eye(2), inv_root, np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]])
+
+
+def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float
+                ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Two or more modes, through the eigenvectors of iX: (nu as a list, R, R V^(-1/2), X)."""
+    inv_root = _inv_sqrt(v, cut)
+    skew = _skew_kernel(inv_root, n_modes)
+    # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
+    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
+
+    # Ascending nu = 1/a means descending a: reverse the order of the 2-row
+    # blocks (an even permutation, hence still a proper rotation).
+    r = o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape)
+    det_r = float(np.linalg.det(r))
+    if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
+        raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
+    return [1.0 / a for a in reversed(a_asc)], r, r @ inv_root, skew
+
+
 def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposition:
     """Full Williamson decomposition of a symmetric positive definite V.
 
@@ -161,23 +199,11 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     coincide within tolerance; the decomposition itself remains valid.
     """
     v, scale, n_modes = _validated_modes(v, tol)
-    inv_root = _inv_sqrt(v, tol._cut(scale))
-    skew = _skew_kernel(inv_root, n_modes)
-    # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
-    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
-
-    # Ascending nu = 1/a means descending a: reverse the order of the 2-row
-    # blocks (an even permutation, hence still a proper rotation).
-    r = o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape)
-    nu = [1.0 / a for a in reversed(a_asc)]
+    cut = tol._cut(scale)
+    nu, r, r_root, skew = _one_mode(v, cut) if n_modes == 1 else _many_modes(v, n_modes, tol, cut)
     nus = np.array(nu)
     nu_pairs = nus.repeat(2)
-    w = np.diag(nu_pairs)
-    s = np.sqrt(nu_pairs)[:, None] * (r @ inv_root)
-
-    det_r = float(np.linalg.det(r))
-    if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
-        raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
+    s = np.sqrt(nu_pairs)[:, None] * r_root
     reference = _spectrum_general(v, n_modes, tol)
     if max(abs(x - y) for x, y in zip(nu, reference)) > 1e-8 * max(reference):
         raise InternalInconsistency(
@@ -191,6 +217,5 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
             "symplectic spectrum is degenerate within tolerance; the "
             "decomposition is valid but the rotation is not unique"),
             stacklevel=2)
-    return WilliamsonDecomposition(normal_form=w, transform=s, rotation=r,
-                                   skew=skew, spectrum=nus,
-                                   degenerate=degenerate)
+    return WilliamsonDecomposition(normal_form=np.diag(nu_pairs), transform=s, rotation=r,
+                                   skew=skew, spectrum=nus, degenerate=degenerate)

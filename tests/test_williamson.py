@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twomode as tm
 from twomode import cli
@@ -184,6 +186,32 @@ def test_williamson_single_mode_squeezed():
     assert_valid_decomposition(v, dec)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-6.0, 6.0), st.floats(0.0, 8.0), st.floats(-np.pi, np.pi))
+def test_williamson_single_mode_is_already_in_block_form(log_sigma, log_kappa, angle):
+    # R(angle) diag(sigma, sigma/kappa) R(angle)^T. Every 2x2 antisymmetric
+    # matrix is a multiple of omega, so X = omega/nu needs no rotation: R = I
+    # and S = sqrt(nu) V^(-1/2).
+    sigma = 10.0**log_sigma
+    rot = tm.rotation(angle)
+    v = rot @ np.diag([sigma, sigma / 10.0**log_kappa]) @ rot.T
+    v = (v + v.T) / 2.0
+    try:
+        dec = tm.williamson_decompose(v)
+    except tm.NotPositiveDefinite as err:  # sigma/kappa at or below the positivity cut
+        assert err.min_eig <= tm.DEFAULT_TOL.threshold(v)
+        return
+    (nu,) = dec.spectrum
+    np.testing.assert_array_equal(dec.rotation, np.eye(2))
+    np.testing.assert_array_equal(dec.transform, dec.transform.T)
+    expected = np.sqrt(nu) * tm.inv_sqrt(v)
+    np.testing.assert_allclose(dec.transform, expected, rtol=0,
+                               atol=1e-13 * np.abs(expected).max())
+    np.testing.assert_allclose(dec.skew, tm.omega(1) / nu, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(dec.spectrum, tm.symplectic_spectrum_general(v), rtol=1e-8)
+    assert_valid_decomposition(v, dec)
+
+
 def test_williamson_mixing_family():
     v = tm.simon_vx(1.0)
     dec = tm.williamson_decompose(v)
@@ -337,13 +365,18 @@ def test_empty_matrix_is_a_dimension_error(fn):
 
 def test_each_normal_form_factors_the_matrix_once(monkeypatch):
     # Williamson: eigh(V) is both V^(-1/2) and the positivity check, then
-    # eigh(iX) and the two cross-checks det R and eigvals(Omega V). The
-    # standard form: closed forms on each diagonal block, no LAPACK call.
+    # eigh(iX) and the two cross-checks det R and eigvals(Omega V). One mode
+    # needs neither eigh(iX) nor det R: eigh(V) gives nu = sqrt(det V) and
+    # R = I, and eigvals(Omega V) still checks the spectrum. The standard
+    # form: closed forms on each diagonal block, no LAPACK call.
     counts = count_linalg(monkeypatch, "eigh", "eigvals", "det", "eigvalsh")
     v = tm.random_physical(3)
     decompose_quietly(v)
     assert counts.pop("det", 0) <= 1
     assert counts == {"eigh": 2, "eigvals": 1}
+    counts.clear()
+    tm.williamson_decompose(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    assert counts == {"eigh": 1, "eigvals": 1}
     counts.clear()
     tm.reduce_to_standard_form(v)
     assert counts == {}
@@ -399,11 +432,15 @@ def test_williamson_determinant_cross_check_fires(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_block_rotation_orthogonality_check_fires(monkeypatch, n):
-    # Eigenvectors of iX (the one complex eigh) stretched by 10%.
+    # Eigenvectors of iX (the one complex eigh) stretched by 10%. A one-mode
+    # decomposition makes no such call, but skew_block_rotation still does.
     def stretch(args, res):
         return (res[0], res[1] * 1.1) if np.iscomplexobj(args[0]) else res
     _patched(monkeypatch, "eigh", stretch)
     v = random_spd(np.random.default_rng(n), 2 * n)
-    for call in (lambda: decompose_quietly(v), lambda: tm.skew_block_rotation(tm.build_x(v))):
+    calls = [lambda: tm.skew_block_rotation(tm.build_x(v))]
+    if n > 1:
+        calls.append(lambda: decompose_quietly(v))
+    for call in calls:
         with pytest.raises(tm.InternalInconsistency, match="departs from orthogonality"):
             call()
