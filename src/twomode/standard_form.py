@@ -12,13 +12,18 @@ with a^2 = det A, b^2 = det B, c+ c- = det C and (ab - c+^2)(ab - c-^2) = det V.
 The construction Williamson-diagonalizes each block [[p, q], [q, s]] in closed
 form from its eigenvalues lambda_+ >= lambda_-, lambda_- being the one block test
 ``physicality._block_min_eig``: S = sqrt(a) diag(lambda_+, lambda_-)^(-1/2) R(phi)^T,
-phi = atan2(q, (p - s)/2)/2, a = sqrt(lambda_+) sqrt(lambda_-) (no overflow). It
-then picks two rotation angles that diagonalize the transformed off-diagonal
-block in closed form, all on Python floats.
+phi = atan2(q, (p - s)/2)/2, a = sqrt(lambda_+) sqrt(lambda_-) (no overflow).
 
-The pair (c+, c-) is only determined up to sign/order freedom; this module
-fixes the canonical cell c+ >= |c-| with c+ >= 0 (the sign of det C then
-rides on c-).
+The cross block M = S_A C S_B^T then acts on u = x + iy as M u = (z1 u + z2 conj(u))/2,
+with z1 = (m00 + m11) + i(m10 - m01) and z2 = (m00 - m11) + i(m01 + m10). A rotation
+R(t) multiplies u by e^(it), so R(theta_a) M R(theta_b)^T turns z1 by theta_a - theta_b and
+z2 by theta_a + theta_b. theta_a - theta_b = -arg z1 and theta_a + theta_b = -arg z2 turn
+both onto the positive real axis for every M, ties and zeros included, and leave
+c+ = (|z1| + |z2|)/2, c- = (|z1| - |z2|)/2, all on Python floats.
+
+The pair (c+, c-) is only determined up to sign/order freedom; this closed form lands in
+the canonical cell c+ >= |c-|, c+ >= 0 (the sign of det C rides on c-) by construction,
+in floats too: |z1| + |z2| >= ||z1| - |z2|| holds exactly, and rounding is monotone.
 """
 from __future__ import annotations
 
@@ -115,31 +120,6 @@ def _rotation(angle: float) -> tuple:
     return (c, -s, s, c)
 
 
-def _diagonalizing_angles(m: tuple, cut: float) -> tuple[float, float]:
-    """Angles (theta_a, theta_b) with R(theta_a) M R(theta_b)^T diagonal.
-
-    Writing M on the basis {I, J, K, L} (J the rotation generator, K, L the
-    traceless symmetric pair), the rotation-commuting part transforms by
-    e^{i(theta_a - theta_b)} and the traceless symmetric part by
-    e^{i(theta_a + theta_b)}; making both parts real diagonalizes M. The
-    canonical cell is enforced by the caller via quarter- and half-turn
-    composition.
-    """
-    z1 = complex(m[0] + m[3], m[2] - m[1])
-    z2 = complex(m[0] - m[3], m[1] + m[2])
-    if abs(z1) <= cut and abs(z2) <= cut:
-        return 0.0, 0.0
-    if abs(z2) <= cut:
-        # M is proportional to a rotation: only theta_a - theta_b matters.
-        return 0.0, cmath.phase(z1)
-    if abs(z1) <= cut:
-        # M is traceless-symmetric-like: only theta_a + theta_b matters.
-        return 0.0, -cmath.phase(z2)
-    alpha = -cmath.phase(z1)
-    beta = -cmath.phase(z2)
-    return (alpha + beta) / 2.0, (beta - alpha) / 2.0
-
-
 def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
                             ) -> StandardFormParams:
     """Standard-form parameters of a 4x4 symmetric V with A, B > 0.
@@ -161,29 +141,18 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     (s_a, a), (s_b, b) = transforms
     m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), (s_b[0], s_b[2], s_b[1], s_b[3]))
     cut = tol._cut(max(map(abs, m)))
-    theta_a, theta_b = _diagonalizing_angles(m, cut)
-
-    def transformed(ta: float, tb: float) -> tuple:
-        return _product(_product(_rotation(ta), m), _rotation(-tb))
-
-    c_diag = transformed(theta_a, theta_b)
-    # Canonical cell: |c+| >= |c-| via a simultaneous quarter turn (which
-    # swaps the diagonal entries and fixes aI, bI), then c+ >= 0 via a half
-    # turn on mode A alone (which flips both signs, preserving det C).
-    if abs(c_diag[3]) > abs(c_diag[0]):
-        theta_a += math.pi / 2.0
-        theta_b += math.pi / 2.0
-        c_diag = transformed(theta_a, theta_b)
-    if c_diag[0] < 0.0:
-        theta_a += math.pi
-        c_diag = transformed(theta_a, theta_b)
-
+    # Adding 0.0 makes a -0.0 real part +0.0, so a zero part has phase 0 rather than pi.
+    z1 = complex(m[0] + m[3] + 0.0, m[2] - m[1])
+    z2 = complex(m[0] - m[3] + 0.0, m[1] + m[2])
+    alpha, beta = -cmath.phase(z1), -cmath.phase(z2)
+    theta_a, theta_b = (alpha + beta) / 2.0, (beta - alpha) / 2.0
+    c_diag = _product(_product(_rotation(theta_a), m), _rotation(-theta_b))
     # Written so that NaN (from an overflow) fails each check instead of passing it.
     off = max(abs(c_diag[1]), abs(c_diag[2]))
     if not off <= 64.0 * cut:
         raise InternalInconsistency(
             f"off-diagonal residue {off:.3e} after angle selection")
-    c_plus, c_minus = c_diag[0], c_diag[3]
+    c_plus, c_minus = (abs(z1) + abs(z2)) / 2.0, (abs(z1) - abs(z2)) / 2.0
 
     ra, rb = _product(_rotation(theta_a), s_a), _product(_rotation(theta_b), s_b)
     s_local = np.array([[*ra[:2], 0.0, 0.0], [*ra[2:], 0.0, 0.0],

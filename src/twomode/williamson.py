@@ -18,7 +18,9 @@ calls: eigh of V (also the positivity check), eigh of iX, and the cross-checks
 det R = +1 and the spectrum from the independent route |eig(Omega V)|; O is
 checked to be orthogonal. Between them the pairing, singularity and degeneracy
 tests, nu = 1/a and the spectrum comparison run on Python floats, and O is one
-scaled copy of a real view of the eigenvectors of iX.
+scaled copy of a real view of the eigenvectors of iX. eig(Omega V) and the eigenvectors
+of iX err by about eps * kappa, kappa = cond V from the eigh of V, so the spectrum and
+orthogonality allowances grow with kappa above their fixed floors.
 
 One mode needs no eigenproblem of iX: every 2x2 antisymmetric matrix is a
 multiple of omega, so X = omega/nu is already in block form. nu = sqrt(det V)
@@ -55,6 +57,7 @@ __all__ = [
 
 # Row 2k of O is -sqrt(2) Im p_k and row 2k+1 is sqrt(2) Re p_k.
 _ROW_SCALES = np.array([[-math.sqrt(2.0)], [math.sqrt(2.0)]])
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +86,15 @@ class WilliamsonDecomposition:
 def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric M with M V M = I for symmetric positive definite V."""
     v, rows, flat = _read(v)
-    return _inv_sqrt(v, tol._cut(_symmetric_scale(rows, flat, tol)))
+    return _inv_sqrt(v, tol._cut(_symmetric_scale(rows, flat, tol)))[0]
 
 
-def _inv_sqrt(v: np.ndarray, cut: float) -> np.ndarray:
-    """Core of ``inv_sqrt``: its eigendecomposition is also the positivity check."""
+def _inv_sqrt(v: np.ndarray, cut: float) -> tuple[np.ndarray, float]:
+    """Core of ``inv_sqrt``: (V^(-1/2), kappa = cond V); eigh(V) is also the positivity check."""
     evals, q = np.linalg.eigh(v)
     _require_positive_definite(evals[0], cut)
     m = (q / np.sqrt(evals)) @ q.T
-    return (m + m.T) / 2.0
+    return (m + m.T) / 2.0, float(evals[-1]) / float(evals[0])
 
 
 def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
@@ -103,7 +106,7 @@ def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
 def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The antisymmetric V^(-1/2) Omega V^(-1/2) for positive definite V."""
     v, _, scale, n_modes = _checked(v, tol)
-    return _skew_kernel(_inv_sqrt(v, tol._cut(scale)), n_modes)
+    return _skew_kernel(_inv_sqrt(v, tol._cut(scale))[0], n_modes)
 
 
 def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -128,9 +131,10 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, n
     return o, np.array(a_asc)
 
 
-def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
+def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float, kappa: float = 1.0
                     ) -> tuple[np.ndarray, list]:
-    """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list."""
+    """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list. xs
+    built from a V of condition number kappa is off by about eps * kappa, and so is o's Gram."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = np.linalg.eigh(1j * xs)
     ev = evals.tolist()
@@ -153,15 +157,16 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
     gram = o @ o.T
     gram.flat[::dim + 1] -= 1.0
     ortho_residual = float(np.abs(gram).max())
-    if ortho_residual > 10.0 * tol.band(1.0):
+    if ortho_residual > max(10.0 * tol.band(1.0), 16.0 * _EPS * kappa):
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
     return o, a_asc
 
 
-def _one_mode(v: np.ndarray, cut: float) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+def _one_mode(v: np.ndarray, cut: float
+              ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
     """One mode from eigh(V) alone, X = omega/nu being in block form: (nu as a list, R = I,
-    R V^(-1/2), X) with nu = sqrt(lambda_-) sqrt(lambda_+) and V^(-1/2) exactly symmetric."""
+    R V^(-1/2), X, kappa) with nu = sqrt(lambda_-) sqrt(lambda_+), V^(-1/2) exactly symmetric."""
     evals, q = np.linalg.eigh(v)
     (lo, hi), ((q00, q01), (q10, q11)) = evals.tolist(), q.tolist()
     _require_positive_definite(lo, cut)
@@ -170,16 +175,16 @@ def _one_mode(v: np.ndarray, cut: float) -> tuple[list, np.ndarray, np.ndarray, 
     m01 = q00 * q10 * d0 + q01 * q11 * d1
     inv_root = np.array([[q00 * q00 * d0 + q01 * q01 * d1, m01],
                          [m01, q10 * q10 * d0 + q11 * q11 * d1]])
-    return [nu], np.eye(2), inv_root, np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]])
+    return [nu], np.eye(2), inv_root, np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]]), hi / lo
 
 
 def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float
-                ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Two or more modes, through the eigenvectors of iX: (nu as a list, R, R V^(-1/2), X)."""
-    inv_root = _inv_sqrt(v, cut)
+                ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Two or more modes, through the eigenvectors of iX: (nu, R, R V^(-1/2), X, kappa)."""
+    inv_root, kappa = _inv_sqrt(v, cut)
     skew = _skew_kernel(inv_root, n_modes)
     # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
-    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
+    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()), kappa)
 
     # Ascending nu = 1/a means descending a: reverse the order of the 2-row
     # blocks (an even permutation, hence still a proper rotation).
@@ -187,7 +192,7 @@ def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float
     det_r = float(np.linalg.det(r))
     if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
         raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
-    return [1.0 / a for a in reversed(a_asc)], r, r @ inv_root, skew
+    return [1.0 / a for a in reversed(a_asc)], r, r @ inv_root, skew, kappa
 
 
 def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposition:
@@ -200,12 +205,15 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     """
     v, scale, n_modes = _validated_modes(v, tol)
     cut = tol._cut(scale)
-    nu, r, r_root, skew = _one_mode(v, cut) if n_modes == 1 else _many_modes(v, n_modes, tol, cut)
+    nu, r, r_root, skew, kappa = (_one_mode(v, cut) if n_modes == 1
+                                  else _many_modes(v, n_modes, tol, cut))
     nus = np.array(nu)
     nu_pairs = nus.repeat(2)
     s = np.sqrt(nu_pairs)[:, None] * r_root
     reference = _spectrum_general(v, n_modes, tol)
-    if max(abs(x - y) for x, y in zip(nu, reference)) > 1e-8 * max(reference):
+    # eigvals(Omega V) errs by about eps * kappa relative, kappa = cond V: so does the allowance.
+    allowance = max(1e-8, 4.0 * _EPS * kappa) * max(reference)
+    if max(abs(x - y) for x, y in zip(nu, reference)) > allowance:
         raise InternalInconsistency(
             f"eigenvector route spectrum {nus} disagrees with "
             f"product-eigenvalue route {np.array(reference)}")

@@ -8,7 +8,7 @@ equivalent formulations would show up first).
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -203,11 +203,49 @@ def _int_product(x: list, y: list) -> list[list[int]]:
             for i in range(len(x))]
 
 
+def _parity(p: tuple) -> int:
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+
+
 def int_det(m: list) -> int:
     """Exact determinant of a square matrix of Python ints (Leibniz formula)."""
     n = len(m)
-    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
-               * math.prod(m[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+    return sum(_parity(p) * math.prod(m[i][p[i]] for i in range(n))
+               for p in permutations(range(n)))
+
+
+def _gaussian_det(m: list) -> tuple[int, int]:
+    """Exact determinant (re, im) of a square matrix of Gaussian integers held as (re, im)
+    pairs of Python ints: the Leibniz formula, 24 terms for a 4x4."""
+    total_re = total_im = 0
+    for p in permutations(range(len(m))):
+        re, im = _parity(p), 0
+        for i, j in enumerate(p):
+            x, y = m[i][j]
+            re, im = re * x - im * y, re * y + im * x
+        total_re, total_im = total_re + re, total_im + im
+    return total_re, total_im
+
+
+def exact_bona_fide(v) -> bool:
+    """V + i Omega >= 0, decided exactly on Python ints: the referee that shares no
+    arithmetic with the package. One power of two 2^k makes every float entry of V an
+    integer; the Hermitian 2^k (V + i Omega) is then a matrix of Gaussian integers, and it is
+    positive semidefinite iff each of its principal minors (15 for a 4x4) is >= 0. The
+    separability referee is the same check on the partial transpose Lambda V Lambda."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in np.asarray(v, dtype=float).tolist()]
+    k = max(d.bit_length() - 1 for row in ratios for _, d in row)  # each d is a power of 2
+    dim = len(ratios)
+    h = [[(x << (k - d.bit_length() + 1),
+           ((j == i + 1 and i % 2 == 0) - (i == j + 1 and j % 2 == 0)) << k)
+          for j, (x, d) in enumerate(row)] for i, row in enumerate(ratios)]
+    for size in range(1, dim + 1):
+        for idx in combinations(range(dim), size):
+            re, im = _gaussian_det([[h[i][j] for j in idx] for i in idx])
+            assert im == 0  # a principal minor of a Hermitian matrix is real
+            if re < 0:
+                return False
+    return True
 
 
 def integer_pure_state(family: str, k: int) -> list[list[int]]:

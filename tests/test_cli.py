@@ -459,6 +459,17 @@ def test_exit_code_2_for_garbage_input(run):
         assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["classify"], '[["a", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]',
+     "error: matrix entries are not numeric"),
+    (["classify", "--input", "no/such/file.json"], None, "error: cannot read no/such/file.json"),
+])
+def test_unreadable_input_exits_2(run, argv, text, message):
+    code, out, err = run(argv, stdin_text=text)
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_exit_code_3_for_odd_dimension(run):
     for text in ("[[1,0,0],[0,1,0],[0,0,1]]", "[[1,2],[3,4],[5,6]]"):
         code, _, err = run(["classify"], stdin_text=text)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import twomode as tm
 from twomode.physicality import _min_eig_2x2
 
-from .support import random_physical_cm, random_symmetric
+from .support import exact_bona_fide, random_physical_cm, random_symmetric
 
 # Frozen oracle values for the correlated-thermal family V(x):
 # lambda_-(x) = (1 + 8x - sqrt(17 - 16x + 64x^2)) / 4.
@@ -239,3 +239,18 @@ def test_block_min_eig_keeps_a_subnormal_entry_beside_a_large_one(block, expecte
     assert _min_eig_2x2(*block) == expected
     assert _min_eig_2x2(*block) == np.linalg.eigvalsh(np.array([[block[0], block[1]],
                                                                 [block[1], block[2]]]))[0]
+
+
+@pytest.mark.parametrize("family", [tm.random_physical, tm.random_symmetric])
+def test_exact_referee_agrees_with_the_oracle(family):
+    # The exact referee and the Hermitian eigenvalue oracle decide V + i Omega >= 0, and the
+    # same on Lambda V Lambda, alike wherever the oracle's min_eig is clear of its cut.
+    decided = 0
+    for seed in range(200):
+        v = family(seed)
+        for m in (v, tm.partial_transpose(v)):
+            verdict, min_eig = tm.heisenberg_oracle(m)
+            if abs(min_eig) > 10.0 * tm.DEFAULT_TOL.threshold(m):
+                assert exact_bona_fide(m) == verdict, seed
+                decided += 1
+    assert decided >= 300

@@ -2,15 +2,19 @@
 
 S is an integer symplectic matrix, so V has integer entries, det V = 1 and Delta = 2 with
 no input rounding (see ``support.integer_pure_state``). The cells that fail today are
-strict xfails: each is one of ROADMAP item 2's float cuts and bands.
+strict xfails: each is one of ROADMAP item 2's float cuts and bands. The exact referee
+``support.exact_bona_fide`` decides these boundary states, and their neighbours, exactly.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import twomode as tm
 from twomode import Tag
 
-from .support import PURE_EXPONENTS, PURE_FAMILIES, int_det, integer_pure_state
+from .support import (PURE_EXPONENTS, PURE_FAMILIES, exact_bona_fide, int_det,
+                      integer_pure_state)
 
 # Each route's answer for a physical, entangled state.
 ROUTES = {
@@ -72,3 +76,26 @@ def test_integer_pure_states_are_exact_pure_and_entangled(family):
     for family in PURE_FAMILIES for k in PURE_EXPONENTS for route in ROUTES])
 def test_integer_pure_state_is_physical_and_entangled(family, k, route):
     assert ROUTES[route](np.array(integer_pure_state(family, k), dtype=float))
+
+
+@pytest.mark.parametrize("family", PURE_FAMILIES)
+def test_exact_referee_decides_the_pure_states_and_their_neighbours(family):
+    # A pure state sits on the boundary: V is physical and Lambda V Lambda is not (every
+    # family has C(t), t >= 1, so the state is entangled). (1 +- 2^-20) V land just inside
+    # and just outside, and are exact in float64 while every entry stays below 2^32.
+    scaled = 0
+    for k in PURE_EXPONENTS:
+        v_int = integer_pure_state(family, k)
+        v = np.array(v_int, dtype=float)
+        assert exact_bona_fide(v)
+        assert not exact_bona_fide(tm.partial_transpose(v))
+        if max(abs(x) for row in v_int for x in row) >= 2**32:
+            continue
+        for sign, physical in ((1, True), (-1, False)):
+            factor = 1.0 + sign * 2.0**-20
+            w = v * factor
+            assert all(Fraction(x) == Fraction(n) * Fraction(factor)
+                       for x, n in zip(w.flat, (n for row in v_int for n in row)))
+            assert exact_bona_fide(w) is physical
+        scaled += 1
+    assert scaled >= 10

@@ -173,14 +173,25 @@ def test_reduce_already_standard_is_fixed_point():
     assert_valid_reduction(v, params)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_round_trip_recovers_canonical_parameters(seed):
+# Ties and zeros of the canonical cell: (factor on c+, c-/c+).
+_TIES = {"tie_plus": (1.0, 1.0), "tie_minus": (1.0, -1.0), "zero": (0.0, 0.0)}
+
+
+@pytest.mark.parametrize("seed, tie", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in range(40)),
+    *(pytest.param(seed, tie, id=f"{tie}-{seed}") for tie in _TIES for seed in range(8)),
+])
+def test_round_trip_recovers_canonical_parameters(seed, tie):
     # Start from a known canonical cell, move it by a random local
     # symplectic, reduce, and demand the original parameters back.
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(1.0, 3.0, size=2)
     c_plus = rng.uniform(0.1, 2.0)
     c_minus = rng.uniform(-0.95, 0.95) * c_plus
+    if tie is not None:
+        factor, ratio = _TIES[tie]
+        c_plus *= factor
+        c_minus = ratio * c_plus
     v0 = tm.standard_form_matrix(a, b, c_plus, c_minus)
     v = tm.congruence(v0, random_local_symplectic(rng))
     params = tm.reduce_to_standard_form(v)
@@ -189,6 +200,59 @@ def test_round_trip_recovers_canonical_parameters(seed):
     assert params.c_plus == pytest.approx(c_plus, rel=1e-8, abs=1e-8)
     assert params.c_minus == pytest.approx(c_minus, rel=1e-8, abs=1e-8)
     assert_valid_reduction(v, params)
+
+
+@pytest.mark.parametrize("delta", [1e-12, 1e-11, 1e-10])
+@pytest.mark.parametrize("seed", range(10))
+def test_near_tie_keeps_the_sum_of_the_cross_parameters(seed, delta):
+    # c- = -c+ (1 + delta): a nearly two-mode squeezed state under local phase shifts. A and
+    # B stay scalar, so S_A = S_B = I and M keeps the rotation (a local squeeze would undo
+    # it). In the canonical cell c+ + c- = |z1|, tiny here but known to within rounding of
+    # the scale, so it must not be dropped as if it were zero.
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(1.0, 3.0, size=2)
+    c_plus = rng.uniform(0.1, 0.9) * min(a, b)
+    c_minus = -c_plus * (1.0 + delta)
+    phases = tm.direct_sum(tm.rotation(rng.uniform(0.0, 2.0 * np.pi)),
+                           tm.rotation(rng.uniform(0.0, 2.0 * np.pi)))
+    v = tm.congruence(tm.standard_form_matrix(a, b, c_plus, c_minus), phases)
+    params = tm.reduce_to_standard_form(v)
+    eps = np.finfo(float).eps
+    assert abs((params.c_plus + params.c_minus) - abs(c_plus + c_minus)) <= 16.0 * eps * c_plus
+    assert params.residual <= 16.0 * eps * np.abs(v).max()
+    assert params.c_plus >= 0.0 and params.c_plus >= abs(params.c_minus)
+    assert_valid_reduction(v, params)
+
+
+def _canonical_cell_inputs():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        yield random_block_positive(rng)
+    for ratio in (1.0, -1.0, 1.0 + 1e-15, -1.0 - 1e-15, -1.0 + 1e-15, 0.0):
+        for _ in range(100):
+            c_plus = rng.uniform(0.1, 1.0)
+            v0 = tm.standard_form_matrix(2.0, 1.5, c_plus, ratio * c_plus)
+            yield tm.congruence(v0, random_local_symplectic(rng))
+
+
+def test_canonical_cell_holds_exactly():
+    # c+ = (|z1| + |z2|)/2 >= ||z1| - |z2||/2 = |c-| holds in floats with no tolerance: the
+    # exact sum bounds the exact difference, and rounding is monotone.
+    for v in _canonical_cell_inputs():
+        params = tm.reduce_to_standard_form(v)
+        assert params.c_plus >= 0.0 and params.c_plus >= abs(params.c_minus)
+
+
+@pytest.mark.parametrize("signs", range(16))
+def test_signed_zero_c_block_keeps_the_identity(signs):
+    # A C block of +-0.0 entries: a -0.0 real part of z1 or z2 would have phase pi, and
+    # s_local would be a quarter turn instead of the identity that S_A (+) S_B already is.
+    v = np.eye(4)
+    for bit, (i, j) in enumerate(((0, 2), (0, 3), (1, 2), (1, 3))):
+        v[i, j] = v[j, i] = -0.0 if signs >> bit & 1 else 0.0
+    params = tm.reduce_to_standard_form(v)
+    np.testing.assert_array_equal(params.s_local, np.eye(4))
+    assert (params.c_plus, params.c_minus) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -115,6 +115,16 @@ def test_blocks_rejects_wrong_shape():
         tm.blocks(np.eye(6))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: tm.omega(0), tm.DimensionError),
+    (lambda: tm.squeeze(0.0), ValueError),
+    (lambda: tm.congruence(np.eye(4), np.eye(2)), tm.DimensionError),
+], ids=["omega-0-modes", "squeeze-0", "congruence-shapes"])
+def test_constructors_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_as_matrix_rejects_non_finite():
     bad = np.eye(4)
     bad[2, 2] = np.nan

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import twomode as tm
 from twomode import cli
 
-from .support import count_linalg, random_physical_cm, random_spd
+from .support import count_linalg, random_orthogonal, random_physical_cm, random_spd
 
 
 def decompose_quietly(v):
@@ -210,6 +210,34 @@ def test_williamson_single_mode_is_already_in_block_form(log_sigma, log_kappa, a
     np.testing.assert_allclose(dec.skew, tm.omega(1) / nu, rtol=1e-15, atol=0)
     np.testing.assert_allclose(dec.spectrum, tm.symplectic_spectrum_general(v), rtol=1e-8)
     assert_valid_decomposition(v, dec)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ill_conditioned_inputs_pass_the_cross_checks(n):
+    # Q diag(sigma, sigma/kappa, ...) Q^T at kappa = 3e8 ... 1e9: valid inputs on which
+    # eigvals(Omega V) and the eigenvectors of iX err by about eps * kappa, past 1e-8. The
+    # spectrum and orthogonality cross-checks must allow for that and not raise.
+    rng = np.random.default_rng(n)
+    eps, decomposed = np.finfo(float).eps, 0
+    for kappa in (3e8, 5e8, 7e8, 1e9):
+        for i in range(100):
+            sigma = 10.0 ** rng.uniform(-6.0, 6.0)
+            # Every other draw repeats the extreme pair, which strains R's orthogonality most.
+            inner = ([1.0, 1.0 / kappa] * (n - 1) if i % 2
+                     else 10.0 ** rng.uniform(-np.log10(kappa), 0.0, size=2 * n - 2))
+            q = random_orthogonal(rng, 2 * n)
+            v = (q * (sigma * np.array([1.0, 1.0 / kappa, *inner]))) @ q.T
+            v = (v + v.T) / 2.0
+            try:
+                dec = decompose_quietly(v)
+            except tm.NotPositiveDefinite:  # sigma/kappa at or below the positivity cut
+                continue
+            decomposed += 1
+            reference = tm.symplectic_spectrum_general(v)
+            assert np.abs(dec.spectrum - reference).max() <= 4.0 * eps * kappa * reference.max()
+            gram = dec.rotation @ dec.rotation.T - np.eye(2 * n)
+            assert np.abs(gram).max() <= 16.0 * eps * kappa
+    assert decomposed >= 200
 
 
 def test_williamson_mixing_family():
