@@ -9,7 +9,8 @@ combine into the global invariants
     Gamma_sep   = det A + det B + 2 |det C| = max(Delta, Delta~)
 
 and satisfy det V = det A det B + det C^2 - I4 for every symmetric V. The one
-test of V > 0, for the spectra and the routes alike, is ``_min_eig``.
+test of V > 0, for the spectra and the routes alike, is ``_min_eig``; that of a diagonal block
+is ``_block_min_eig``, and ``_single_mode`` its one Williamson transform S = sqrt(a) A^(-1/2).
 """
 from __future__ import annotations
 
@@ -168,12 +169,52 @@ def _min_eig(v: np.ndarray, scale: float, tol: Tolerance) -> tuple[float, float]
     return float(np.linalg.eigvalsh(v)[0]), tol._cut(scale)
 
 
-def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, float, int]:
-    """``_checked`` with the MAX_MODES cap; returns (v, scale, n)."""
-    v, _, scale, n = _checked(v, tol)
-    if n > MAX_MODES:
-        raise DimensionError(f"supported up to {MAX_MODES} modes, got {n}")
-    return v, scale, n
+def _min_eig_2x2(p: float, q: float, s: float) -> float:
+    """Smaller eigenvalue of the symmetric 2x2 [[p, q], [q, s]], closed form.
+
+    lambda_- = min(p, s) - (h - |d|) with d = (p - s)/2 and h = hypot(d, q);
+    h - |d| is taken as q^2 / (h + |d|), which does not cancel. Both terms are
+    at most max(|p|, |q|, |s|), so the error stays a few ulps of the block's
+    scale, and a diagonal block gives min(p, s) exactly. A result below the
+    normal range, where those ulps are coarse, is recomputed on a block below
+    1/2 scaled up by a power of two to unit size (exponent 0 there ends the
+    recursion); scaling a larger block down would round a subnormal entry.
+    """
+    d = (p - s) / 2.0
+    lam = min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
+    if abs(lam) < sys.float_info.min and (e := math.frexp(max(abs(p), abs(q), abs(s)))[1]) < 0:
+        return math.ldexp(_min_eig_2x2(math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(s, -e)), e)
+    return lam
+
+
+def _block_min_eig(rows: list, i: int, tol: Tolerance) -> tuple[float, float]:
+    """Smaller eigenvalue of V's diagonal block on rows and columns i, i + 1, and the cut that
+    it must exceed for the block to be positive definite."""
+    # The block's lower triangle, the one eigvalsh reads: V is symmetric only within tolerance.
+    return (_min_eig_2x2(rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]),
+            tol._cut(max(map(abs, rows[i][i:i + 2] + rows[i + 1][i:i + 2]))))
+
+
+def _single_mode(rows: list, i: int, min_eig: float) -> tuple[tuple, float]:
+    """The one single-mode Williamson transform of the positive definite block A, read as
+    ``_block_min_eig`` reads it, lambda_- = ``min_eig``: (S as a row-major 4-tuple, a). With
+    a = sqrt(lambda_+) sqrt(lambda_-) (no overflow), sqrt(A) = (A + a I)/sqrt(tr A + 2a), so the
+    symmetric S = sqrt(a) A^(-1/2) = (adj A + a I)/(sqrt(a) sqrt(tr A + 2a)) needs no angle."""
+    p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
+    big = max(p, s) + (min(p, s) - min_eig)  # min(p, s) - lambda_- = q^2/(h + |d|) >= 0
+    a = math.sqrt(big) * math.sqrt(min_eig)
+    # In exact halves and quarters: no sum exceeds max(p, s), so none overflows before lambda_+.
+    k = 1.0 / (math.sqrt(a) * math.sqrt(p / 4.0 + s / 4.0 + a / 2.0))
+    off = -q / 2.0 * k
+    return ((s / 2.0 + a / 2.0) * k, off, off, (p / 2.0 + a / 2.0) * k), a
+
+
+def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, list, float, int]:
+    """``_checked`` with the MAX_MODES cap; returns (v, rows, scale, n)."""
+    checked = _checked(v, tol)
+    if checked[3] > MAX_MODES:
+        raise DimensionError(f"supported up to {MAX_MODES} modes, got {checked[3]}")
+    return checked
 
 
 def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -183,7 +224,7 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     come in +-nu_k pairs; each adjacent pair of sorted moduli is collapsed to
     its mean. PairingError if a pair gap exceeds tolerance.
     """
-    v, scale, n = _validated_modes(v, tol)
+    v, _, scale, n = _validated_modes(v, tol)
     _require_positive_definite(*_min_eig(v, scale, tol))
     return np.array(_spectrum_general(v, n, tol))
 

@@ -27,12 +27,12 @@ the same entries plus its PPT condition, taking every tag from the same policy.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invariants import SymplecticSpectrum2, _evaluate, _min_eig, _spectrum_from_delta
+from .invariants import (SymplecticSpectrum2, _block_min_eig, _evaluate, _min_eig,
+                         _spectrum_from_delta)
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
 
 __all__ = [
@@ -143,32 +143,6 @@ def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
     conditions, spec = _global_report(*_evaluate(v, tol), tol)
     return _bona_fide_report("global", conditions, None if spec is None else spec.nu_minus)
-
-
-def _min_eig_2x2(p: float, q: float, s: float) -> float:
-    """Smaller eigenvalue of the symmetric 2x2 [[p, q], [q, s]], closed form.
-
-    lambda_- = min(p, s) - (h - |d|) with d = (p - s)/2 and h = hypot(d, q);
-    h - |d| is taken as q^2 / (h + |d|), which does not cancel. Both terms are
-    at most max(|p|, |q|, |s|), so the error stays a few ulps of the block's
-    scale, and a diagonal block gives min(p, s) exactly. A result below the
-    normal range, where those ulps are coarse, is recomputed on a block below
-    1/2 scaled up by a power of two to unit size (exponent 0 there ends the
-    recursion); scaling a larger block down would round a subnormal entry.
-    """
-    d = (p - s) / 2.0
-    lam = min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
-    if abs(lam) < sys.float_info.min and (e := math.frexp(max(abs(p), abs(q), abs(s)))[1]) < 0:
-        return math.ldexp(_min_eig_2x2(math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(s, -e)), e)
-    return lam
-
-
-def _block_min_eig(rows: list, i: int, tol: Tolerance) -> tuple[float, float]:
-    """Smaller eigenvalue of V's diagonal block on rows and columns i, i + 1, and the cut that
-    it must exceed for the block to be positive definite."""
-    # The block's lower triangle, the one eigvalsh reads: V is symmetric only within tolerance.
-    return (_min_eig_2x2(rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]),
-            tol._cut(max(map(abs, rows[i][i:i + 2] + rows[i + 1][i:i + 2]))))
 
 
 def _local_report(rows: list, inv: tuple, tol: Tolerance) -> dict[str, tuple[float, float]]:

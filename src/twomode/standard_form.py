@@ -9,10 +9,8 @@ congruent, under a block-diagonal local symplectic S_local = S_A (+) S_B, to
      [0, c-, 0, b]]
 
 with a^2 = det A, b^2 = det B, c+ c- = det C and (ab - c+^2)(ab - c-^2) = det V.
-The construction Williamson-diagonalizes each block [[p, q], [q, s]] in closed
-form from its eigenvalues lambda_+ >= lambda_-, lambda_- being the one block test
-``physicality._block_min_eig``: S = sqrt(a) diag(lambda_+, lambda_-)^(-1/2) R(phi)^T,
-phi = atan2(q, (p - s)/2)/2, a = sqrt(lambda_+) sqrt(lambda_-) (no overflow).
+Each block passes the one block test and takes the one single-mode Williamson transform, the
+symmetric S = sqrt(a) A^(-1/2) in closed form (``invariants._block_min_eig``, ``_single_mode``).
 
 The cross block M = S_A C S_B^T then acts on u = x + iy as M u = (z1 u + z2 conj(u))/2,
 with z1 = (m00 + m11) + i(m10 - m01) and z2 = (m00 - m11) + i(m01 + m10). A rotation
@@ -33,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockNotPositiveDefinite, InternalInconsistency
-from .physicality import _block_min_eig
+from .errors import BlockNotPositiveDefinite, InternalInconsistency, NumericalError
+from .invariants import _block_min_eig, _single_mode
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _require_positive_definite, symmetric_part
 
 __all__ = [
@@ -83,27 +81,13 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
                            ) -> tuple[np.ndarray, float]:
     """Symplectic s (det = 1) with s @ A @ s.T = a I, a = sqrt(det A).
 
-    For a single mode the Williamson transform is a rotation composed with a
-    squeeze along the principal axes. Returns (s, a); raises
+    s is the symmetric sqrt(a) A^(-1/2), in closed form. Returns (s, a); raises
     NotPositiveDefinite if A is not a positive definite 2x2 matrix.
     """
     rows = _checked(a_block, tol, 1, what="block")[1]
     min_eig = _require_positive_definite(*_block_min_eig(rows, 0, tol), what="block")
     (s00, s01, s10, s11), a = _single_mode(rows, 0, min_eig)
     return np.array([[s00, s01], [s10, s11]]), a
-
-
-def _single_mode(rows: list, i: int, min_eig: float) -> tuple[tuple, float]:
-    """``single_mode_williamson``'s core on the positive definite block of rows and columns i,
-    i + 1, read as ``_block_min_eig`` does, with lambda_- = ``min_eig``: (S as a 4-tuple, a)."""
-    p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
-    big = max(p, s) + (min(p, s) - min_eig)  # min(p, s) - lambda_- = q^2/(h + |d|) >= 0
-    a = math.sqrt(big) * math.sqrt(min_eig)
-    # Major axis (cos phi, sin phi); a scalar block has phi = 0, so S = I.
-    phi = math.atan2(q, (p - s) / 2.0) / 2.0
-    cos, sin = math.cos(phi), math.sin(phi)
-    k_big, k_small = math.sqrt(a / big), math.sqrt(a / min_eig)
-    return (k_big * cos, k_big * sin, -k_small * sin, k_small * cos), a
 
 
 def _product(x: tuple, y: tuple) -> tuple:
@@ -129,17 +113,24 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
     v, rows, scale, _ = _checked(v, tol, 2)
+    # Far above unit scale S V S^T and |z1| + |z2| overflow before a, b and c+- do. V/f, f = 4^j,
+    # has the same S and V's parameters over f, all exact; below 2^512, f = 1 and nothing moves.
+    f = 4.0 ** (max(0, math.frexp(scale)[1] - 511) // 2)
     # One closed form per block: the positivity check and the single-mode transform.
-    transforms = []
+    min_eigs = []
     for name, i in (("A", 0), ("B", 2)):
         min_eig, block_cut = _block_min_eig(rows, i, tol)
         if min_eig <= block_cut:
             raise BlockNotPositiveDefinite(
                 f"block {name} is not positive definite "
                 f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)
-        transforms.append(_single_mode(rows, i, min_eig))
-    (s_a, a), (s_b, b) = transforms
-    m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), (s_b[0], s_b[2], s_b[1], s_b[3]))
+        min_eigs.append(min_eig / f)
+    if f > 1.0:
+        v, scale = v / f, scale / f
+        rows = v.tolist()
+    (s_a, a), (s_b, b) = _single_mode(rows, 0, min_eigs[0]), _single_mode(rows, 2, min_eigs[1])
+    # S_B is symmetric, so M = S_A C S_B^T = S_A C S_B.
+    m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), s_b)
     cut = tol._cut(max(map(abs, m)))
     # Adding 0.0 makes a -0.0 real part +0.0, so a zero part has phase 0 rather than pi.
     z1 = complex(m[0] + m[3] + 0.0, m[2] - m[1])
@@ -150,8 +141,7 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     # Written so that NaN (from an overflow) fails each check instead of passing it.
     off = max(abs(c_diag[1]), abs(c_diag[2]))
     if not off <= 64.0 * cut:
-        raise InternalInconsistency(
-            f"off-diagonal residue {off:.3e} after angle selection")
+        raise InternalInconsistency(f"off-diagonal residue {off:.3e} after angle selection")
     c_plus, c_minus = (abs(z1) + abs(z2)) / 2.0, (abs(z1) - abs(z2)) / 2.0
 
     ra, rb = _product(_rotation(theta_a), s_a), _product(_rotation(theta_b), s_b)
@@ -160,7 +150,9 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     target = standard_form_matrix(a, b, c_plus, c_minus)
     residual = float(np.abs(symmetric_part(s_local @ v @ s_local.T) - target).max())
     if not residual <= 1e3 * tol._cut(max(scale, abs(a), abs(b), abs(c_plus), abs(c_minus))):
-        raise InternalInconsistency(
-            f"standard-form congruence residual {residual:.3e}")
+        raise InternalInconsistency(f"standard-form congruence residual {residual:.3e}")
+    a, b, c_plus, c_minus, residual = a * f, b * f, c_plus * f, c_minus * f, residual * f
+    if c_plus == math.inf:  # a, b <= max|v_ij| and |c-| <= c+
+        raise NumericalError("standard-form parameter c+ overflows float64")
     return StandardFormParams(a=a, b=b, c_plus=c_plus, c_minus=c_minus,
                               s_local=s_local, residual=residual)

@@ -122,7 +122,7 @@ def as_matrix(m) -> np.ndarray:
 
 
 def symmetric_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2
+    return (half := m * 0.5) + half.T  # halved first: exact above the subnormals, cannot overflow
 
 
 def _symmetric_scale(rows: list, flat: list, tol: Tolerance, what: str = "matrix") -> float:

@@ -18,16 +18,16 @@ calls: eigh of V (also the positivity check), eigh of iX, and the cross-checks
 det R = +1 and the spectrum from the independent route |eig(Omega V)|; O is
 checked to be orthogonal. Between them the pairing, singularity and degeneracy
 tests, nu = 1/a and the spectrum comparison run on Python floats, and O is one
-scaled copy of a real view of the eigenvectors of iX. eig(Omega V) and the eigenvectors
-of iX err by about eps * kappa, kappa = cond V from the eigh of V, so the spectrum and
-orthogonality allowances grow with kappa above their fixed floors.
+scaled copy of a real view of the eigenvectors of iX. eig(Omega V) errs by about
+eps * kappa, kappa = cond V from the eigh of V, and the eigenvectors of iX by about
+eps * a_max/a_min <= kappa (nu = 1/a lies between V's extreme eigenvalues), so the
+spectrum and orthogonality allowances grow with these above their fixed floors.
 
-One mode needs no eigenproblem of iX: every 2x2 antisymmetric matrix is a
-multiple of omega, so X = omega/nu is already in block form. nu = sqrt(det V)
-comes from the eigenvalues of the eigh of V, R = I and S = sqrt(nu) V^{-1/2},
-on Python floats; the spectrum is still checked against |eig(Omega V)|. That
-is two LAPACK calls, and nothing is left for the pairing, singularity,
-orthogonality and det R checks to test.
+One mode needs no eigenproblem: every 2x2 antisymmetric matrix is a multiple of
+omega, so X = omega/nu is already in block form and R = I. nu = sqrt(det V) and the
+symmetric S = sqrt(nu) V^(-1/2) are the standard form's own closed form,
+``invariants._single_mode``, on Python floats. Only |eig(Omega V)| is left, one
+LAPACK call, and nothing for the pairing, singularity, orthogonality and det R checks.
 
 S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
 = (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (DegeneracyWarning, InternalInconsistency, PairingError, SingularInput,
                      SymmetryError)
-from .invariants import _spectrum_general, _validated_modes
+from .invariants import _block_min_eig, _single_mode, _spectrum_general, _validated_modes
 from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form, _read,
                          _require_positive_definite, _symmetric_scale, as_matrix)
 
@@ -125,24 +125,21 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, n
     anti_residual = float(np.abs(xs + xs.T).max())
     cut = tol._cut(float(np.abs(xs).max()))
     if anti_residual > cut:
-        raise SymmetryError(
-            f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
+        raise SymmetryError(f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
     o, a_asc = _block_rotation(xs, n_modes, tol, cut)
     return o, np.array(a_asc)
 
 
-def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float, kappa: float = 1.0
+def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
                     ) -> tuple[np.ndarray, list]:
-    """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list. xs
-    built from a V of condition number kappa is off by about eps * kappa, and so is o's Gram."""
+    """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = np.linalg.eigh(1j * xs)
     ev = evals.tolist()
     neg, pos = ev[:n_modes], ev[n_modes:]
     band = tol.band(*map(abs, ev))
     if max(abs(x + y) for x, y in zip(neg[::-1], pos)) > 16.0 * band:
-        raise PairingError(
-            f"eigenvalues do not split into conjugate pairs: {evals}")
+        raise PairingError(f"eigenvalues do not split into conjugate pairs: {evals}")
     a_asc = [-x for x in neg[::-1]]  # ascending since eigh sorts ascending
     if a_asc[0] <= cut:
         raise SingularInput(
@@ -157,34 +154,30 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float, ka
     gram = o @ o.T
     gram.flat[::dim + 1] -= 1.0
     ortho_residual = float(np.abs(gram).max())
-    if ortho_residual > max(10.0 * tol.band(1.0), 16.0 * _EPS * kappa):
+    # iX's eigenvectors and o's Gram err by about eps * a_max/a_min, at most cond V for X from V.
+    if ortho_residual > max(10.0 * tol.band(1.0), 16.0 * _EPS * a_asc[-1] / a_asc[0]):
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
     return o, a_asc
 
 
-def _one_mode(v: np.ndarray, cut: float
+def _one_mode(rows: list, tol: Tolerance
               ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
-    """One mode from eigh(V) alone, X = omega/nu being in block form: (nu as a list, R = I,
-    R V^(-1/2), X, kappa) with nu = sqrt(lambda_-) sqrt(lambda_+), V^(-1/2) exactly symmetric."""
-    evals, q = np.linalg.eigh(v)
-    (lo, hi), ((q00, q01), (q10, q11)) = evals.tolist(), q.tolist()
-    _require_positive_definite(lo, cut)
-    nu = math.sqrt(lo) * math.sqrt(hi)
-    d0, d1 = 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)
-    m01 = q00 * q10 * d0 + q01 * q11 * d1
-    inv_root = np.array([[q00 * q00 * d0 + q01 * q01 * d1, m01],
-                         [m01, q10 * q10 * d0 + q11 * q11 * d1]])
-    return [nu], np.eye(2), inv_root, np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]]), hi / lo
+    """One mode in closed form, X = omega/nu being in block form: (nu as a list, R = I,
+    S = sqrt(nu) V^(-1/2) from ``_single_mode``, X, kappa = lambda_+/lambda_- = (nu/lambda_-)^2)."""
+    min_eig = _require_positive_definite(*_block_min_eig(rows, 0, tol))
+    (s00, s01, s10, s11), nu = _single_mode(rows, 0, min_eig)
+    return ([nu], np.eye(2), np.array([[s00, s01], [s10, s11]]),
+            np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]]), (nu / min_eig) ** 2)
 
 
 def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float
                 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Two or more modes, through the eigenvectors of iX: (nu, R, R V^(-1/2), X, kappa)."""
+    """Two or more modes, through the eigenvectors of iX: (nu, R, S, X, kappa)."""
     inv_root, kappa = _inv_sqrt(v, cut)
     skew = _skew_kernel(inv_root, n_modes)
     # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
-    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()), kappa)
+    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
 
     # Ascending nu = 1/a means descending a: reverse the order of the 2-row
     # blocks (an even permutation, hence still a proper rotation).
@@ -192,7 +185,8 @@ def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float
     det_r = float(np.linalg.det(r))
     if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
         raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
-    return [1.0 / a for a in reversed(a_asc)], r, r @ inv_root, skew, kappa
+    nu = [1.0 / a for a in reversed(a_asc)]
+    return nu, r, np.sqrt(np.array(nu).repeat(2))[:, None] * (r @ inv_root), skew, kappa
 
 
 def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposition:
@@ -203,13 +197,10 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     DegeneracyWarning (and flags the result) when two symplectic eigenvalues
     coincide within tolerance; the decomposition itself remains valid.
     """
-    v, scale, n_modes = _validated_modes(v, tol)
-    cut = tol._cut(scale)
-    nu, r, r_root, skew, kappa = (_one_mode(v, cut) if n_modes == 1
-                                  else _many_modes(v, n_modes, tol, cut))
+    v, rows, scale, n_modes = _validated_modes(v, tol)
+    nu, r, s, skew, kappa = (_one_mode(rows, tol) if n_modes == 1
+                             else _many_modes(v, n_modes, tol, tol._cut(scale)))
     nus = np.array(nu)
-    nu_pairs = nus.repeat(2)
-    s = np.sqrt(nu_pairs)[:, None] * r_root
     reference = _spectrum_general(v, n_modes, tol)
     # eigvals(Omega V) errs by about eps * kappa relative, kappa = cond V: so does the allowance.
     allowance = max(1e-8, 4.0 * _EPS * kappa) * max(reference)
@@ -225,5 +216,5 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
             "symplectic spectrum is degenerate within tolerance; the "
             "decomposition is valid but the rotation is not unique"),
             stacklevel=2)
-    return WilliamsonDecomposition(normal_form=np.diag(nu_pairs), transform=s, rotation=r,
+    return WilliamsonDecomposition(normal_form=np.diag(nus.repeat(2)), transform=s, rotation=r,
                                    skew=skew, spectrum=nus, degenerate=degenerate)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
-from twomode.physicality import _min_eig_2x2
+from twomode.invariants import _min_eig_2x2
 
 from .support import exact_bona_fide, random_physical_cm, random_symmetric
 

@@ -83,7 +83,8 @@ def _raised(fn, m, error):
        st.one_of(st.just(0.0), st.floats(-np.pi, np.pi)))
 def test_block_positivity_is_one_test(log_big, factor, angle):
     # R diag(big, small) R^T with small near the block cut abs + rel * big: the single-mode
-    # transform and the standard form's block A decide it alike and report the same min_eig.
+    # transform, the standard form's block A and a one-mode Williamson decomposition decide it
+    # alike and report the same min_eig; where they decompose, nu is a bit for bit.
     tol = tm.DEFAULT_TOL
     big = 10.0**log_big
     small = factor * (tol.abs + tol.rel * big)
@@ -94,10 +95,14 @@ def test_block_positivity_is_one_test(log_big, factor, angle):
     v = np.zeros((4, 4))
     v[:2, :2], v[2:, 2:] = a, np.eye(2)
     reduced = _raised(tm.reduce_to_standard_form, v, tm.BlockNotPositiveDefinite)
-    assert (single is None) == (reduced is None)
+    williamson = _raised(tm.williamson_decompose, a, tm.NotPositiveDefinite)
+    assert (single is None) == (reduced is None) == (williamson is None)
     if reduced is not None:
         assert reduced.block == "A"
-        assert repr(single.min_eig) == repr(reduced.min_eig)
+        assert repr(single.min_eig) == repr(reduced.min_eig) == repr(williamson.min_eig)
+    else:
+        (nu,) = tm.williamson_decompose(a).spectrum
+        assert nu == tm.single_mode_williamson(a)[1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -294,7 +299,7 @@ def test_reduction_preserves_spectra_when_positive(seed):
     assert after.nu_plus == pytest.approx(before.nu_plus, rel=1e-8, abs=1e-9)
 
 
-@pytest.mark.parametrize("c", [1e150, 1e160, 1e200, 1e300])
+@pytest.mark.parametrize("c", [1e150, 1e160, 1e200, 1e300, 4e307, 5e307])
 def test_reduction_far_from_unit_scale_stays_finite(c):
     # Block eigenvalues past ~1e154 overflowed a = sqrt(lambda_+ lambda_-) to
     # inf, and the NaN that followed passed every check.
@@ -308,6 +313,14 @@ def test_reduction_far_from_unit_scale_stays_finite(c):
     s, a = tm.single_mode_williamson(v[:2, :2])
     assert a / c == pytest.approx(2.5, abs=1e-12)
     assert np.isfinite(s).all()
+
+
+def test_reduction_reports_a_c_plus_beyond_float64():
+    # A = B = diag(1e300, 1e300/16) give S_A = S_B = diag(1/2, 2), so C = diag(0, 1e308) has
+    # c+ = 4e308: a and b are finite and c+ is not, a NumericalError raised with no warning.
+    block, cross = np.diag([1e300, 1e300 / 16.0]), np.diag([0.0, 1e308])
+    with pytest.raises(tm.NumericalError, match=r"c\+ overflows float64"):
+        tm.reduce_to_standard_form(np.block([[block, cross], [cross, block]]))
 
 
 def test_reduction_rejects_a_nan_residual(monkeypatch):

@@ -2,6 +2,7 @@
 import json
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,16 @@ def test_williamson_vacuum_is_degenerate_identity():
     assert_valid_decomposition(np.eye(4), dec)
 
 
+def reference_transform(v):
+    """(sqrt(nu) V^(-1/2), cond V) of a positive definite 2x2 at 50 digits, nu = sqrt(det V),
+    from mpmath's symmetric eigensolver."""
+    with mpmath.workdps(50):
+        evals, q = mpmath.eigsy(mpmath.matrix(v.tolist()))
+        nu = mpmath.sqrt(evals[0] * evals[1])
+        root = q * mpmath.diag([mpmath.sqrt(nu / e) for e in evals]) * q.T
+        return np.array(root.tolist(), dtype=float), float(max(evals) / min(evals))
+
+
 def test_williamson_single_mode_squeezed():
     v = np.diag([4.0, 1.0])
     dec = tm.williamson_decompose(v)
@@ -191,7 +202,8 @@ def test_williamson_single_mode_squeezed():
 def test_williamson_single_mode_is_already_in_block_form(log_sigma, log_kappa, angle):
     # R(angle) diag(sigma, sigma/kappa) R(angle)^T. Every 2x2 antisymmetric
     # matrix is a multiple of omega, so X = omega/nu needs no rotation: R = I
-    # and S = sqrt(nu) V^(-1/2).
+    # and S = sqrt(nu) V^(-1/2). Float routes to S err by about eps * kappa,
+    # so S is held to a 50-digit reference within that.
     sigma = 10.0**log_sigma
     rot = tm.rotation(angle)
     v = rot @ np.diag([sigma, sigma / 10.0**log_kappa]) @ rot.T
@@ -204,9 +216,9 @@ def test_williamson_single_mode_is_already_in_block_form(log_sigma, log_kappa, a
     (nu,) = dec.spectrum
     np.testing.assert_array_equal(dec.rotation, np.eye(2))
     np.testing.assert_array_equal(dec.transform, dec.transform.T)
-    expected = np.sqrt(nu) * tm.inv_sqrt(v)
+    expected, kappa = reference_transform(v)
     np.testing.assert_allclose(dec.transform, expected, rtol=0,
-                               atol=1e-13 * np.abs(expected).max())
+                               atol=4 * np.finfo(float).eps * kappa * np.abs(expected).max())
     np.testing.assert_allclose(dec.skew, tm.omega(1) / nu, rtol=1e-15, atol=0)
     np.testing.assert_allclose(dec.spectrum, tm.symplectic_spectrum_general(v), rtol=1e-8)
     assert_valid_decomposition(v, dec)
@@ -238,6 +250,27 @@ def test_ill_conditioned_inputs_pass_the_cross_checks(n):
             gram = dec.rotation @ dec.rotation.T - np.eye(2 * n)
             assert np.abs(gram).max() <= 16.0 * eps * kappa
     assert decomposed >= 200
+
+
+def test_bare_skew_rotation_takes_every_x_that_williamson_decomposes():
+    # Q diag(sigma, sigma/kappa, sigma, sigma/kappa) Q^T at kappa = 3e8. The eigenvectors of iX
+    # err by about eps * a_max/a_min, which is at most cond V, so build_x's X must pass the
+    # orthogonality check of skew_block_rotation wherever the decomposition of V passes it.
+    rng = np.random.default_rng(19)
+    kappa, decomposed = 3e8, 0
+    for _ in range(200):
+        sigma = 10.0 ** rng.uniform(-6.0, 6.0)
+        q = random_orthogonal(rng, 4)
+        v = (q * (sigma * np.array([1.0, 1.0 / kappa, 1.0, 1.0 / kappa]))) @ q.T
+        v = (v + v.T) / 2.0
+        try:
+            dec = decompose_quietly(v)
+        except tm.NotPositiveDefinite:  # sigma/kappa at or below the positivity cut
+            continue
+        decomposed += 1
+        _, a = tm.skew_block_rotation(tm.build_x(v))
+        np.testing.assert_allclose(a, 1.0 / dec.spectrum[::-1], rtol=1e-6)
+    assert decomposed >= 100
 
 
 def test_williamson_mixing_family():
@@ -394,8 +427,8 @@ def test_empty_matrix_is_a_dimension_error(fn):
 def test_each_normal_form_factors_the_matrix_once(monkeypatch):
     # Williamson: eigh(V) is both V^(-1/2) and the positivity check, then
     # eigh(iX) and the two cross-checks det R and eigvals(Omega V). One mode
-    # needs neither eigh(iX) nor det R: eigh(V) gives nu = sqrt(det V) and
-    # R = I, and eigvals(Omega V) still checks the spectrum. The standard
+    # needs no eigh: the closed form of the block gives nu = sqrt(det V), R = I
+    # and S, and eigvals(Omega V) still checks the spectrum. The standard
     # form: closed forms on each diagonal block, no LAPACK call.
     counts = count_linalg(monkeypatch, "eigh", "eigvals", "det", "eigvalsh")
     v = tm.random_physical(3)
@@ -404,7 +437,7 @@ def test_each_normal_form_factors_the_matrix_once(monkeypatch):
     assert counts == {"eigh": 2, "eigvals": 1}
     counts.clear()
     tm.williamson_decompose(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    assert counts == {"eigh": 1, "eigvals": 1}
+    assert counts == {"eigvals": 1}
     counts.clear()
     tm.reduce_to_standard_form(v)
     assert counts == {}
