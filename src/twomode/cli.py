@@ -173,7 +173,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _evaluation(v, tol: Tolerance):
     """The global route, its invariants' fields and its four spectra, None unless V > 0."""
-    inv, _, spec, ppt = route = _global_route(v, tol)
+    inv, _, spec, ppt, _ = route = _global_route(v, tol)
     nus = (None,) * 4 if spec is None else (spec.nu_minus, spec.nu_plus, ppt.nu_minus, ppt.nu_plus)
     return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, nus))
 

@@ -8,9 +8,12 @@ combine into the global invariants
     Delta~      = det A + det B - 2 det C   (partial transpose)
     Gamma_sep   = det A + det B + 2 |det C| = max(Delta, Delta~)
 
-and satisfy det V = det A det B + det C^2 - I4 for every symmetric V. The one
-test of V > 0, for the spectra and the routes alike, is ``_min_eig``; that of a diagonal block
-is ``_block_min_eig``, and ``_single_mode`` its one Williamson transform S = sqrt(a) A^(-1/2).
+and satisfy det V = det A det B + det C^2 - I4 for every symmetric V. ``_evaluate`` forms them
+with no LAPACK call and decides V > 0 for the spectra and the routes alike by Sylvester's
+leading minors; a float sign or det V decision too close to its static error bound is taken on
+Python ints instead (filtered exact predicates, Shewchuk, DCG 18 (1997)). The one test of a
+diagonal block is ``_block_min_eig``, and ``_single_mode`` its one Williamson transform
+S = sqrt(a) A^(-1/2); ``_min_eig`` is the eigenvalue cut of matrices of any size.
 """
 from __future__ import annotations
 
@@ -48,9 +51,13 @@ __all__ = [
 # The det V identity holds for every symmetric 4x4, so a violation beyond
 # this (relative) band means the determinant or trace arithmetic went wrong.
 _IDENTITY_BAND = 1e-8
-# Hadamard: |det V| <= prod ||row_i||_2 <= 16 scale^4, and pivoted LU entries stay within 8 scale,
-# so below this scale det V sets no overflow/invalid flag (2x spare: numpy's det is exp(log|det|)).
-_DET_SAFE_SCALE = (sys.float_info.max / 32.0) ** 0.25
+_U = sys.float_info.epsilon / 2.0  # unit roundoff
+# Static error bounds (Higham, ch. 3): n terms, each a product of m entries at most s = max |v_ij|
+# that passes k roundings, err by n gamma_k s^m, gamma_k = k u / (1 - k u). det A: n, k = 2, 2;
+# the leading 3x3 minor D3: 6, 5; det V: 24, 8. 1% more covers underflow for s >= 2^-240.
+_ERR_A, _ERR_3, _ERR_V, _GAMMA_2, _GAMMA_4 = (n * k * _U / (1.0 - k * _U) for n, k in (
+    (2.02, 2), (6.06, 5), (24.24, 8), (1.0, 2), (1.0, 4)))
+_FILTER_MIN_SCALE = 2.0**-240
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,21 +90,77 @@ def _w_product(x: tuple, y: tuple) -> tuple:
             x10 * y10 - x11 * y00, x10 * y11 - x11 * y01)
 
 
+def _minors(rows) -> tuple:
+    """det A, det B, det C, the leading 3x3 minor D3 and det V of a 4x4, with +, - and * alone,
+    so that floats and Python ints share the formula. det V is the Laplace expansion over the 2x2
+    minors s_jk of rows (0, 1) and their complements t_jk in rows (2, 3); D3 expands row 2."""
+    (r00, r01, r02, r03), (r10, r11, r12, r13), (r20, r21, r22, r23), (r30, r31, r32, r33) = rows
+    s01, s02, s03 = r00 * r11 - r01 * r10, r00 * r12 - r02 * r10, r00 * r13 - r03 * r10
+    s12, s13, s23 = r01 * r12 - r02 * r11, r01 * r13 - r03 * r11, r02 * r13 - r03 * r12
+    t01, t02, t03 = r20 * r31 - r21 * r30, r20 * r32 - r22 * r30, r20 * r33 - r23 * r30
+    t12, t13, t23 = r21 * r32 - r22 * r31, r21 * r33 - r23 * r31, r22 * r33 - r23 * r32
+    return (s01, t23, s23, r20 * s12 - r21 * s02 + r22 * s01,
+            s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01)
+
+
+def _exact(rows: list) -> tuple[float, float, float, float]:
+    """(det V, the min_eig_V margin, Delta, Delta~), each rounded once from Python ints: the
+    entries are n_ij / 2^k exactly. NumericalError when det V or Delta is past float64."""
+    ratios = [x.as_integer_ratio() for row in rows for x in row]
+    k = max(d.bit_length() for _, d in ratios) - 1  # every denominator is a power of two
+    m = [[n << (k + 1 - d.bit_length()) for n, d in ratios[i:i + 4]] for i in (0, 4, 8, 12)]
+    det_a, det_b, det_c, d3, det_v = _minors(m)
+    margin, prev = math.inf, 1  # the pivots D_j / D_(j-1) up to the first that is not > 0
+    for d in (m[0][0], det_a, d3, det_v):
+        try:
+            p = d / (prev << k) or math.ulp(0.0) * (d > 0)  # an underflow keeps its sign
+        except OverflowError:  # a ratio past float64
+            p = math.copysign(math.inf, d)
+        margin, prev = min(margin, p), d
+        if not d > 0:
+            break
+    try:
+        return (det_v / (1 << 4 * k), margin,
+                *((det_a + det_b + sign * 2 * det_c) / (1 << 2 * k) for sign in (1, -1)))
+    except OverflowError:
+        raise NumericalError("invariants overflow float64: det V or Delta is too large") from None
+
+
 def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, ...]]:
-    """Validate ``v`` and compute its invariants, the one path: (v, rows, scale, invariants), the
-    invariants as floats in ``TwoModeInvariants`` field order; only public calls build records."""
+    """Validate ``v`` and compute its invariants, the one path: (v, rows, the min_eig_V margin,
+    invariants), the invariants as floats in ``TwoModeInvariants`` field order; only public calls
+    build records. The margin is the smallest LDL^T pivot D_j / D_(j-1) of the leading minors
+    v_00, det A, D3 and det V up to the first that is not > 0: it has lambda_min(V)'s sign
+    (Sylvester), and on a diagonal V with at most one entry <= 0 it is lambda_min."""
     v, rows, scale, _ = _checked(v, tol, 2)
+    det_a, det_b, det_c, d3, det_v = _minors(rows)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
-    det_a, det_b, det_c = a00 * a11 - a01 * a10, b00 * b11 - b01 * b10, c00 * c11 - c01 * c10
-    if scale < _DET_SAFE_SCALE:
-        det_v = float(np.linalg.det(v))
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises NumericalError below
-            det_v = float(np.linalg.det(v))
     # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
     r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
                               (b00, b01, b10, b11)), (c00, c10, c01, c11))
     i4 = r[2] - r[1]
+    delta, delta_tilde = det_a + det_b + 2 * det_c, det_a + det_b - 2 * det_c
+    # The float minors decide where they clear their static bounds: each sign Sylvester reads,
+    # and each det V entry (det V >= 1, Delta and Delta~ <= 1 + det V) against both edges of its
+    # band. Otherwise det V, the margin, Delta and Delta~ are exact. NaN and inf fail each test.
+    # Each band lies between tol._cut(1) and tol._cut(total), total >= every number it reads.
+    s2, top = scale * scale, 1.0 + det_v
+    total = 1.0 + abs(det_v) + abs(delta) + abs(delta_tilde)
+    err_a, err_3, err_v = ((_ERR_A * s2, _ERR_3 * s2 * scale, _ERR_V * s2 * s2)
+                           if scale >= _FILTER_MIN_SCALE else (math.inf,) * 3)
+    near = 2.0 * err_v + 8.0 * _U * total
+    low, high = tol._cut(1.0) - near, tol._cut(total) + near
+    m1, m2, m3 = abs(det_v - 1.0), abs(top - delta), abs(top - delta_tilde)
+    if ((a00 <= 0.0 or abs(det_a) > err_a and (det_a < 0.0 or abs(d3) > err_3))
+            and abs(det_v) > near and (m1 > high or m1 < low) and (m2 > high or m2 < low)
+            and (m3 > high or m3 < low)):
+        # No pivot underflows: each certified |D_j| clears its bound, s >= 2^-240. One that
+        # overflows is infinite, with its sign.
+        pivot = (a00 if a00 <= 0.0 else min(a00, det_a / a00) if det_a < 0.0
+                 else min(a00, det_a / a00, d3 / det_a) if d3 < 0.0
+                 else min(a00, det_a / a00, d3 / det_a, det_v / d3))
+    else:
+        det_v, pivot, delta, delta_tilde = _exact(rows)
     residual = det_v - (det_a * det_b + det_c * det_c - i4)
     magnitude = 1.0 + abs(det_a * det_b) + det_c * det_c + abs(i4) + abs(det_v)
     if not math.isfinite(magnitude):
@@ -105,8 +168,9 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
     if abs(residual) > _IDENTITY_BAND * magnitude:
         raise InternalInconsistency(
             f"det V identity violated: residual {residual:.3e} at scale {magnitude:.3e}")
-    return v, rows, scale, (det_a, det_b, det_c, det_v, i4, det_a + det_b + 2 * det_c,
-                            det_a + det_b - 2 * det_c, det_a + det_b + 2 * abs(det_c))
+    # Gamma = det A + det B + 2 |det C| = max(Delta, Delta~).
+    return v, rows, pivot, (det_a, det_b, det_c, det_v, i4, delta, delta_tilde,
+                            max(delta, delta_tilde))
 
 
 def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
@@ -114,11 +178,42 @@ def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
 
     det A, det B, det C and I4 are closed-form products of the block
     entries; I4 is evaluated from its trace definition, independently of
-    the determinants, and det V by LU factorization. The identity
-    det V = det A det B + det C^2 - I4 is then asserted as a free self-test
-    (InternalInconsistency on failure).
+    the determinants, and det V by its Laplace expansion over 2x2 minors,
+    exact on Python ints wherever its float value is too close to a
+    threshold to be trusted. The identity det V = det A det B + det C^2 - I4
+    is then asserted as a free self-test (InternalInconsistency on failure).
     """
     return TwoModeInvariants(*_evaluate(v, tol)[3])
+
+
+def _rounding(rows: list, det_v: float) -> tuple[float, float]:
+    """Error bounds of ``_evaluate``'s Delta (Delta~ has the same terms), gamma_4 sum |terms|, and
+    of ``det_v``, its distance from the exact det V of the rows plus one rounding."""
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
+    exact = _exact(rows)[0]
+    terms = (abs(a00 * a11) + abs(a01 * a10) + abs(b00 * b11) + abs(b01 * b10)
+             + 2.0 * (abs(c00 * c11) + abs(c01 * c10)))
+    return _GAMMA_4 * terms, abs(det_v - exact) + math.ulp(exact)
+
+
+def _nu_minus_allowance(rows: list, delta: float, det_v: float, delta_band: float,
+                        det_band: float) -> float:
+    """How far nu_- (nu~_- for Delta~) from ``_spectrum_from_delta`` can lie from the side of 1
+    that the determinant form took, within delta_band on Delta and det_band on det V. nu_- falls
+    with Delta and rises with det V, so its range over Delta and det V moved by those bands plus
+    their rounding bounds (the radicand's own folded into det V's) spans two corners."""
+    d_delta, d_det = _rounding(rows, det_v)
+    d_delta += delta_band
+    d_det += det_band + _GAMMA_2 * (delta * delta / 4.0 + abs(det_v))
+    lo, nu, hi = (_vieta_nu_minus(x, d) for x, d in (
+        (delta + d_delta, det_v - d_det), (delta, det_v), (delta - d_delta, det_v + d_det)))
+    return max(nu - lo, hi - nu) + 8.0 * _U * (1.0 + nu)
+
+
+def _vieta_nu_minus(delta: float, det_v: float) -> float:
+    """nu_- as ``_spectrum_from_delta`` forms it, without its checks; inf where nu_+^2 <= 0."""
+    plus = (delta + math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))) / 2.0
+    return math.sqrt(max(det_v / plus, 0.0)) if plus > 0.0 else math.inf
 
 
 def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
@@ -126,16 +221,13 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
     # nu_-^2, nu_+^2 are the roots of z^2 - Delta z + det V = 0. The small root comes from
     # Vieta, nu_-^2 = det V / nu_+^2: (Delta - sqrt(radicand))/2 cancels for squeezed states.
     rad, band = tol._at_most(4.0 * det_v, delta * delta)
+    # For V > 0, given by its rows, rad = (nu_+^2 - nu_-^2)^2 >= 0: it is clamped unless its
+    # largest value with Delta (or Delta~) and det V moved by their rounding bounds stays < 0.
     if rad < -band:
-        # For V > 0, given by its rows, rad = (nu_+^2 - nu_-^2)^2 >= 0, so it is clamped within
-        # its rounding bound eps (2 |Delta| sum |terms of Delta| + 4 sum |v_ij cof_ij|), cof =
-        # det V V^-T. Each term of Delta or Delta~ is v_ij v_kl, (k, l) = (i ^ 1, j ^ 1), so
-        # sum |v| * |v|[f][:, f] = 2 sum |terms of Delta|.
-        v, f = np.abs(rows), [1, 0, 3, 2]
-        cofactors = abs(det_v) * float((v * np.abs(np.linalg.inv(rows)).T).sum())
-        if -rad > math.ulp(1.0) * (abs(delta) * float((v * v[f][:, f]).sum()) + 4.0 * cofactors):
-            raise NumericalError(
-                f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
+        d_delta, d_det = _rounding(rows, det_v)
+        top, low = (abs(delta) + d_delta) * (abs(delta) + d_delta), 4.0 * (det_v - d_det)
+        if top - low < -_GAMMA_4 * (top + abs(low)):
+            raise NumericalError(f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
     root = math.sqrt(max(rad, 0.0))
     plus = (delta + root) / 2.0
     minus = det_v / plus if plus > 0.0 else (delta - root) / 2.0
@@ -146,16 +238,24 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
                                nu_plus=math.sqrt(max(plus, 0.0)))
 
 
+def _require_sylvester(v: np.ndarray, pivot: float) -> None:
+    """Raise NotPositiveDefinite, carrying V's smallest eigenvalue, unless the min_eig_V margin
+    (Sylvester's minors, from ``_evaluate``) says V > 0; only this raise path calls LAPACK."""
+    if not pivot > 0.0:
+        _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), math.inf)
+
+
 def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     """Two-mode symplectic spectrum: nu_+^2 = (Delta + sqrt(Delta^2 - 4 det V))/2
     and nu_-^2 = det V / nu_+^2.
 
     Requires positive definite input (the closed form presumes a Williamson
-    decomposition exists). The radicand is clamped to 0 when within tolerance or
-    its rounding bound (degenerate spectrum); larger violations raise NumericalError.
+    decomposition exists), decided by Sylvester's leading minors. The radicand is
+    clamped to 0 when within tolerance or its rounding bound (degenerate spectrum);
+    larger violations raise NumericalError.
     """
-    v, rows, scale, (_, _, _, det_v, _, delta, _, _) = _evaluate(v, tol)
-    _require_positive_definite(*_min_eig(v, scale, tol))
+    v, rows, pivot, (_, _, _, det_v, _, delta, _, _) = _evaluate(v, tol)
+    _require_sylvester(v, pivot)
     return _spectrum_from_delta(delta, det_v, tol, rows)
 
 
@@ -187,12 +287,21 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     return lam
 
 
-def _block_min_eig(rows: list, i: int, tol: Tolerance) -> tuple[float, float]:
-    """Smaller eigenvalue of V's diagonal block on rows and columns i, i + 1, and the cut that
-    it must exceed for the block to be positive definite."""
-    # The block's lower triangle, the one eigvalsh reads: V is symmetric only within tolerance.
-    return (_min_eig_2x2(rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]),
-            tol._cut(max(map(abs, rows[i][i:i + 2] + rows[i + 1][i:i + 2]))))
+def _block_min_eig(rows: list, i: int) -> tuple[float, float]:
+    """The strict positivity entry (lambda_-, 0.0) of V's diagonal block [[p, q], [q, s]] on rows
+    and columns i, i + 1, its lower triangle (V is symmetric only within tolerance): it is > 0 iff
+    p > 0 and det = ps - q^2 > 0, from the float det where it clears gamma_2 (|ps| + q^2) and
+    exactly otherwise. lambda_- is the closed form, or det/(p + s) where that has the other sign."""
+    p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
+    lam, ps, qq = _min_eig_2x2(p, q, s), p * s, q * q
+    det = ps - qq
+    if not abs(det) > _ERR_A / 2.0 * (abs(ps) + qq) + math.ulp(0.0):  # ulp(0): two underflows
+        from fractions import Fraction  # only for blocks that float64 cannot decide
+        det = Fraction(p) * Fraction(s) - Fraction(q) ** 2
+    positive = p > 0.0 and det > 0
+    if (lam > 0.0) != positive:  # p + s > 0 here
+        lam = float(det / (p + s)) or math.ulp(0.0) * positive
+    return lam, 0.0
 
 
 def _single_mode(rows: list, i: int, min_eig: float) -> tuple[tuple, float]:
@@ -222,10 +331,11 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Computed as the absolute values of the eigenvalues of i Omega V, which
     come in +-nu_k pairs; each adjacent pair of sorted moduli is collapsed to
-    its mean. PairingError if a pair gap exceeds tolerance.
+    its mean. PairingError if a pair gap exceeds tolerance. One mode takes the
+    block test that one-mode Williamson shares, more modes the eigenvalue cut.
     """
-    v, _, scale, n = _validated_modes(v, tol)
-    _require_positive_definite(*_min_eig(v, scale, tol))
+    v, rows, scale, n = _validated_modes(v, tol)
+    _require_positive_definite(*(_block_min_eig(rows, 0) if n == 1 else _min_eig(v, scale, tol)))
     return np.array(_spectrum_general(v, n, tol))
 
 

@@ -9,16 +9,17 @@ Three independent routes are provided and must agree:
   2 sqrt(det A det B) + det C^2 <= det V + det A det B,
   evaluated directly on the blocks, never via the standard-form reduction.
 
-Each call validates V and computes the raw invariants once, as plain floats;
-each route's core then evaluates its own inequalities into one dict of
-conditions and builds no record: the global one with ``invariants._min_eig`` and
+Each call validates V and computes the raw invariants once, as plain floats,
+with V > 0 by Sylvester's minors and det V certified: neither route calls LAPACK.
+Each route's core then evaluates its own inequalities into one dict of
+conditions and builds no record: the global one with that Sylvester margin and
 nu_-^2 = det V / nu_+^2 (Vieta form), the local one with ``_block_min_eig``, and
 each entry lhs <= rhs from ``Tolerance._at_most``, the one home of each test.
 
 Verdict policy, implemented once by ``_verdict``: each route builds one
 ordered dict of its conditions, each key mapped to its ``(margin, band)``
 entry in checking order. Inequality margins are inclusive (>= -band); strict
-positive definiteness (the ``min_eig_*`` margins) uses > +band, and a margin
+positive definiteness (the ``min_eig_*`` margins, band 0) uses > +band, and a margin
 within its band of 0 flags the report as borderline. It runs once per public
 call and returns the first failed key with the margins: ``check_*`` over the
 bona fide conditions, each classifier in ``separability`` over a new dict of
@@ -127,21 +128,21 @@ def _bona_fide_report(route: str, conditions: dict[str, tuple[float, float]],
     return BonaFideReport(failed is None, route, margins, nu_minus, borderline)
 
 
-def _global_report(v: np.ndarray, rows: list, scale: float, inv: tuple, tol: Tolerance
+def _global_report(rows: list, pivot: float, inv: tuple, tol: Tolerance
                    ) -> tuple[dict[str, tuple[float, float]], SymplecticSpectrum2 | None]:
-    """Body of ``check_global`` on a validated matrix, rows, scale and invariants: its
-    conditions and the spectrum it formed (None when V is not > 0)."""
+    """Body of ``check_global`` on a validated matrix's rows, min_eig_V margin and invariants:
+    its conditions and the spectrum it formed (None when V is not > 0)."""
     _, _, _, det_v, _, delta, _, _ = inv
-    min_eig, cut = _min_eig(v, scale, tol)
-    conditions = {"min_eig_V": (min_eig, cut), "det_V_minus_1": tol._at_most(1.0, det_v),
+    # min_eig_V: the smallest LDL^T pivot, strict (band 0), with lambda_min(V)'s sign.
+    conditions = {"min_eig_V": (pivot, 0.0), "det_V_minus_1": tol._at_most(1.0, det_v),
                   "delta_margin": tol._at_most(delta, 1.0 + det_v)}
     # V > 0 as _verdict reads min_eig_V; the closed form presumes it.
-    return conditions, _spectrum_from_delta(delta, det_v, tol, rows) if min_eig > cut else None
+    return conditions, _spectrum_from_delta(delta, det_v, tol, rows) if pivot > 0.0 else None
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    conditions, spec = _global_report(*_evaluate(v, tol), tol)
+    conditions, spec = _global_report(*_evaluate(v, tol)[1:], tol)
     return _bona_fide_report("global", conditions, None if spec is None else spec.nu_minus)
 
 
@@ -151,7 +152,7 @@ def _local_report(rows: list, inv: tuple, tol: Tolerance) -> dict[str, tuple[flo
     # det A det B >= 0 whenever both blocks pass positivity; the clamp only
     # keeps the margin finite on inputs that already failed.
     prod = max(det_a * det_b, 0.0)
-    return {"min_eig_A": _block_min_eig(rows, 0, tol), "min_eig_B": _block_min_eig(rows, 2, tol),
+    return {"min_eig_A": _block_min_eig(rows, 0), "min_eig_B": _block_min_eig(rows, 2),
             "delta_margin": tol._at_most(delta, 1.0 + det_v),
             "block_margin": ((det_v + det_a * det_b) - (2.0 * math.sqrt(prod) + det_c**2),
                              tol.band(det_v, det_a * det_b, det_c**2))}

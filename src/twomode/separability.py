@@ -11,16 +11,19 @@ fide then PPT. One ``physicality._verdict`` pass over a new dict of the route's
 key that failed beyond its band: that key gives the tag and reason, and None
 (none failed) means separable. The global route also evaluates the spectral
 forms nu_- >= 1 and nu~_- >= 1 and cross checks them against the determinant
-forms that decide, which are better conditioned near the boundary.
-Disagreement beyond _BOUNDARY_FACTOR bands raises InternalInconsistency and
-indicates a bug, never bad input.
+forms that decide, which are better conditioned near the boundary. A spectral
+value may lie on the other side of 1 only as far as Delta (Delta~) and det V,
+moved by their rounding bounds and the determinant form's bands, move nu_-
+(``invariants._nu_minus_allowance``); beyond that InternalInconsistency is
+raised, which indicates a bug, never bad input.
 
-Each call validates V and computes the raw invariants once, as plain floats. The
-global route adds ``invariants._min_eig`` and the spectra from (Delta, det V)
-and (Delta~, det V), the local route the closed-form block eigenvalues; the two
-share nothing else. Every entry lhs <= rhs is ``Tolerance._at_most``'s. A
-classifier builds only its ``Classification``, and the global cross-checks take
-the bona fide verdict and the entries they compare from its one ``_verdict`` pass.
+Each call validates V and computes the raw invariants once, as plain floats, with
+V > 0 by Sylvester's minors and det V certified: neither classifier calls LAPACK.
+The global route adds the spectra from (Delta, det V) and (Delta~, det V), the
+local route the closed-form block eigenvalues; the two share nothing else. Every
+entry lhs <= rhs is ``Tolerance._at_most``'s. A classifier builds only its
+``Classification``, and the global cross-checks take the bona fide verdict and
+the entries they compare from its one ``_verdict`` pass.
 """
 from __future__ import annotations
 
@@ -28,9 +31,10 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency, PreconditionViolated
-from .invariants import SymplecticSpectrum2, _evaluate, _min_eig, _spectrum_from_delta
+from .invariants import (SymplecticSpectrum2, _evaluate, _nu_minus_allowance, _require_sylvester,
+                         _spectrum_from_delta)
 from .physicality import _global_report, _local_report, _verdict
-from .symplectic import DEFAULT_TOL, Tolerance, _require_positive_definite
+from .symplectic import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "Tag",
@@ -57,17 +61,6 @@ class Classification:
     tag: Tag
     reason: str
     margins: dict[str, float] = field(default_factory=dict)
-
-
-# Cross-assertions between equivalent formulations tolerate disagreement
-# only when some deciding margin sits within this many tolerance bands of 0.
-_BOUNDARY_FACTOR = 10.0
-
-
-def _forms_agree(agree: bool, *near: tuple[float, float]) -> bool:
-    """The two forms agree, or some (margin, band) in ``near`` lies within
-    _BOUNDARY_FACTOR bands of 0."""
-    return agree or any(abs(margin) <= _BOUNDARY_FACTOR * band for margin, band in near)
 
 
 # Each route's conditions in checking order, then under None the result when none fails.
@@ -102,42 +95,42 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
 
 def _global_route(v, tol: Tolerance) -> tuple[tuple, dict[str, tuple[float, float]],
                                               SymplecticSpectrum2 | None,
-                                              SymplecticSpectrum2 | None]:
+                                              SymplecticSpectrum2 | None, list]:
     """One evaluation of the global route: the invariants as floats, the route's conditions,
-    and the spectra of V and of its partial transpose (both None unless V > 0)."""
-    v, rows, scale, inv = _evaluate(v, tol)
-    conditions, spec = _global_report(v, rows, scale, inv, tol)
+    the spectra of V and of its partial transpose (both None unless V > 0), and V's rows."""
+    _, rows, pivot, inv = _evaluate(v, tol)
+    conditions, spec = _global_report(rows, pivot, inv, tol)
     # Partial transpose: same det V (inv[3]), Delta -> Delta~ (inv[6]).
     ppt = None if spec is None else _spectrum_from_delta(inv[6], inv[3], tol, rows)
-    return inv, conditions, spec, ppt
+    return inv, conditions, spec, ppt, rows
 
 
 def _global_classification(inv: tuple, bona_fide: dict[str, tuple[float, float]],
                            spec: SymplecticSpectrum2 | None, ppt: SymplecticSpectrum2 | None,
-                           tol: Tolerance) -> Classification:
-    """Body of ``classify_global`` on the route's invariants, bona fide conditions and spectra;
-    adds the Delta~ condition and the spectral margins."""
-    _, _, _, det_v, _, _, delta_tilde, _ = inv
+                           rows: list, tol: Tolerance) -> Classification:
+    """Body of ``classify_global`` on the route's invariants, bona fide conditions, spectra and
+    rows; adds the Delta~ condition and the spectral margins."""
+    _, _, _, det_v, _, delta, delta_tilde, _ = inv
     # det V~ = det V, so once V is physical the PPT stage is decided by Delta~ alone.
     ppt_entry = tol._at_most(delta_tilde, 1.0 + det_v)
     failed, _, margins = _verdict({**bona_fide, "delta_tilde_margin": ppt_entry})
     physical = failed in (None, "delta_tilde_margin")  # the PPT condition is last
     if spec is not None:  # V > 0, which a physical verdict implies
-        nu_band = tol.band(1.0)
-        margins["nu_minus_minus_1"] = nu_m1 = spec.nu_minus - 1.0
-        margins["nu_tilde_minus_minus_1"] = nu_tilde_m1 = ppt.nu_minus - 1.0
-        # Physicality, spectral form: nu_- >= 1 must match the determinant form.
-        if not _forms_agree((nu_m1 >= -nu_band) == physical, (nu_m1, nu_band),
-                            bona_fide["det_V_minus_1"], bona_fide["delta_margin"]):
-            raise InternalInconsistency(
-                "spectral and determinant physicality forms disagree: "
-                f"nu_- - 1 = {nu_m1:.3e}, margins {margins}")
-        if physical and not _forms_agree((nu_tilde_m1 >= -nu_band) == (failed is None),
-                                         ppt_entry, (nu_tilde_m1, nu_band)):
-            raise InternalInconsistency(
-                "spectral and determinant separability forms disagree: "
-                f"nu~_- - 1 = {nu_tilde_m1:.3e}, "
-                f"Delta~ margin = {margins['delta_tilde_margin']:.3e}")
+        margins["nu_minus_minus_1"] = spec.nu_minus - 1.0
+        margins["nu_tilde_minus_minus_1"] = ppt.nu_minus - 1.0
+        # Each spectral form must match the determinant form, or lie on the other side of 1 no
+        # further than its allowance: physicality always, separability once physical.
+        for form, key, holds, entry, x in (
+                ("physicality", "nu_minus_minus_1", physical, bona_fide["delta_margin"], delta),
+                ("separability", "nu_tilde_minus_minus_1", failed is None, ppt_entry,
+                 delta_tilde)):
+            nu_m1 = margins[key]
+            if ((nu_m1 >= -tol.band(1.0)) != holds and (-nu_m1 if holds else nu_m1)
+                    > _nu_minus_allowance(rows, x, det_v, entry[1], bona_fide["det_V_minus_1"][1])):
+                raise InternalInconsistency(f"spectral and determinant {form} forms disagree: "
+                                            f"{key} = {nu_m1:.3e}, margins {margins}")
+            if not physical:
+                break
     return Classification(*_GLOBAL[failed], margins)
 
 
@@ -168,8 +161,8 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     hold for matrices that are not CMs at all), so callers must classify
     instead.
     """
-    v, rows, scale, inv = _evaluate(v, tol)
-    failed, _, margins = _verdict(_global_report(v, rows, scale, inv, tol)[0])
+    _, rows, pivot, inv = _evaluate(v, tol)
+    failed, _, margins = _verdict(_global_report(rows, pivot, inv, tol)[0])
     if failed is not None:
         raise PreconditionViolated(
             "simon_criterion requires a bona fide CM; margins "
@@ -187,8 +180,8 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     (1 + det C)^2 < det A + det B - det A det B + I4 <= (1 - det C)^2;
     otherwise unphysical. Raises NotPositiveDefinite outside its domain.
     """
-    v, _, scale, (det_a, det_b, det_c, det_v, i4, _, _, _) = _evaluate(v, tol)
-    _require_positive_definite(*_min_eig(v, scale, tol))
+    v, _, pivot, (det_a, det_b, det_c, det_v, i4, _, _, _) = _evaluate(v, tol)
+    _require_sylvester(v, pivot)
 
     # s_mid is the middle member of the entangled-branch chain; the bounds
     # (1 -+ det C)^2 translate to the Delta~ / Delta margins.

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import BlockNotPositiveDefinite, InternalInconsistency, NumericalError
 from .invariants import _block_min_eig, _single_mode
-from .symplectic import DEFAULT_TOL, Tolerance, _checked, _require_positive_definite, symmetric_part
+from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _power_of_four,
+                         _require_positive_definite, symmetric_part)
 
 __all__ = [
     "StandardFormParams",
@@ -85,7 +86,7 @@ def single_mode_williamson(a_block, tol: Tolerance = DEFAULT_TOL
     NotPositiveDefinite if A is not a positive definite 2x2 matrix.
     """
     rows = _checked(a_block, tol, 1, what="block")[1]
-    min_eig = _require_positive_definite(*_block_min_eig(rows, 0, tol), what="block")
+    min_eig = _require_positive_definite(*_block_min_eig(rows, 0), what="block")
     (s00, s01, s10, s11), a = _single_mode(rows, 0, min_eig)
     return np.array([[s00, s01], [s10, s11]]), a
 
@@ -113,14 +114,14 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
     v, rows, scale, _ = _checked(v, tol, 2)
-    # Far above unit scale S V S^T and |z1| + |z2| overflow before a, b and c+- do. V/f, f = 4^j,
-    # has the same S and V's parameters over f, all exact; below 2^512, f = 1 and nothing moves.
-    f = 4.0 ** (max(0, math.frexp(scale)[1] - 511) // 2)
+    # Far above unit scale S V S^T and |z1| + |z2| overflow before a, b and c+- do. V/f has the
+    # same S and V's parameters over f, all exact.
+    f = _power_of_four(scale)
     # One closed form per block: the positivity check and the single-mode transform.
     min_eigs = []
     for name, i in (("A", 0), ("B", 2)):
-        min_eig, block_cut = _block_min_eig(rows, i, tol)
-        if min_eig <= block_cut:
+        min_eig, band = _block_min_eig(rows, i)
+        if min_eig <= band:
             raise BlockNotPositiveDefinite(
                 f"block {name} is not positive definite "
                 f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)

@@ -26,8 +26,11 @@ spectrum and orthogonality allowances grow with these above their fixed floors.
 One mode needs no eigenproblem: every 2x2 antisymmetric matrix is a multiple of
 omega, so X = omega/nu is already in block form and R = I. nu = sqrt(det V) and the
 symmetric S = sqrt(nu) V^(-1/2) are the standard form's own closed form,
-``invariants._single_mode``, on Python floats. Only |eig(Omega V)| is left, one
-LAPACK call, and nothing for the pairing, singularity, orthogonality and det R checks.
+``invariants._single_mode``, on Python floats, after the one block test. Only
+|eig(Omega V)| is left, one LAPACK call (none once cond V passes 1/(4 eps), where it can
+check nothing), and nothing for the pairing, singularity, orthogonality and det R checks.
+Above max |v_ij| = 2^512 two or more modes decompose V / 4^j, as the standard form reduces
+it (``symplectic._power_of_four``).
 
 S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
 = (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
@@ -44,8 +47,9 @@ import numpy as np
 from .errors import (DegeneracyWarning, InternalInconsistency, PairingError, SingularInput,
                      SymmetryError)
 from .invariants import _block_min_eig, _single_mode, _spectrum_general, _validated_modes
-from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form, _read,
-                         _require_positive_definite, _symmetric_scale, as_matrix)
+from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form,
+                         _power_of_four, _read, _require_positive_definite, _symmetric_scale,
+                         as_matrix)
 
 __all__ = [
     "WilliamsonDecomposition",
@@ -84,15 +88,21 @@ class WilliamsonDecomposition:
 
 
 def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric M with M V M = I for symmetric positive definite V."""
+    """Symmetric M with M V M = I for symmetric positive definite V; a 2x2 takes the one block
+    test and the one-mode closed form, M = S / sqrt(a) with S = sqrt(a) V^(-1/2)."""
     v, rows, flat = _read(v)
-    return _inv_sqrt(v, tol._cut(_symmetric_scale(rows, flat, tol)))[0]
+    scale = _symmetric_scale(rows, flat, tol)
+    if len(rows) != 2:
+        return _inv_sqrt(v, tol._cut(scale))[0]
+    s, a = _single_mode(rows, 0, _require_positive_definite(*_block_min_eig(rows, 0)))
+    return np.array(s).reshape(2, 2) / math.sqrt(a)
 
 
-def _inv_sqrt(v: np.ndarray, cut: float) -> tuple[np.ndarray, float]:
-    """Core of ``inv_sqrt``: (V^(-1/2), kappa = cond V); eigh(V) is also the positivity check."""
+def _inv_sqrt(v: np.ndarray, cut: float, f: float = 1.0) -> tuple[np.ndarray, float]:
+    """Core of ``inv_sqrt``: (V^(-1/2), kappa = cond V); eigh(V) is also the positivity check,
+    against ``cut`` for f V, whose smallest eigenvalue a failure reports."""
     evals, q = np.linalg.eigh(v)
-    _require_positive_definite(evals[0], cut)
+    _require_positive_definite(evals[0] * f, cut)
     m = (q / np.sqrt(evals)) @ q.T
     return (m + m.T) / 2.0, float(evals[-1]) / float(evals[0])
 
@@ -165,16 +175,17 @@ def _one_mode(rows: list, tol: Tolerance
               ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
     """One mode in closed form, X = omega/nu being in block form: (nu as a list, R = I,
     S = sqrt(nu) V^(-1/2) from ``_single_mode``, X, kappa = lambda_+/lambda_- = (nu/lambda_-)^2)."""
-    min_eig = _require_positive_definite(*_block_min_eig(rows, 0, tol))
+    min_eig = _require_positive_definite(*_block_min_eig(rows, 0))
     (s00, s01, s10, s11), nu = _single_mode(rows, 0, min_eig)
     return ([nu], np.eye(2), np.array([[s00, s01], [s10, s11]]),
-            np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]]), (nu / min_eig) ** 2)
+            np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]]), (nu / min_eig) * (nu / min_eig))
 
 
-def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float
+def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float, f: float
                 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Two or more modes, through the eigenvectors of iX: (nu, R, S, X, kappa)."""
-    inv_root, kappa = _inv_sqrt(v, cut)
+    """Two or more modes, through the eigenvectors of iX, on v = V/f with V's positivity cut:
+    (nu, R, S, X, kappa) of v."""
+    inv_root, kappa = _inv_sqrt(v, cut, f)
     skew = _skew_kernel(inv_root, n_modes)
     # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
     o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
@@ -198,16 +209,24 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     coincide within tolerance; the decomposition itself remains valid.
     """
     v, rows, scale, n_modes = _validated_modes(v, tol)
+    # Far above unit scale X underflows and LAPACK rescales V by factors that are not powers of
+    # two: decompose V/f, f = 4^j, and scale nu and X back exactly (S and R do not move). The
+    # one-mode closed form needs no reduction.
+    f = 1.0 if n_modes == 1 else _power_of_four(scale)
+    if f > 1.0:
+        v = v / f
     nu, r, s, skew, kappa = (_one_mode(rows, tol) if n_modes == 1
-                             else _many_modes(v, n_modes, tol, tol._cut(scale)))
-    nus = np.array(nu)
-    reference = _spectrum_general(v, n_modes, tol)
+                             else _many_modes(v, n_modes, tol, tol._cut(scale), f))
     # eigvals(Omega V) errs by about eps * kappa relative, kappa = cond V: so does the allowance.
-    allowance = max(1e-8, 4.0 * _EPS * kappa) * max(reference)
-    if max(abs(x - y) for x, y in zip(nu, reference)) > allowance:
-        raise InternalInconsistency(
-            f"eigenvector route spectrum {nus} disagrees with "
-            f"product-eigenvalue route {np.array(reference)}")
+    # Past 4 eps kappa = 1, which only a one-mode block passing the block test reaches, the
+    # reference checks nothing and is not formed.
+    if 4.0 * _EPS * kappa < 1.0:
+        reference = _spectrum_general(v, n_modes, tol)
+        allowance = max(1e-8, 4.0 * _EPS * kappa) * max(reference)
+        if max(abs(x - y) for x, y in zip(nu, reference)) > allowance:
+            raise InternalInconsistency(
+                f"eigenvector route spectrum {np.array(nu) * f} disagrees with "
+                f"product-eigenvalue route {np.array(reference) * f}")
 
     # nu scales with V, and the gaps' rounding with max nu: like X's cut, this one is relative only.
     degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]
@@ -216,5 +235,6 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
             "symplectic spectrum is degenerate within tolerance; the "
             "decomposition is valid but the rotation is not unique"),
             stacklevel=2)
+    nus = np.array(nu) * f
     return WilliamsonDecomposition(normal_form=np.diag(nus.repeat(2)), transform=s, rotation=r,
-                                   skew=skew, spectrum=nus, degenerate=degenerate)
+                                   skew=skew / f, spectrum=nus, degenerate=degenerate)

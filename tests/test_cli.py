@@ -533,15 +533,15 @@ def test_non_finite_tolerance_exits_2(run, argv, text):
 # -------------------------------------------------------- records and printer
 
 def test_each_cli_record_evaluates_the_matrix_once(run, monkeypatch):
-    # One det V and one eigvalsh(V) per record; invariants and each sweep
-    # row add the oracle's eigvalsh(V + i Omega). The spectra come from
-    # (Delta, det V) and (Delta~, det V) of the same evaluation.
+    # det V and V > 0 come from the matrix's minors, with no LAPACK call; invariants
+    # and each sweep row add the oracle's eigvalsh(V + i Omega). The spectra come
+    # from (Delta, det V) and (Delta~, det V) of the same evaluation.
     counts = count_linalg(monkeypatch, "det", "eigvalsh")
     text = doc(tm.random_physical(3))
-    for argv, expected in ((["classify", "--format", "machine"], {"det": 1, "eigvalsh": 1}),
-                           (["invariants"], {"det": 1, "eigvalsh": 2}),
+    for argv, expected in ((["classify", "--format", "machine"], {}),
+                           (["invariants"], {"eigvalsh": 1}),
                            (["sweep", "--family", "simon_vx", "--from", "0.7",
-                             "--to", "0.7", "--step", "1"], {"det": 1, "eigvalsh": 2})):
+                             "--to", "0.7", "--step", "1"], {"eigvalsh": 1})):
         counts.clear()
         code, _, _ = run(argv, stdin_text=text)
         assert code == 0

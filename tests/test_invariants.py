@@ -1,5 +1,6 @@
 """Invariants, the determinant identity, and symplectic spectra."""
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import twomode as tm
 
-from .support import random_local_symplectic, random_physical_cm, random_symmetric
+from .support import (PURE_EXPONENTS, PURE_FAMILIES, boundary_biased, int_det, integer_pure_state,
+                      random_local_symplectic, random_physical_cm, random_symmetric)
 
 
 def test_vacuum_invariants():
@@ -86,11 +88,13 @@ def test_i4_matches_its_trace_definition(seed, log_scale):
 @pytest.mark.parametrize("fn", [tm.two_mode_invariants, tm.classify_global,
                                 tm.classify_local])
 def test_det_identity_self_test_fires(monkeypatch, fn):
-    # det V comes from LU and the other invariants from the blocks, so a
-    # det V off by one must trip det V = det A det B + det C^2 - I4.
+    # det V comes from its Laplace expansion and I4 from its trace definition,
+    # so a det V off by one must trip det V = det A det B + det C^2 - I4.
+    from twomode import invariants
     v = tm.random_physical(3)
-    det = np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda m: det(m) + 1.0)
+    minors = invariants._minors
+    monkeypatch.setattr(invariants, "_minors", lambda rows: (*minors(rows)[:4],
+                                                             minors(rows)[4] + 1.0))
     with pytest.raises(tm.InternalInconsistency, match="det V identity"):
         fn(v)
 
@@ -244,23 +248,129 @@ def test_overflowing_det_raises_without_a_numpy_warning(scale):
 
 @pytest.mark.parametrize("s", [1e76, 5.8e76, 1e77, 1e200])
 def test_det_near_the_overflow_guard_is_exact_and_silent(s):
-    # diag(s, 1/s, 1, 1) sits on either side of the scale below which det V
-    # runs without numpy's errstate; it has det V = 1 on both sides.
+    # diag(s, fl(1/s), 1, 1) sits on either side of the scale where s^4 overflows; its
+    # det V is the correctly rounded s fl(1/s): 1 for three of the four, and 1 - 2^-53 for
+    # s = 1e77, whose product is 1 - 0.81 * 2^-53 exactly.
+    from fractions import Fraction
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert tm.two_mode_invariants(np.diag([s, 1.0 / s, 1.0, 1.0])).det_V == 1.0
+        assert (tm.two_mode_invariants(np.diag([s, 1.0 / s, 1.0, 1.0])).det_V
+                == float(Fraction(s) * Fraction(1.0 / s)))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_det_just_below_the_overflow_guard_matches_numpy(seed):
-    # Scaled so that max |v_ij| is just below the guard: det V takes the path
-    # without errstate and must read numpy's det, with no warning.
-    from twomode.invariants import _DET_SAFE_SCALE
+    # Scaled so that max |v_ij| is just below (max float / 32)^(1/4), where 16 s^4, the
+    # Hadamard bound on |det V|, still fits: det V must be the correctly rounded exact
+    # determinant or lie within its static filter bound of it, with no warning. numpy's LU
+    # determinant, formed as exp(log |det|), matches it to 1e-12 relative.
+    from fractions import Fraction
+
+    from twomode.invariants import _ERR_V
     v = random_symmetric(np.random.default_rng(seed))
-    v *= np.nextafter(_DET_SAFE_SCALE, 0.0) / np.abs(v).max()
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = float(np.linalg.det(v))
+    v *= np.nextafter((sys.float_info.max / 32.0) ** 0.25, 0.0) / np.abs(v).max()
+    exact = int_det([[Fraction(x) for x in row] for row in v.tolist()])
+    scale = float(np.abs(v).max())
+    bound = _ERR_V * scale * scale * scale * scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = tm.two_mode_invariants(v).det_V
-    assert got == expected and math.isfinite(got)
+    assert math.isfinite(got)
+    assert got == float(exact) or abs(Fraction(got) - exact) <= bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert abs(Fraction(float(np.linalg.det(v))) - exact) <= 1e-12 * abs(exact)
+
+
+def _exact_leading_minors(v) -> list:
+    """D_1..D_4 of v on Fractions, exactly."""
+    from fractions import Fraction
+    m = [[Fraction(x) for x in row] for row in np.asarray(v, dtype=float).tolist()]
+    return [int_det([row[:k] for row in m[:k]]) for k in range(1, 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+def test_float_minors_lie_within_their_static_bounds(seed, log_scale):
+    # The Laplace expansion's det V and the leading 3x3 minor D3 against the exact minors of
+    # the same floats: within 24 gamma_8 s^4 and 6 gamma_5 s^3 (1% over), s = max |v_ij|.
+    from twomode.invariants import _ERR_3, _ERR_V, _minors
+    v = random_symmetric(np.random.default_rng(seed)) * 10.0**log_scale
+    *_, d3, det_v = _minors(v.tolist())
+    _, _, exact_3, exact_v = _exact_leading_minors(v)
+    s = float(np.abs(v).max())
+    assert abs(d3 - exact_3) <= _ERR_3 * s**3
+    assert abs(det_v - exact_v) <= _ERR_V * s**4
+    got = tm.two_mode_invariants(v).det_V  # the float value where it decides, else exact
+    assert got == float(exact_v) or abs(got - exact_v) <= _ERR_V * s**4
+
+
+def _sylvester_case(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "random_symmetric":
+        return random_symmetric(rng)
+    if kind == "random_physical":
+        return random_physical_cm(rng)
+    return list(boundary_biased(4, seed))[seed % 4]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["random_symmetric", "random_physical", "boundary_biased"]),
+       st.integers(0, 2**32 - 1), st.one_of(st.just(0.0), st.floats(-300.0, 300.0)))
+def test_sylvester_verdict_is_exact_positivity(kind, seed, log_c):
+    # min_eig_V > 0 iff every leading minor of the float matrix c V is > 0, exactly. Where a
+    # product of four entries can pass float64 the invariants may overflow instead.
+    v = _sylvester_case(kind, seed)
+    v = (v + v.T) / 2.0 * 10.0**log_c
+    s = float(np.abs(v).max())
+    try:
+        margin = tm.check_global(v).margins["min_eig_V"]
+    except tm.NumericalError as exc:
+        assert "overflow" in str(exc) and 24.0 * s * s * s * s > sys.float_info.max
+        return
+    assert (margin > 0.0) == all(d > 0 for d in _exact_leading_minors(v))
+
+
+def test_sylvester_decides_the_pure_states_and_their_scalings():
+    # The 63 integer pure states are positive definite, and so are (1 +- 2^-20) V.
+    for family in PURE_FAMILIES:
+        for k in PURE_EXPONENTS:
+            v = np.array(integer_pure_state(family, k), dtype=float)
+            for factor in (1.0, 1.0 + 2.0**-20, 1.0 - 2.0**-20):
+                assert all(d > 0 for d in _exact_leading_minors(v * factor))
+                assert tm.check_global(v * factor).margins["min_eig_V"] > 0.0
+
+
+_BLAS_PROBE = """
+import json, sys
+import twomode as tm
+for v in json.load(sys.stdin):
+    for fn in (tm.classify_global, tm.classify_local):
+        out = fn(v)
+        print(out.tag.value, repr(out.margins))
+"""
+
+
+def test_classifiers_do_not_depend_on_the_blas_kernel():
+    # classify_global and classify_local are plain IEEE arithmetic on Python floats: under each
+    # OpenBLAS kernel (numpy's OpenBLAS selects one at run time) every margin repr is the same.
+    # Nehalem and Haswell run these 4x4 LAPACK calls alike; Sandybridge does not, and moved 28
+    # of these records while the classifiers called eigvalsh and det. The inputs are made here,
+    # once: the families themselves multiply matrices through BLAS.
+    import json
+    import os
+    import subprocess
+    rng = np.random.default_rng(7)
+    inputs = ([tm.random_physical(s) for s in range(40)]
+              + [tm.simon_vx(x) for x in np.linspace(0.3, 0.7, 41)]
+              + [tm.two_mode_squeezed(r) for r in np.linspace(0.0, 2.0, 41)]
+              + [random_symmetric(rng) for _ in range(40)])
+    text = json.dumps([v.tolist() for v in inputs])
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outputs = []
+    for core in ("Nehalem", "Haswell", "Sandybridge"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outputs.append(subprocess.run([sys.executable, "-c", _BLAS_PROBE], input=text, env=env,
+                                      capture_output=True, text=True, timeout=120,
+                                      check=True).stdout)
+    assert outputs[0] == outputs[1] == outputs[2] and outputs[0].count("\n") == 2 * len(inputs)

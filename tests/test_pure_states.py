@@ -2,7 +2,7 @@
 
 S is an integer symplectic matrix, so V has integer entries, det V = 1 and Delta = 2 with
 no input rounding (see ``support.integer_pure_state``). The cells that fail today are
-strict xfails: each is one of ROADMAP item 2's float cuts and bands. The exact referee
+strict xfails: each is one of ROADMAP item 2's float bands. The exact referee
 ``support.exact_bona_fide`` decides these boundary states, and their neighbours, exactly.
 """
 from fractions import Fraction
@@ -26,25 +26,16 @@ ROUTES = {
     "check_local": lambda v: tm.check_local(v).verdict,
     "classify_local": lambda v: tm.classify_local(v).tag is Tag.ENTANGLED,
 }
-# The first k at which each route fails today, and the error that a failing cell raises.
-_GLOBAL_FROM = {"C": 8, "C.shear": 7, "mixer.C.shear": 8}
-_LOCAL_FROM = {"C": 15, "C.shear": 14, "mixer.C.shear": 14}
-_GLOBAL_ERRORS = {"check_global": AssertionError, "classify_global": AssertionError,
-                  "posdef_criterion": tm.NotPositiveDefinite,
-                  "simon_criterion": tm.PreconditionViolated}
+# The one route that still fails from some k, and why.
+_POSDEF_FROM = 16
 
 
 def _known_failure(family, k, route):
     """(error, reason) of a cell that fails today, or None."""
-    if route in _GLOBAL_ERRORS and k >= _GLOBAL_FROM[family]:
-        return _GLOBAL_ERRORS[route], ("ROADMAP item 2: the min_eig_V cut abs + rel max|v_ij| "
-                                       "exceeds lambda_min(V) = 1/lambda_max(V) of a pure state")
-    if route.endswith("_local") and k >= _LOCAL_FROM[family]:
-        if family == "mixer.C.shear" and k == 14:
-            return AssertionError, ("ROADMAP item 2: det V by LU misses 1 by -3.4e-8, beyond "
-                                    "the fixed band of delta_margin")
-        return AssertionError, ("ROADMAP item 2: the block cut abs + rel max|a_ij| exceeds "
-                                "lambda_-(A) (1 for C(2^15), whose A is diag(1, 1 + 2^30))")
+    if route == "posdef_criterion" and k >= _POSDEF_FROM:
+        return AssertionError, ("ROADMAP item 2: posdef_criterion's gamma_margin (-4^(k+1) "
+                                "for C(t)) lies within its band tol.rel (1 + det C)^2, "
+                                "about 1e-9 * 2^(4k), so the state reads separable")
     return None
 
 

@@ -380,3 +380,69 @@ def test_params_matrix_assembly():
         [0.0, -0.25, 0.0, 1.0],
     ])
     np.testing.assert_array_equal(p.matrix(), expected)
+
+
+def test_block_test_decides_by_the_sign_of_det_a():
+    # Block A of the pure state C(2^15) is diag(1, 1 + 2^30): lambda_- = 1 lies below the old
+    # cut abs + rel max|a_ij| (about 1.07), and the block is positive definite all the same.
+    a = np.diag([1.0, 1.0 + 2.0**30])
+    s, nu = tm.single_mode_williamson(a)
+    assert nu == pytest.approx(np.sqrt(1.0 + 2.0**30), rel=1e-15)
+    np.testing.assert_allclose(s @ a @ s.T, nu * np.eye(2), rtol=1e-12)
+    v = tm.direct_sum(a, np.eye(2))
+    assert tm.check_local(v).margins["min_eig_A"] == 1.0
+    assert tm.reduce_to_standard_form(v).a == nu
+    # A singular block and one whose determinant rounds to 0 in floats but is -2^-104 exactly.
+    for bad in (np.array([[1.0, 1.0], [1.0, 1.0]]),
+                np.array([[1.0, 1.0 + 2.0**-52], [1.0 + 2.0**-52, 1.0 + 2.0**-51]])):
+        with pytest.raises(tm.NotPositiveDefinite) as exc:
+            tm.single_mode_williamson(bad)
+        assert exc.value.min_eig <= 0.0
+
+
+def _scaled(fn, v, f):
+    """fn(f v), or the type and message of the error it raises."""
+    try:
+        return fn(v * f)
+    except tm.TwoModeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_forms_are_scale_equivariant(seed):
+    # The kinds of inputs the normal_forms benchmark draws: block-positive 4x4 for the standard
+    # form; SPD on one to four modes, thermal(nu, nu) and two-mode squeezed for Williamson.
+    # f = 4^j scales every output exactly: a, b, c+- and nu by f, X by 1/f, S and R not at all.
+    # Skipped: f V between 2^485 and 2^512, where LAPACK rescales V by a factor that is not a
+    # power of two and the outputs keep the bits they have without a reduction.
+    import warnings
+
+    from .support import random_spd
+    rng = np.random.default_rng(seed)
+    blocks = [random_block_positive(rng) for _ in range(20)]
+    spd = ([random_spd(rng, 2 * n) for n in (1, 2, 2, 3, 4) for _ in range(4)]
+           + [tm.thermal(1.7, 1.7), tm.two_mode_squeezed(0.8)])
+    for j in (1, 2, 20, 100, 257, 300, 400, 500):
+        f = 4.0**j
+        for v in blocks:
+            if np.abs(v).max() * f > 1e308:
+                continue
+            ref, got = _scaled(tm.reduce_to_standard_form, v, 1.0), _scaled(
+                tm.reduce_to_standard_form, v, f)
+            assert (got.a, got.b, got.c_plus, got.c_minus) == (
+                ref.a * f, ref.b * f, ref.c_plus * f, ref.c_minus * f)
+            np.testing.assert_array_equal(got.s_local, ref.s_local)
+        for v in spd:
+            top = np.abs(v).max() * f
+            if top > 1e308 or 2.0**485 <= top < 2.0**512:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", tm.DegeneracyWarning)
+                ref, got = _scaled(tm.williamson_decompose, v, 1.0), _scaled(
+                    tm.williamson_decompose, v, f)
+            np.testing.assert_array_equal(got.spectrum, ref.spectrum * f)
+            np.testing.assert_array_equal(got.normal_form, ref.normal_form * f)
+            np.testing.assert_array_equal(got.skew, ref.skew / f)
+            np.testing.assert_array_equal(got.transform, ref.transform)
+            np.testing.assert_array_equal(got.rotation, ref.rotation)
+            assert got.degenerate == ref.degenerate

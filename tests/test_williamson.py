@@ -505,3 +505,16 @@ def test_block_rotation_orthogonality_check_fires(monkeypatch, n):
     for call in calls:
         with pytest.raises(tm.InternalInconsistency, match="departs from orthogonality"):
             call()
+
+
+@pytest.mark.parametrize("c", [1e307, 5e307, 6e307])
+def test_williamson_decomposes_near_float_max(c):
+    # X = V^(-1/2) Omega V^(-1/2) has entries near 1e-308 here, below float64's normal range:
+    # the decomposition runs on V / 4^j and scales nu and X back exactly.
+    v = c * tm.simon_vx(1.0)
+    dec, unit = tm.williamson_decompose(v), tm.williamson_decompose(tm.simon_vx(1.0))
+    np.testing.assert_allclose(dec.spectrum, c * unit.spectrum, rtol=1e-15)
+    s = dec.transform
+    np.testing.assert_allclose(s @ tm.simon_vx(1.0) @ s.T, dec.normal_form / c, atol=1e-13)
+    np.testing.assert_allclose(dec.transform @ tm.omega(2) @ dec.transform.T, tm.omega(2),
+                               atol=1e-14)
