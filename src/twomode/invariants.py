@@ -35,6 +35,7 @@ from .symplectic import (
     Tolerance,
     _checked,
     _omega_form,
+    _power_of_four,
     _require_positive_definite,
     partial_transpose,
 )
@@ -115,7 +116,7 @@ def _exact(rows: list) -> tuple[float, float, float, float]:
         try:
             p = d / (prev << k) or math.ulp(0.0) * (d > 0)  # an underflow keeps its sign
         except OverflowError:  # a ratio past float64
-            p = math.copysign(math.inf, d)
+            p = math.inf if d > 0 else -math.inf  # copysign would convert d to a float
         margin, prev = min(margin, p), d
         if not d > 0:
             break
@@ -228,8 +229,10 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
         top, low = (abs(delta) + d_delta) * (abs(delta) + d_delta), 4.0 * (det_v - d_det)
         if top - low < -_GAMMA_4 * (top + abs(low)):
             raise NumericalError(f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
-    root = math.sqrt(max(rad, 0.0))
-    plus = (delta + root) / 2.0
+    root = math.sqrt(max(rad, 0.0))  # inf or NaN where Delta^2 is past float64; there Delta > 0
+    # is large and nu_+^2 = Delta (1 + sqrt(1 - 4 det V / Delta^2))/2.
+    plus = ((delta + root) / 2.0 if rad < math.inf
+            else delta / 2.0 * (1.0 + math.sqrt(max(1.0 - det_v / delta * 4.0 / delta, 0.0))))
     minus = det_v / plus if plus > 0.0 else (delta - root) / 2.0
     for sq in (minus, plus):
         if sq < -band:
@@ -293,29 +296,31 @@ def _block_min_eig(rows: list, i: int) -> tuple[float, float]:
     p > 0 and det = ps - q^2 > 0, from the float det where it clears gamma_2 (|ps| + q^2) and
     exactly otherwise. lambda_- is the closed form, or det/(p + s) where that has the other sign."""
     p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
-    lam, ps, qq = _min_eig_2x2(p, q, s), p * s, q * q
+    lam, ps, qq, trace = _min_eig_2x2(p, q, s), p * s, q * q, p + s
     det = ps - qq
     if not abs(det) > _ERR_A / 2.0 * (abs(ps) + qq) + math.ulp(0.0):  # ulp(0): two underflows
         from fractions import Fraction  # only for blocks that float64 cannot decide
-        det = Fraction(p) * Fraction(s) - Fraction(q) ** 2
+        det, trace = Fraction(p) * Fraction(s) - Fraction(q) ** 2, Fraction(p) + Fraction(s)
     positive = p > 0.0 and det > 0
-    if (lam > 0.0) != positive:  # p + s > 0 here
-        lam = float(det / (p + s)) or math.ulp(0.0) * positive
+    if (lam > 0.0) != positive:  # trace > 0 here, and det/trace <= min(p, s) cannot overflow
+        lam = float(det / trace) or math.ulp(0.0) * positive
     return lam, 0.0
 
 
 def _single_mode(rows: list, i: int, min_eig: float) -> tuple[tuple, float]:
     """The one single-mode Williamson transform of the positive definite block A, read as
     ``_block_min_eig`` reads it, lambda_- = ``min_eig``: (S as a row-major 4-tuple, a). With
-    a = sqrt(lambda_+) sqrt(lambda_-) (no overflow), sqrt(A) = (A + a I)/sqrt(tr A + 2a), so the
-    symmetric S = sqrt(a) A^(-1/2) = (adj A + a I)/(sqrt(a) sqrt(tr A + 2a)) needs no angle."""
+    a = sqrt(lambda_+ lambda_-), sqrt(A) = (A + a I)/sqrt(tr A + 2a), so the symmetric
+    S = sqrt(a) A^(-1/2) = (adj A + a I)/(sqrt(a) sqrt(tr A + 2a)) needs no angle. The one range
+    rule of every one-mode path: A/f, f = ``_power_of_four(max(p, s))``, has the same S and a/f."""
     p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
+    root, f = math.sqrt(min_eig), _power_of_four(max(p, s))
+    if f != 1.0:  # sqrt(lambda_-/f) taken as sqrt(lambda_-)/sqrt(f), which cannot underflow
+        p, q, s, min_eig, root = p / f, q / f, s / f, min_eig / f, root / math.sqrt(f)
     big = max(p, s) + (min(p, s) - min_eig)  # min(p, s) - lambda_- = q^2/(h + |d|) >= 0
-    a = math.sqrt(big) * math.sqrt(min_eig)
-    # In exact halves and quarters: no sum exceeds max(p, s), so none overflows before lambda_+.
-    k = 1.0 / (math.sqrt(a) * math.sqrt(p / 4.0 + s / 4.0 + a / 2.0))
-    off = -q / 2.0 * k
-    return ((s / 2.0 + a / 2.0) * k, off, off, (p / 2.0 + a / 2.0) * k), a
+    a = math.sqrt(big) * root
+    k = 1.0 / (math.sqrt(a) * math.sqrt(p + s + 2.0 * a))
+    return ((s + a) * k, -q * k, -q * k, (p + a) * k), a * f
 
 
 def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, list, float, int]:
@@ -329,14 +334,16 @@ def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, list, float, int]:
 def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symplectic eigenvalues of a 2n x 2n positive definite matrix, ascending.
 
-    Computed as the absolute values of the eigenvalues of i Omega V, which
-    come in +-nu_k pairs; each adjacent pair of sorted moduli is collapsed to
-    its mean. PairingError if a pair gap exceeds tolerance. One mode takes the
-    block test that one-mode Williamson shares, more modes the eigenvalue cut.
-    """
+    Two or more modes: the moduli of the eigenvalues of i Omega V, +-nu_k pairs, each adjacent
+    pair collapsed to its mean (PairingError if its gap exceeds tolerance), after the eigenvalue
+    cut. One mode makes no LAPACK call: the block test and the closed form's nu = a."""
     v, rows, scale, n = _validated_modes(v, tol)
-    _require_positive_definite(*(_block_min_eig(rows, 0) if n == 1 else _min_eig(v, scale, tol)))
-    return np.array(_spectrum_general(v, n, tol))
+    if n == 1:
+        return np.array([_single_mode(rows, 0, _require_positive_definite(
+            *_block_min_eig(rows, 0)))[1]])
+    _require_positive_definite(*_min_eig(v, scale, tol))
+    f = _power_of_four(scale)  # as Williamson reduces V: nu scales back exactly
+    return np.array(_spectrum_general(v / f, n, tol)) * f
 
 
 def _spectrum_general(v: np.ndarray, n: int, tol: Tolerance) -> list:

@@ -114,22 +114,21 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     BlockNotPositiveDefinite naming the offending block otherwise.
     """
     v, rows, scale, _ = _checked(v, tol, 2)
-    # Far above unit scale S V S^T and |z1| + |z2| overflow before a, b and c+- do. V/f has the
-    # same S and V's parameters over f, all exact.
-    f = _power_of_four(scale)
     # One closed form per block: the positivity check and the single-mode transform.
-    min_eigs = []
+    modes = []
     for name, i in (("A", 0), ("B", 2)):
         min_eig, band = _block_min_eig(rows, i)
         if min_eig <= band:
-            raise BlockNotPositiveDefinite(
-                f"block {name} is not positive definite "
-                f"(min eigenvalue {min_eig:.3e})", block=name, min_eig=min_eig)
-        min_eigs.append(min_eig / f)
-    if f > 1.0:
+            raise BlockNotPositiveDefinite(f"block {name} is not positive definite (min eigenvalue"
+                                           f" {min_eig:.3e})", block=name, min_eig=min_eig)
+        modes.append(_single_mode(rows, i, min_eig))
+    (s_a, a), (s_b, b) = modes
+    # Far from unit scale S V S^T and |z1| + |z2| leave float64's range before c+- do: the cross
+    # block and the residual are formed on V/f, whose c+- are V's over f, exactly.
+    f = _power_of_four(scale)
+    if f != 1.0:
         v, scale = v / f, scale / f
         rows = v.tolist()
-    (s_a, a), (s_b, b) = _single_mode(rows, 0, min_eigs[0]), _single_mode(rows, 2, min_eigs[1])
     # S_B is symmetric, so M = S_A C S_B^T = S_A C S_B.
     m = _product(_product(s_a, (*rows[0][2:], *rows[1][2:])), s_b)
     cut = tol._cut(max(map(abs, m)))
@@ -148,11 +147,11 @@ def reduce_to_standard_form(v, tol: Tolerance = DEFAULT_TOL
     ra, rb = _product(_rotation(theta_a), s_a), _product(_rotation(theta_b), s_b)
     s_local = np.array([[*ra[:2], 0.0, 0.0], [*ra[2:], 0.0, 0.0],
                         [0.0, 0.0, *rb[:2]], [0.0, 0.0, *rb[2:]]])
-    target = standard_form_matrix(a, b, c_plus, c_minus)
+    target = standard_form_matrix(a / f, b / f, c_plus, c_minus)
     residual = float(np.abs(symmetric_part(s_local @ v @ s_local.T) - target).max())
-    if not residual <= 1e3 * tol._cut(max(scale, abs(a), abs(b), abs(c_plus), abs(c_minus))):
+    if not residual <= 1e3 * tol._cut(max(scale, a / f, b / f, abs(c_plus), abs(c_minus))):
         raise InternalInconsistency(f"standard-form congruence residual {residual:.3e}")
-    a, b, c_plus, c_minus, residual = a * f, b * f, c_plus * f, c_minus * f, residual * f
+    c_plus, c_minus, residual = c_plus * f, c_minus * f, residual * f
     if c_plus == math.inf:  # a, b <= max|v_ij| and |c-| <= c+
         raise NumericalError("standard-form parameter c+ overflows float64")
     return StandardFormParams(a=a, b=b, c_plus=c_plus, c_minus=c_minus,

@@ -154,12 +154,12 @@ def _require_positive_definite(min_eig: float, cut: float, what: str = "matrix")
 
 
 def _power_of_four(scale: float) -> float:
-    """The exact divisor f = 4^j by which the normal forms reduce a V whose max |v_ij| is
-    ``scale``: 1 below 2^512, which keeps every bit, and above it the f that brings the scale into
-    [2^254, 2^256), where products cannot overflow and LAPACK does not rescale, so 4^j V reduces
-    exactly as V does and the results scale back exactly."""
+    """The exact divisor f = 4^j by which the normal forms reduce a matrix whose max |v_ij| is
+    ``scale``: 1 in [2^-510, 2^512), which keeps every bit, and outside it the f that brings the
+    scale into [2^254, 2^256) or [2^-256, 2^-254), where 2x2 products stay normal and LAPACK does
+    not rescale, so V/f reduces exactly as V does and the results scale back exactly."""
     e = math.frexp(scale)[1]
-    return 4.0 ** ((e - 255) // 2) if e > 512 else 1.0
+    return 1.0 if -510 < e <= 512 else math.ldexp(1.0, 2 * ((e - 255 if e > 0 else e + 255) // 2))
 
 
 def _mode_count(m: np.ndarray) -> int:

@@ -23,14 +23,11 @@ eps * kappa, kappa = cond V from the eigh of V, and the eigenvectors of iX by ab
 eps * a_max/a_min <= kappa (nu = 1/a lies between V's extreme eigenvalues), so the
 spectrum and orthogonality allowances grow with these above their fixed floors.
 
-One mode needs no eigenproblem: every 2x2 antisymmetric matrix is a multiple of
-omega, so X = omega/nu is already in block form and R = I. nu = sqrt(det V) and the
-symmetric S = sqrt(nu) V^(-1/2) are the standard form's own closed form,
-``invariants._single_mode``, on Python floats, after the one block test. Only
-|eig(Omega V)| is left, one LAPACK call (none once cond V passes 1/(4 eps), where it can
-check nothing), and nothing for the pairing, singularity, orthogonality and det R checks.
-Above max |v_ij| = 2^512 two or more modes decompose V / 4^j, as the standard form reduces
-it (``symplectic._power_of_four``).
+One mode needs no eigenproblem: X = omega/nu is already in block form and R = I, and
+nu = sqrt(det V) and S = sqrt(nu) V^(-1/2) are every one-mode path's closed form,
+``invariants._single_mode``, after the one block test. Only |eig(Omega V)| is left (none
+once cond V passes 1/(4 eps), where it checks nothing). Outside max |v_ij| in [2^-510,
+2^512) every mode count decomposes V / 4^j (``symplectic._power_of_four``).
 
 S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
 = (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
@@ -44,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegeneracyWarning, InternalInconsistency, PairingError, SingularInput,
-                     SymmetryError)
+from .errors import (DegeneracyWarning, InternalInconsistency, NumericalError, PairingError,
+                     SingularInput, SymmetryError)
 from .invariants import _block_min_eig, _single_mode, _spectrum_general, _validated_modes
 from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form,
                          _power_of_four, _read, _require_positive_definite, _symmetric_scale,
@@ -101,10 +98,18 @@ def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def _inv_sqrt(v: np.ndarray, cut: float, f: float = 1.0) -> tuple[np.ndarray, float]:
     """Core of ``inv_sqrt``: (V^(-1/2), kappa = cond V); eigh(V) is also the positivity check,
     against ``cut`` for f V, whose smallest eigenvalue a failure reports."""
-    evals, q = np.linalg.eigh(v)
+    evals, q = _eigh(v)
     _require_positive_definite(evals[0] * f, cut)
     m = (q / np.sqrt(evals)) @ q.T
     return (m + m.T) / 2.0, float(evals[-1]) / float(evals[0])
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh``; LAPACK's failure to converge is a NumericalError, not bad input."""
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from None
 
 
 def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
@@ -144,7 +149,7 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
                     ) -> tuple[np.ndarray, list]:
     """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
-    evals, vecs = np.linalg.eigh(1j * xs)
+    evals, vecs = _eigh(1j * xs)
     ev = evals.tolist()
     neg, pos = ev[:n_modes], ev[n_modes:]
     band = tol.band(*map(abs, ev))
@@ -171,14 +176,14 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
     return o, a_asc
 
 
-def _one_mode(rows: list, tol: Tolerance
+def _one_mode(rows: list, f: float
               ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
-    """One mode in closed form, X = omega/nu being in block form: (nu as a list, R = I,
-    S = sqrt(nu) V^(-1/2) from ``_single_mode``, X, kappa = lambda_+/lambda_- = (nu/lambda_-)^2)."""
+    """One mode in closed form on V's rows, returned as ``_many_modes`` returns V/f: (nu/f as a
+    list, R = I, S = sqrt(nu) V^(-1/2), X = f omega/nu, kappa = (nu/lambda_-)^2)."""
     min_eig = _require_positive_definite(*_block_min_eig(rows, 0))
     (s00, s01, s10, s11), nu = _single_mode(rows, 0, min_eig)
-    return ([nu], np.eye(2), np.array([[s00, s01], [s10, s11]]),
-            np.array([[0.0, 1.0 / nu], [-1.0 / nu, 0.0]]), (nu / min_eig) * (nu / min_eig))
+    return ([nu / f], np.eye(2), np.array([[s00, s01], [s10, s11]]),
+            np.array([[0.0, f / nu], [-f / nu, 0.0]]), (nu / min_eig) * (nu / min_eig))
 
 
 def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float, f: float
@@ -209,13 +214,12 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     coincide within tolerance; the decomposition itself remains valid.
     """
     v, rows, scale, n_modes = _validated_modes(v, tol)
-    # Far above unit scale X underflows and LAPACK rescales V by factors that are not powers of
-    # two: decompose V/f, f = 4^j, and scale nu and X back exactly (S and R do not move). The
-    # one-mode closed form needs no reduction.
-    f = 1.0 if n_modes == 1 else _power_of_four(scale)
-    if f > 1.0:
+    # Far from unit scale X leaves float64's range and LAPACK rescales V by factors that are not
+    # powers of two: decompose V/f, f = 4^j; nu and X scale back exactly, S and R do not move.
+    f = _power_of_four(scale)
+    if f != 1.0:
         v = v / f
-    nu, r, s, skew, kappa = (_one_mode(rows, tol) if n_modes == 1
+    nu, r, s, skew, kappa = (_one_mode(rows, f) if n_modes == 1
                              else _many_modes(v, n_modes, tol, tol._cut(scale), f))
     # eigvals(Omega V) errs by about eps * kappa relative, kappa = cond V: so does the allowance.
     # Past 4 eps kappa = 1, which only a one-mode block passing the block test reaches, the
@@ -235,6 +239,8 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
             "symplectic spectrum is degenerate within tolerance; the "
             "decomposition is valid but the rotation is not unique"),
             stacklevel=2)
+    if f < 1.0 and float(np.abs(skew).max()) / f == math.inf:  # X is in units of 1/V
+        raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
     nus = np.array(nu) * f
     return WilliamsonDecomposition(normal_form=np.diag(nus.repeat(2)), transform=s, rotation=r,
                                    skew=skew / f, spectrum=nus, degenerate=degenerate)
