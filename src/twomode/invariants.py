@@ -49,9 +49,6 @@ __all__ = [
     "symplectic_spectrum_general",
 ]
 
-# The det V identity holds for every symmetric 4x4, so a violation beyond
-# this (relative) band means the determinant or trace arithmetic went wrong.
-_IDENTITY_BAND = 1e-8
 _U = sys.float_info.epsilon / 2.0  # unit roundoff
 # Static error bounds (Higham, ch. 3): n terms, each a product of m entries at most s = max |v_ij|
 # that passes k roundings, err by n gamma_k s^m, gamma_k = k u / (1 - k u). det A: n, k = 2, 2;
@@ -135,10 +132,11 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
     (Sylvester), and on a diagonal V with at most one entry <= 0 it is lambda_min."""
     v, rows, scale, _ = _checked(v, tol, 2)
     det_a, det_b, det_c, d3, det_v = _minors(rows)
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
-    # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
-    r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
-                              (b00, b01, b10, b11)), (c00, c10, c01, c11))
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (d00, d01, b00, b01), (d10, d11, b10, b11) = rows
+    # I4 = Tr(A w C w B w C^T w) = r10 - r01, r = ((A^T w C) w B^T) w D with D = C^T the lower-left
+    # block as read: then det V = det A det B + det C det D - I4 for every 4x4, to rounding alone.
+    r = _w_product(_w_product(_w_product((a00, a10, a01, a11), (c00, c01, c10, c11)),
+                              (b00, b10, b01, b11)), (d00, d01, d10, d11))
     i4 = r[2] - r[1]
     delta, delta_tilde = det_a + det_b + 2 * det_c, det_a + det_b - 2 * det_c
     # The float minors decide where they clear their static bounds: each sign Sylvester reads,
@@ -162,11 +160,13 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
                  else min(a00, det_a / a00, d3 / det_a, det_v / d3))
     else:
         det_v, pivot, delta, delta_tilde = _exact(rows)
-    residual = det_v - (det_a * det_b + det_c * det_c - i4)
-    magnitude = 1.0 + abs(det_a * det_b) + det_c * det_c + abs(i4) + abs(det_v)
+    det_cd = det_c * (d00 * d11 - d01 * d10)
+    residual = det_v - (det_a * det_b + det_cd - i4)
+    magnitude = 1.0 + abs(det_a * det_b) + abs(det_cd) + abs(i4) + abs(det_v)
     if not math.isfinite(magnitude):
         raise NumericalError(f"invariants overflow float64: det V identity magnitude {magnitude}")
-    if abs(residual) > _IDENTITY_BAND * magnitude:
+    # Each side is 24 monomials of degree 4, each rounded at most 8 times: err_v apiece.
+    if abs(residual) > 2.0 * err_v + 8.0 * _U * magnitude:
         raise InternalInconsistency(
             f"det V identity violated: residual {residual:.3e} at scale {magnitude:.3e}")
     # Gamma = det A + det B + 2 |det C| = max(Delta, Delta~).

@@ -21,9 +21,11 @@ Each call validates V and computes the raw invariants once, as plain floats, wit
 V > 0 by Sylvester's minors and det V certified: neither classifier calls LAPACK.
 The global route adds the spectra from (Delta, det V) and (Delta~, det V), the
 local route the closed-form block eigenvalues; the two share nothing else. Every
-entry lhs <= rhs is ``Tolerance._at_most``'s. A classifier builds only its
-``Classification``, and the global cross-checks take the bona fide verdict and
-the entries they compare from its one ``_verdict`` pass.
+entry lhs <= rhs is ``Tolerance._at_most``'s, and each condition has one form: the paper's
+posdef and Simon conditions, in det A, det B, det C and I4, are by the identity
+det V = det A det B + det C^2 - I4 the routes' Delta, Delta~ and Gamma <= 1 + det V entries.
+A classifier builds only its ``Classification``, and the global cross-checks take the bona
+fide verdict and the entries they compare from its one ``_verdict`` pass.
 """
 from __future__ import annotations
 
@@ -154,45 +156,33 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
 def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Separability inequality for matrices already known to be physical.
 
-    Returns true iff det A det B + (1 + det C)^2 - I4 >= det A + det B,
-    equivalently Delta~ <= 1 + det V; for a Gaussian state this is exactly
-    separability. The bona fide precondition is enforced as a hard error:
-    consulted on an unphysical matrix the inequality is meaningless (it can
-    hold for matrices that are not CMs at all), so callers must classify
-    instead.
+    Simon's det A det B + (1 + det C)^2 - I4 >= det A + det B is, by the identity, Delta~ <=
+    1 + det V, and is decided as the global route's Delta~ entry; for a Gaussian state this is
+    exactly separability. The bona fide precondition is enforced as a hard error: consulted on
+    an unphysical matrix the inequality is meaningless (it can hold for matrices that are not
+    CMs at all), so callers must classify instead.
     """
     _, rows, pivot, inv = _evaluate(v, tol)
     failed, _, margins = _verdict(_global_report(rows, pivot, inv, tol)[0])
     if failed is not None:
-        raise PreconditionViolated(
-            "simon_criterion requires a bona fide CM; margins "
-            f"{margins} (classify the matrix instead)")
-    det_a, det_b, det_c, _, i4, _, _, _ = inv
-    margin, band = tol._at_most(det_a + det_b, det_a * det_b + (1.0 + det_c) ** 2 - i4)
-    return margin >= -band
+        raise PreconditionViolated("simon_criterion requires a bona fide CM; margins "
+                                   f"{margins} (classify the matrix instead)")
+    return _verdict({"delta_tilde_margin": tol._at_most(inv[6], 1.0 + inv[3])})[0] is None
 
 
 def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """Three-way classification specialized to positive definite input.
 
-    separable iff det V >= 1 and det A det B + (1 - |det C|)^2 - I4 >=
-    det A + det B; entangled iff det V >= 1 and
-    (1 + det C)^2 < det A + det B - det A det B + I4 <= (1 - det C)^2;
-    otherwise unphysical. Raises NotPositiveDefinite outside its domain.
+    separable iff det V >= 1 and det A det B + (1 - |det C|)^2 - I4 >= det A + det B;
+    entangled iff det V >= 1 and (1 + det C)^2 < det A + det B - det A det B + I4 <=
+    (1 - det C)^2; otherwise unphysical. By the identity these read Gamma <= 1 + det V and
+    Delta~ > 1 + det V >= Delta: the routes' det V >= 1, Delta and Gamma entries decide, and
+    Delta~'s margin is reported as ``classify_local`` does. NotPositiveDefinite outside its domain.
     """
-    v, _, pivot, (det_a, det_b, det_c, det_v, i4, _, _, _) = _evaluate(v, tol)
+    v, _, pivot, (_, _, _, det_v, _, delta, delta_tilde, gamma_sep) = _evaluate(v, tol)
     _require_sylvester(v, pivot)
-
-    # s_mid is the middle member of the entangled-branch chain; the bounds
-    # (1 -+ det C)^2 translate to the Delta~ / Delta margins.
-    s_mid = det_a + det_b - det_a * det_b + i4
-    failed, _, checked = _verdict({
-        "det_V_minus_1": tol._at_most(1.0, det_v),
-        "delta_margin": tol._at_most(s_mid, (1.0 - det_c) ** 2),
-        "gamma_margin": (det_a * det_b + (1.0 - abs(det_c)) ** 2 - i4 - det_a - det_b,
-                         tol.band(s_mid, (1.0 + det_c) ** 2)),
-    })
-    # Reported in the order det V, Gamma, Delta, Delta~; checked in _POSDEF's order.
-    margins = {key: checked[key] for key in ("det_V_minus_1", "gamma_margin", "delta_margin")}
-    margins["delta_tilde_margin"] = (1.0 + det_c) ** 2 - s_mid
+    failed, _, margins = _verdict({"det_V_minus_1": tol._at_most(1.0, det_v),
+                                   "delta_margin": tol._at_most(delta, 1.0 + det_v),
+                                   "gamma_margin": tol._at_most(gamma_sep, 1.0 + det_v)})
+    margins["delta_tilde_margin"] = (1.0 + det_v) - delta_tilde
     return Classification(*_POSDEF[failed], margins)

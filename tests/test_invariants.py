@@ -99,6 +99,19 @@ def test_det_identity_self_test_fires(monkeypatch, fn):
         fn(v)
 
 
+@pytest.mark.parametrize("rel", [1e-9, 1e-6, 1e-3])
+def test_det_identity_holds_on_input_symmetric_within_tolerance(rel):
+    # det V reads every entry as given, and so does I4 (A^T, B^T and the lower-left block in
+    # place of A, B and C^T): an asymmetry that the tolerance admits cannot trip the self-test.
+    tol = tm.Tolerance(rel=rel)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        v = tm.random_physical(int(rng.integers(2**31)))
+        w = v + np.tril(rng.uniform(-0.9, 0.9, (4, 4)), -1) * tol._cut(np.abs(v).max())
+        assert tm.two_mode_invariants(w, tol).det_C == tm.two_mode_invariants(v).det_C
+        assert tm.check_local(w, tol).verdict
+
+
 @pytest.mark.parametrize("v", [1e80 * tm.simon_vx(1.0), tm.two_mode_squeezed(100.0),
                                1e100 * np.eye(4)])
 def test_overflowing_invariants_raise_numerical_error(v):

@@ -1,8 +1,7 @@
 """Integer pure states V = S S^T: exact in float64, physical and entangled on every route.
 
 S is an integer symplectic matrix, so V has integer entries, det V = 1 and Delta = 2 with
-no input rounding (see ``support.integer_pure_state``). The cells that fail today are
-strict xfails: each is one of ROADMAP item 2's float bands. The exact referee
+no input rounding (see ``support.integer_pure_state``). The exact referee
 ``support.exact_bona_fide`` decides these boundary states, and their neighbours, exactly.
 """
 from fractions import Fraction
@@ -26,24 +25,6 @@ ROUTES = {
     "check_local": lambda v: tm.check_local(v).verdict,
     "classify_local": lambda v: tm.classify_local(v).tag is Tag.ENTANGLED,
 }
-# The one route that still fails from some k, and why.
-_POSDEF_FROM = 16
-
-
-def _known_failure(family, k, route):
-    """(error, reason) of a cell that fails today, or None."""
-    if route == "posdef_criterion" and k >= _POSDEF_FROM:
-        return AssertionError, ("ROADMAP item 2: posdef_criterion's gamma_margin (-4^(k+1) "
-                                "for C(t)) lies within its band tol.rel (1 + det C)^2, "
-                                "about 1e-9 * 2^(4k), so the state reads separable")
-    return None
-
-
-def _cell(family, k, route):
-    known = _known_failure(family, k, route)
-    marks = () if known is None else pytest.mark.xfail(strict=True, raises=known[0],
-                                                       reason=known[1])
-    return pytest.param(family, k, route, marks=marks, id=f"{family}-k{k}-{route}")
 
 
 @pytest.mark.parametrize("family", PURE_FAMILIES)
@@ -63,7 +44,7 @@ def test_integer_pure_states_are_exact_pure_and_entangled(family):
 
 
 @pytest.mark.parametrize("family, k, route", [
-    _cell(family, k, route)
+    pytest.param(family, k, route, id=f"{family}-k{k}-{route}")
     for family in PURE_FAMILIES for k in PURE_EXPONENTS for route in ROUTES])
 def test_integer_pure_state_is_physical_and_entangled(family, k, route):
     assert ROUTES[route](np.array(integer_pure_state(family, k), dtype=float))

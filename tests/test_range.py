@@ -101,6 +101,18 @@ def test_wide_range_probe_is_finite_or_a_twomode_error():
     assert not bad, "\n".join(bad[:10])
 
 
+@pytest.mark.parametrize("index", [4, 14, 29, 69, 284])
+def test_det_identity_self_test_is_silent_on_wide_range_draws(index):
+    # V V^T draws whose identity residual passes 1e-8 of its terms' size by rounding alone; the
+    # self-test bounds that rounding, so every invariants-based call answers, and they agree.
+    v = wide_range_probe(index + 1)[index]
+    tm.two_mode_invariants(v)
+    tag = tm.classify_global(v).tag
+    assert tm.classify_local(v).tag is tag
+    if tm.check_global(v).margins["min_eig_V"] > 0.0:
+        assert tm.posdef_criterion(v).tag is tag
+
+
 def test_range_edges_are_finite_or_a_twomode_error():
     blocks = near_max_blocks(200) + [TINY]
     bad = _violations(CALLS_2, blocks) + _violations(

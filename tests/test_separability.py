@@ -277,15 +277,46 @@ def test_posdef_rejects_indefinite_input():
         tm.posdef_criterion(np.diag([1.0, 1.0, 1.0, 0.0]))
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(200))
 def test_posdef_matches_global_classification(seed):
-    rng = np.random.default_rng(seed)
+    # posdef's domain is the global route's V > 0: it raises exactly where classify_global
+    # says V is not positive definite, and otherwise gives its tag, near the boundary too.
     for v in boundary_biased(30, seed):
-        if near_boundary(v):
-            continue
-        if not tm.is_positive_definite(v):
-            continue
-        assert tm.posdef_criterion(v).tag is tm.classify_global(v).tag
+        out = tm.classify_global(v)
+        if out.reason == "V is not positive definite":
+            with pytest.raises(tm.NotPositiveDefinite):
+                tm.posdef_criterion(v)
+        else:
+            assert tm.posdef_criterion(v).tag is out.tag
+
+
+def test_posdef_sees_strong_two_mode_squeezing_as_entangled():
+    # The expanded (1 + det C)^2 and s_mid forms cancelled here and read the state as separable
+    # from r = 5.88. Rounding cosh r and sinh r leaves det V < 1 at some r, where the float
+    # matrix is not physical: there posdef, like classify_global, says Unphysical.
+    tags = []
+    for r in np.linspace(5.8, 8.0, 221):
+        v = tm.two_mode_squeezed(r)
+        tags.append(tm.posdef_criterion(v).tag)
+        assert tags[-1] is tm.classify_global(v).tag
+    assert Tag.SEPARABLE not in tags and tags.count(Tag.ENTANGLED) >= 100
+
+
+def test_posdef_and_simon_read_the_route_entries():
+    # det V >= 1 and Delta are the global route's entries, Gamma and the reported Delta~ the
+    # local route's, and Simon's inequality is the global Delta~ entry: the same bits.
+    checked = 0
+    for v in [tm.random_physical(seed) for seed in range(100)] + list(boundary_biased(200, 9)):
+        glob, local = tm.classify_global(v), tm.classify_local(v)
+        if glob.reason != "V is not positive definite":
+            margins = tm.posdef_criterion(v).margins
+            for key, route in (("det_V_minus_1", glob), ("delta_margin", glob),
+                               ("gamma_margin", local), ("delta_tilde_margin", local)):
+                assert margins[key].hex() == route.margins[key].hex()
+            checked += 1
+        if glob.tag is not Tag.UNPHYSICAL:
+            assert tm.simon_criterion(v) is (glob.tag is Tag.SEPARABLE)
+    assert checked >= 150
 
 
 def test_classification_is_scale_covariant_at_large_magnitude():
