@@ -47,7 +47,7 @@ from .errors import (
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .invariants import TwoModeInvariants
-from .physicality import _bona_fide_report, heisenberg_oracle
+from .physicality import heisenberg_oracle
 from .separability import _global_classification, _global_route
 from .standard_form import reduce_to_standard_form
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, omega
@@ -173,7 +173,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _evaluation(v, tol: Tolerance):
     """The global route, its invariants' fields and its four spectra, None unless V > 0."""
-    inv, _, spec, ppt, _ = route = _global_route(v, tol)
+    _, inv, _, spec, ppt = route = _global_route(v, tol)
     nus = (None,) * 4 if spec is None else (spec.nu_minus, spec.nu_plus, ppt.nu_minus, ppt.nu_plus)
     return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, nus))
 
@@ -198,10 +198,9 @@ def _text_lines(record: dict, indent: str = ""):
 
 def _classify_record(v, tol: Tolerance) -> dict:
     route, inv, spectra = _evaluation(v, tol)
-    report = asdict(_bona_fide_report("global", route[1], spectra["nu_minus"]))
-    result = _global_classification(*route, tol)
+    result, report = _global_classification(route, tol)
     return {"tag": result.tag.value, "reason": result.reason, "margins": result.margins,
-            "invariants": inv, "report": report, **spectra}
+            "invariants": inv, "report": asdict(report), **spectra}
 
 
 def _invariants_record(v, tol: Tolerance) -> dict:

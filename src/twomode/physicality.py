@@ -11,22 +11,22 @@ Three independent routes are provided and must agree:
 
 Each call validates V and computes the raw invariants once, as plain floats,
 with V > 0 by Sylvester's minors and det V certified: neither route calls LAPACK.
-Each route's core then evaluates its own inequalities into one dict of
-conditions and builds no record: the global one with that Sylvester margin and
-nu_-^2 = det V / nu_+^2 (Vieta form), the local one with ``_block_min_eig``, and
-each entry lhs <= rhs from ``Tolerance._at_most``, the one home of each test.
+Every route's conditions, the classifiers' in ``separability`` too, are written
+once, in ``_ENTRIES``, as ``key -> (margin, band)`` entries formed only when a
+route names them, each lhs <= rhs from ``Tolerance._at_most``. Each route's tag
+table (``_GLOBAL``, ``_LOCAL``, ``_POSDEF``) is its one key list in checking
+order, the bona fide conditions (Unphysical) first; ``check_*`` evaluate that
+prefix, and the global route adds nu_-^2 = det V / nu_+^2 (Vieta form).
 
-Verdict policy, implemented once by ``_verdict``: each route builds one
-ordered dict of its conditions, each key mapped to its ``(margin, band)``
-entry in checking order. Inequality margins are inclusive (>= -band); strict
-positive definiteness (the ``min_eig_*`` margins, band 0) uses > +band, and a margin
-within its band of 0 flags the report as borderline. It runs once per public
-call and returns the first failed key with the margins: ``check_*`` over the
-bona fide conditions, each classifier in ``separability`` over a new dict of
-the same entries plus its PPT condition, taking every tag from the same policy.
+Verdict policy, implemented once by ``_verdict``: one pass over a route's
+conditions returns the first failed key and the margins. Inequality margins are
+inclusive (>= -band); strict positive definiteness (the ``min_eig_*`` margins,
+band 0) uses > +band, and a bona fide margin within its band of 0 flags the
+report as borderline.
 """
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +45,14 @@ __all__ = [
     "check_local",
     "standard_form_hermitian_eigs",
 ]
+
+
+class Tag(enum.Enum):
+    """Classification outcome for a symmetric 4x4 matrix (exported by ``separability``)."""
+
+    UNPHYSICAL = "Unphysical"
+    SEPARABLE = "SeparableGaussianCM"
+    ENTANGLED = "EntangledGaussianCM"
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,54 +116,89 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return min_eig >= -tol._cut(scale), min_eig
 
 
-def _verdict(conditions: dict[str, tuple[float, float]]
-             ) -> tuple[str | None, bool, dict[str, float]]:
-    """The verdict policy, one pass over a route's ``key -> (margin, band)`` conditions in
-    checking order: returns ``(failed, borderline, margins)``, the first failed key or None."""
-    failed, borderline, margins = None, False, {}
+# Each route's conditions in checking order (tag None: reported, never decides), then under
+# None the result when none fails: its one key list. _BONA_FIDE: the Unphysical prefixes.
+_GLOBAL = {"min_eig_V": (Tag.UNPHYSICAL, "V is not positive definite"),
+           "det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1"),
+           "delta_margin": (Tag.UNPHYSICAL, "Delta > 1 + det V"),
+           "delta_tilde_margin": (Tag.ENTANGLED, "partial transpose violates the uncertainty "
+                                  "principle (nu~_- < 1, Delta~ > 1 + det V)"),
+           None: (Tag.SEPARABLE, "partial transpose is physical (nu~_- >= 1)")}
+_LOCAL = {"min_eig_A": (Tag.UNPHYSICAL, "block A is not positive definite"),
+          "min_eig_B": (Tag.UNPHYSICAL, "block B is not positive definite"),
+          "delta_margin": (Tag.UNPHYSICAL, "Delta > 1 + det V"),
+          "block_margin": (Tag.UNPHYSICAL, "2 sqrt(det A det B) + det C^2 > det V + det A det B"),
+          "gamma_margin": (Tag.ENTANGLED, "Gamma > 1 + det V with Delta <= 1 + det V "
+                           "(PPT violated)"),
+          "delta_tilde_margin": (None, "reported only"),
+          None: (Tag.SEPARABLE, "Gamma <= 1 + det V (PPT holds)")}
+_POSDEF = {"det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1 (neither branch applies)"),
+           "delta_margin": (Tag.UNPHYSICAL, "Delta > 1 + det V (neither branch applies)"),
+           "gamma_margin": (Tag.ENTANGLED, "det V >= 1 and Delta <= 1 + det V < Delta~"),
+           "delta_tilde_margin": (None, "reported only"),
+           None: (Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V")}
+_BONA_FIDE = {route: [key for key, (tag, _) in table.items() if tag is Tag.UNPHYSICAL]
+              for route, table in (("global", _GLOBAL), ("local", _LOCAL))}
+
+
+def _block_margin(rows: list, pivot: float, inv: tuple, tol: Tolerance) -> tuple[float, float]:
+    """The block inequality's entry; the clamp keeps it finite where a block already failed."""
+    det_a, det_b, det_c, det_v = inv[:4]
+    return ((det_v + det_a * det_b) - (2.0 * math.sqrt(max(det_a * det_b, 0.0)) + det_c**2),
+            tol.band(det_v, det_a * det_b, det_c**2))
+
+
+# Each condition's (margin, band) entry, written once, on a validated matrix's rows, min_eig_V
+# margin (the smallest LDL^T pivot, with lambda_min(V)'s sign), invariants (inv[3] is det V,
+# inv[5:] Delta, Delta~ and Gamma) and tol. det V~ = det V: Delta~ or Gamma decides the PPT stage.
+_ENTRIES = {"min_eig_V": lambda rows, pivot, inv, tol: (pivot, 0.0),
+            "min_eig_A": lambda rows, pivot, inv, tol: _block_min_eig(rows, 0),
+            "min_eig_B": lambda rows, pivot, inv, tol: _block_min_eig(rows, 2),
+            "det_V_minus_1": lambda rows, pivot, inv, tol: tol._at_most(1.0, inv[3]),
+            "delta_margin": lambda rows, pivot, inv, tol: tol._at_most(inv[5], 1.0 + inv[3]),
+            "block_margin": _block_margin,
+            "delta_tilde_margin": lambda rows, pivot, inv, tol: tol._at_most(inv[6], 1.0 + inv[3]),
+            "gamma_margin": lambda rows, pivot, inv, tol: tol._at_most(inv[7], 1.0 + inv[3])}
+
+
+def _conditions(keys, rows: list, pivot: float, inv: tuple, tol: Tolerance) -> dict:
+    """The entry of each condition in ``keys`` (a tag table or a list), in that order."""
+    return {key: _ENTRIES[key](rows, pivot, inv, tol) for key in keys if key is not None}
+
+
+def _verdict(table: dict, conditions: dict) -> tuple[str | None, list[str], dict[str, float]]:
+    """The verdict policy, one pass over a route's conditions: ``(failed, near, margins)``, the
+    first failed key that has a tag (or None) and the keys within their band of 0."""
+    failed, near, margins = None, [], {}
     for key, (margin, band) in conditions.items():
-        if not (margin > band if key.startswith("min_eig_") else margin >= -band):
+        if not (margin > band if key.startswith("min_eig_") else margin >= -band) and table[key][0]:
             failed = failed or key
-        borderline = borderline or abs(margin) <= band
+        if abs(margin) <= band:
+            near.append(key)
         margins[key] = margin
-    return failed, borderline, margins
+    return failed, near, margins
 
 
-def _bona_fide_report(route: str, conditions: dict[str, tuple[float, float]],
-                      nu_minus: float | None = None) -> BonaFideReport:
-    """The report of a route's conditions, from one ``_verdict`` pass."""
-    failed, borderline, margins = _verdict(conditions)
-    return BonaFideReport(failed is None, route, margins, nu_minus, borderline)
+def _report(route: str, verdict: tuple, spec: SymplecticSpectrum2 | None = None) -> BonaFideReport:
+    """The route's report, from a ``_verdict`` pass over its table or its bona fide prefix."""
+    failed, near, margins = verdict
+    keys = _BONA_FIDE[route]
+    return BonaFideReport(failed not in keys, route, {key: margins[key] for key in keys},
+                          None if spec is None else spec.nu_minus, any(key in near for key in keys))
 
 
-def _global_report(rows: list, pivot: float, inv: tuple, tol: Tolerance
-                   ) -> tuple[dict[str, tuple[float, float]], SymplecticSpectrum2 | None]:
-    """Body of ``check_global`` on a validated matrix's rows, min_eig_V margin and invariants:
-    its conditions and the spectrum it formed (None when V is not > 0)."""
-    _, _, _, det_v, _, delta, _, _ = inv
-    # min_eig_V: the smallest LDL^T pivot, strict (band 0), with lambda_min(V)'s sign.
-    conditions = {"min_eig_V": (pivot, 0.0), "det_V_minus_1": tol._at_most(1.0, det_v),
-                  "delta_margin": tol._at_most(delta, 1.0 + det_v)}
-    # V > 0 as _verdict reads min_eig_V; the closed form presumes it.
-    return conditions, _spectrum_from_delta(delta, det_v, tol, rows) if pivot > 0.0 else None
+def _global(keys, v, tol: Tolerance) -> tuple:
+    """One evaluation of V on the global route: its rows, its invariants, the entries of ``keys``
+    and V's spectrum from (Delta, det V), None unless V > 0 (the closed form presumes it)."""
+    _, rows, pivot, inv = _evaluate(v, tol)
+    return (rows, inv, _conditions(keys, rows, pivot, inv, tol),
+            _spectrum_from_delta(inv[5], inv[3], tol, rows) if pivot > 0.0 else None)
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    conditions, spec = _global_report(*_evaluate(v, tol)[1:], tol)
-    return _bona_fide_report("global", conditions, None if spec is None else spec.nu_minus)
-
-
-def _local_report(rows: list, inv: tuple, tol: Tolerance) -> dict[str, tuple[float, float]]:
-    """Body of ``check_local`` on a validated matrix's rows and its invariants: its conditions."""
-    det_a, det_b, det_c, det_v, _, delta, _, _ = inv
-    # det A det B >= 0 whenever both blocks pass positivity; the clamp only
-    # keeps the margin finite on inputs that already failed.
-    prod = max(det_a * det_b, 0.0)
-    return {"min_eig_A": _block_min_eig(rows, 0), "min_eig_B": _block_min_eig(rows, 2),
-            "delta_margin": tol._at_most(delta, 1.0 + det_v),
-            "block_margin": ((det_v + det_a * det_b) - (2.0 * math.sqrt(prod) + det_c**2),
-                             tol.band(det_v, det_a * det_b, det_c**2))}
+    _, _, conditions, spec = _global(_BONA_FIDE["global"], v, tol)
+    return _report("global", _verdict(_GLOBAL, conditions), spec)
 
 
 def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
@@ -166,8 +209,9 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     global conditions; kept free of any standard-form reduction so the two
     routes stay independent.
     """
-    _, rows, _, inv = _evaluate(v, tol)
-    return _bona_fide_report("local", _local_report(rows, inv, tol))
+    _, rows, pivot, inv = _evaluate(v, tol)
+    conditions = _conditions(_BONA_FIDE["local"], rows, pivot, inv, tol)
+    return _report("local", _verdict(_LOCAL, conditions))
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

@@ -112,6 +112,27 @@ def test_det_identity_holds_on_input_symmetric_within_tolerance(rel):
         assert tm.check_local(w, tol).verdict
 
 
+def _moved_within_tolerance(seed: int, k: int, tol: tm.Tolerance) -> np.ndarray:
+    """Draw k (from 0) of the generator above: random_physical with its lower triangle moved by
+    up to 0.9 of the symmetry cut."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k + 1):
+        v = tm.random_physical(int(rng.integers(2**31)))
+        w = v + np.tril(rng.uniform(-0.9, 0.9, (4, 4)), -1) * tol._cut(np.abs(v).max())
+    return w
+
+
+# The draws of 200 from seeds 5 and 0 on which classify_global raises NumericalError.
+@pytest.mark.xfail(strict=True, raises=tm.NumericalError,
+                   reason="ROADMAP item 8: the radicand Delta^2 - 4 det V gets its own M. Its "
+                          "clamp allows for rounding, not for the asymmetry the tolerance admits")
+@pytest.mark.parametrize("seed, k", [(5, 5), (5, 88), (5, 156), (5, 186), (0, 189)])
+def test_classify_global_decides_input_symmetric_within_tolerance(seed, k):
+    tol = tm.Tolerance(rel=1e-3)
+    w = _moved_within_tolerance(seed, k, tol)
+    assert tm.classify_global(w, tol).tag is tm.classify_local(w, tol).tag
+
+
 @pytest.mark.parametrize("v", [1e80 * tm.simon_vx(1.0), tm.two_mode_squeezed(100.0),
                                1e100 * np.eye(4)])
 def test_overflowing_invariants_raise_numerical_error(v):
