@@ -8,12 +8,13 @@ combine into the global invariants
     Delta~      = det A + det B - 2 det C   (partial transpose)
     Gamma_sep   = det A + det B + 2 |det C| = max(Delta, Delta~)
 
-and satisfy det V = det A det B + det C^2 - I4 for every symmetric V. ``_evaluate`` forms them
-with no LAPACK call and decides V > 0 for the spectra and the routes alike by Sylvester's
-leading minors; a float sign or det V decision too close to its static error bound is taken on
-Python ints instead (filtered exact predicates, Shewchuk, DCG 18 (1997)). The one test of a
-diagonal block is ``_block_min_eig``, and ``_single_mode`` its one Williamson transform
-S = sqrt(a) A^(-1/2); ``_min_eig`` is the eigenvalue cut of matrices of any size.
+and satisfy det V = det A det B + det C^2 - I4 for every symmetric V, as the input boundary makes
+every V it hands on. ``_evaluate`` forms them with no LAPACK call and decides V > 0 for the spectra
+and the routes alike by Sylvester's leading minors; a float sign or det V decision too close to its
+static error bound is taken on Python ints instead (filtered exact predicates, Shewchuk, DCG 18
+(1997)). The one test of a diagonal block is ``_block_min_eig``, and ``_single_mode`` its one
+Williamson transform S = sqrt(a) A^(-1/2). Both two-mode spectra come from ``_vieta``, the roots of
+z^2 - Delta z + det V.
 """
 from __future__ import annotations
 
@@ -132,11 +133,10 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
     (Sylvester), and on a diagonal V with at most one entry <= 0 it is lambda_min."""
     v, rows, scale, _ = _checked(v, tol, 2)
     det_a, det_b, det_c, d3, det_v = _minors(rows)
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (d00, d01, b00, b01), (d10, d11, b10, b11) = rows
-    # I4 = Tr(A w C w B w C^T w) = r10 - r01, r = ((A^T w C) w B^T) w D with D = C^T the lower-left
-    # block as read: then det V = det A det B + det C det D - I4 for every 4x4, to rounding alone.
-    r = _w_product(_w_product(_w_product((a00, a10, a01, a11), (c00, c01, c10, c11)),
-                              (b00, b10, b01, b11)), (d00, d01, d10, d11))
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
+    # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
+    r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
+                              (b00, b01, b10, b11)), (c00, c10, c01, c11))
     i4 = r[2] - r[1]
     delta, delta_tilde = det_a + det_b + 2 * det_c, det_a + det_b - 2 * det_c
     # The float minors decide where they clear their static bounds: each sign Sylvester reads,
@@ -160,9 +160,8 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
                  else min(a00, det_a / a00, d3 / det_a, det_v / d3))
     else:
         det_v, pivot, delta, delta_tilde = _exact(rows)
-    det_cd = det_c * (d00 * d11 - d01 * d10)
-    residual = det_v - (det_a * det_b + det_cd - i4)
-    magnitude = 1.0 + abs(det_a * det_b) + abs(det_cd) + abs(i4) + abs(det_v)
+    residual = det_v - (det_a * det_b + det_c * det_c - i4)
+    magnitude = 1.0 + abs(det_a * det_b) + det_c * det_c + abs(i4) + abs(det_v)
     if not math.isfinite(magnitude):
         raise NumericalError(f"invariants overflow float64: det V identity magnitude {magnitude}")
     # Each side is 24 monomials of degree 4, each rounded at most 8 times: err_v apiece.
@@ -206,22 +205,27 @@ def _nu_minus_allowance(rows: list, delta: float, det_v: float, delta_band: floa
     d_delta, d_det = _rounding(rows, det_v)
     d_delta += delta_band
     d_det += det_band + _GAMMA_2 * (delta * delta / 4.0 + abs(det_v))
-    lo, nu, hi = (_vieta_nu_minus(x, d) for x, d in (
+    lo, nu, hi = (math.sqrt(max(_vieta(x, d)[1], 0.0)) for x, d in (
         (delta + d_delta, det_v - d_det), (delta, det_v), (delta - d_delta, det_v + d_det)))
     return max(nu - lo, hi - nu) + 8.0 * _U * (1.0 + nu)
 
 
-def _vieta_nu_minus(delta: float, det_v: float) -> float:
-    """nu_- as ``_spectrum_from_delta`` forms it, without its checks; inf where nu_+^2 <= 0."""
-    plus = (delta + math.sqrt(max(delta * delta - 4.0 * det_v, 0.0))) / 2.0
-    return math.sqrt(max(det_v / plus, 0.0)) if plus > 0.0 else math.inf
+def _vieta(delta: float, det_v: float) -> tuple[float, float, float]:
+    """(Delta^2 - 4 det V, nu_-^2, nu_+^2), the roots of z^2 - Delta z + det V unchecked; nu_-^2
+    = det V / nu_+^2 (Vieta), as (Delta - sqrt(radicand))/2 cancels for squeezed states."""
+    rad = delta * delta - 4.0 * det_v
+    root = math.sqrt(max(rad, 0.0))  # inf or NaN where Delta^2 is past float64; there Delta > 0
+    # is large and nu_+^2 = Delta (1 + sqrt(1 - 4 det V / Delta^2))/2.
+    plus = ((delta + root) / 2.0 if rad < math.inf
+            else delta / 2.0 * (1.0 + math.sqrt(max(1.0 - det_v / delta * 4.0 / delta, 0.0))))
+    return rad, det_v / plus if plus > 0.0 else (delta - root) / 2.0, plus
 
 
 def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
                          rows: list) -> SymplecticSpectrum2:
-    # nu_-^2, nu_+^2 are the roots of z^2 - Delta z + det V = 0. The small root comes from
-    # Vieta, nu_-^2 = det V / nu_+^2: (Delta - sqrt(radicand))/2 cancels for squeezed states.
-    rad, band = tol._at_most(4.0 * det_v, delta * delta)
+    """``_vieta``'s spectrum with its checks, on the band of Delta^2 >= 4 det V."""
+    rad, minus, plus = _vieta(delta, det_v)
+    band = tol.band(4.0 * det_v, delta * delta)
     # For V > 0, given by its rows, rad = (nu_+^2 - nu_-^2)^2 >= 0: it is clamped unless its
     # largest value with Delta (or Delta~) and det V moved by their rounding bounds stays < 0.
     if rad < -band:
@@ -229,11 +233,6 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
         top, low = (abs(delta) + d_delta) * (abs(delta) + d_delta), 4.0 * (det_v - d_det)
         if top - low < -_GAMMA_4 * (top + abs(low)):
             raise NumericalError(f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
-    root = math.sqrt(max(rad, 0.0))  # inf or NaN where Delta^2 is past float64; there Delta > 0
-    # is large and nu_+^2 = Delta (1 + sqrt(1 - 4 det V / Delta^2))/2.
-    plus = ((delta + root) / 2.0 if rad < math.inf
-            else delta / 2.0 * (1.0 + math.sqrt(max(1.0 - det_v / delta * 4.0 / delta, 0.0))))
-    minus = det_v / plus if plus > 0.0 else (delta - root) / 2.0
     for sq in (minus, plus):
         if sq < -band:
             raise NumericalError(f"squared symplectic eigenvalue {sq:.3e} < 0")
@@ -267,11 +266,6 @@ def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
     return symplectic_spectrum_2mode(partial_transpose(v), tol)
 
 
-def _min_eig(v: np.ndarray, scale: float, tol: Tolerance) -> tuple[float, float]:
-    """The one eigenvalue test of V > 0, on a validated symmetric v: (min eigenvalue, its cut)."""
-    return float(np.linalg.eigvalsh(v)[0]), tol._cut(scale)
-
-
 def _min_eig_2x2(p: float, q: float, s: float) -> float:
     """Smaller eigenvalue of the symmetric 2x2 [[p, q], [q, s]], closed form.
 
@@ -292,9 +286,8 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
 
 def _block_min_eig(rows: list, i: int) -> tuple[float, float]:
     """The strict positivity entry (lambda_-, 0.0) of V's diagonal block [[p, q], [q, s]] on rows
-    and columns i, i + 1, its lower triangle (V is symmetric only within tolerance): it is > 0 iff
-    p > 0 and det = ps - q^2 > 0, from the float det where it clears gamma_2 (|ps| + q^2) and
-    exactly otherwise. lambda_- is the closed form, or det/(p + s) where that has the other sign."""
+    and columns i, i + 1: it is > 0 iff p > 0 and det = ps - q^2 > 0, from the float det where
+    it clears gamma_2 (|ps| + q^2) and exactly otherwise. lambda_-: the closed form, or det/tr."""
     p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
     lam, ps, qq, trace = _min_eig_2x2(p, q, s), p * s, q * q, p + s
     det = ps - qq
@@ -308,8 +301,8 @@ def _block_min_eig(rows: list, i: int) -> tuple[float, float]:
 
 
 def _single_mode(rows: list, i: int, min_eig: float) -> tuple[tuple, float]:
-    """The one single-mode Williamson transform of the positive definite block A, read as
-    ``_block_min_eig`` reads it, lambda_- = ``min_eig``: (S as a row-major 4-tuple, a). With
+    """The one single-mode Williamson transform of the positive definite block A on rows and
+    columns i, i + 1, lambda_- = ``min_eig``: (S as a row-major 4-tuple, a). With
     a = sqrt(lambda_+ lambda_-), sqrt(A) = (A + a I)/sqrt(tr A + 2a), so the symmetric
     S = sqrt(a) A^(-1/2) = (adj A + a I)/(sqrt(a) sqrt(tr A + 2a)) needs no angle. The one range
     rule of every one-mode path: A/f, f = ``_power_of_four(max(p, s))``, has the same S and a/f."""
@@ -341,7 +334,7 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if n == 1:
         return np.array([_single_mode(rows, 0, _require_positive_definite(
             *_block_min_eig(rows, 0)))[1]])
-    _require_positive_definite(*_min_eig(v, scale, tol))
+    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
     f = _power_of_four(scale)  # as Williamson reduces V: nu scales back exactly
     return np.array(_spectrum_general(v / f, n, tol)) * f
 

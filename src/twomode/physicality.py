@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invariants import (SymplecticSpectrum2, _block_min_eig, _evaluate, _min_eig,
-                         _spectrum_from_delta)
+from .invariants import SymplecticSpectrum2, _block_min_eig, _evaluate, _spectrum_from_delta
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
 
 __all__ = [
@@ -100,8 +99,8 @@ def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     positive definite.
     """
     m, rows, flat = _read(m)
-    min_eig, cut = _min_eig(m, _symmetric_scale(rows, flat, tol), tol)
-    return min_eig > cut
+    cut = tol._cut(_symmetric_scale(m, rows, flat, tol))
+    return float(np.linalg.eigvalsh(m)[0]) > cut
 
 
 def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

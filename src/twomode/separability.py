@@ -121,7 +121,8 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     an unphysical matrix the inequality is meaningless (it can hold for matrices that are not
     CMs at all), so callers must classify instead.
     """
-    verdict = _verdict(_GLOBAL, _global(_GLOBAL, v, tol)[2])
+    _, rows, pivot, inv = _evaluate(v, tol)
+    verdict = _verdict(_GLOBAL, _conditions(_GLOBAL, rows, pivot, inv, tol))
     report = _report("global", verdict)
     if not report.verdict:
         raise PreconditionViolated("simon_criterion requires a bona fide CM; margins "

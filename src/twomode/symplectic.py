@@ -11,7 +11,9 @@ All public operations take and return plain float64 ndarrays and validate
 shape, finiteness and (where required) symmetry at the boundary. For every
 symmetric 2n x 2n input that boundary is one function, ``_checked``, which reads
 V once as floats and hands the rows on; only the operations that accept odd
-squares or need no symmetry keep their own.
+squares or need no symmetry keep their own. Input symmetric only within
+tolerance is made exactly symmetric there, the upper triangle copied onto the
+lower one, so every later layer reads one V.
 """
 from __future__ import annotations
 
@@ -125,13 +127,19 @@ def symmetric_part(m: np.ndarray) -> np.ndarray:
     return (half := m * 0.5) + half.T  # halved first: exact above the subnormals, cannot overflow
 
 
-def _symmetric_scale(rows: list, flat: list, tol: Tolerance, what: str = "matrix") -> float:
-    """``require_symmetric`` on the finite entries of a square matrix, as read by ``_read``."""
+def _symmetric_scale(arr: np.ndarray, rows: list, flat: list, tol: Tolerance,
+                     what: str = "matrix") -> float:
+    """``require_symmetric`` on the finite entries of a square matrix, as read by ``_read``. Entries
+    symmetric only within tolerance are made exactly symmetric in ``arr`` and ``rows`` alike: the
+    upper triangle, which holds V's C block, is copied onto the lower one, so all read one V."""
     scale = max(map(abs, flat))
     flat_t = list(chain.from_iterable(zip(*rows)))  # m_ji in the order of m_ij
-    gap = 0.0 if flat == flat_t else max(abs(x - y) for x, y in zip(flat, flat_t))
-    if gap > tol._cut(scale):
-        raise SymmetryError(f"{what} is not symmetric: max |M - M^T| = {gap:.3e}")
+    if flat != flat_t:
+        gap = max(abs(x - y) for x, y in zip(flat, flat_t))
+        if gap > tol._cut(scale):
+            raise SymmetryError(f"{what} is not symmetric: max |M - M^T| = {gap:.3e}")
+        arr[...] = np.where(np.tri(len(rows), k=-1, dtype=bool), arr.T, arr)
+        rows[:] = arr.tolist()
     return scale
 
 
@@ -139,7 +147,7 @@ def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "
     """Raise SymmetryError unless the square ``m`` is symmetric within tolerance; return its
     scale, max |m_ij|. With a NaN or infinite entry ``m`` passes, and the scale is NaN or inf."""
     try:
-        return _symmetric_scale(*_read(m)[1:], tol, what) if m.size else 0.0
+        return _symmetric_scale(*_read(m), tol, what) if m.size else 0.0
     except NonFiniteError:
         return float(np.abs(m).max())
 
@@ -179,7 +187,7 @@ def _checked(m, tol: Tolerance, modes: int | None = None,
         modes = _mode_count(m)
     elif m.shape[0] != 2 * modes:
         raise DimensionError(f"expected a {2 * modes}x{2 * modes} {what}, got shape {m.shape}")
-    return m, rows, _symmetric_scale(rows, flat, tol, what), modes
+    return m, rows, _symmetric_scale(m, rows, flat, tol, what), modes
 
 
 def omega(n_modes: int) -> np.ndarray:

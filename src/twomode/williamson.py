@@ -8,10 +8,9 @@ symplectic eigenvalues. The constructive route used here:
 2. build the antisymmetric X = V^{-1/2} Omega V^{-1/2},
 3. find a rotation O block-rotating X into (+)_k a_k omega from the
    eigenvectors p_k of X with eigenvalue +i a_k (those of the Hermitian iX
-   with eigenvalue -a_k): rows 2k and 2k+1 of O are sqrt(2) (-Im p_k)^T and
-   sqrt(2) (Re p_k)^T, real by construction,
-4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k, R being O with its
-   2-row blocks in reverse order (nu ascending).
+   with eigenvalue -a_k, in eigh's order: a descending): rows 2k and 2k+1 of
+   O are sqrt(2) (-Im p_k)^T and sqrt(2) (Re p_k)^T, real by construction,
+4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k ascending and R = O.
 
 Each call validates its input once. For two or more modes it makes four LAPACK
 calls: eigh of V (also the positivity check), eigh of iX, and the cross-checks
@@ -43,7 +42,7 @@ import numpy as np
 
 from .errors import (DegeneracyWarning, InternalInconsistency, NumericalError, PairingError,
                      SingularInput, SymmetryError)
-from .invariants import _block_min_eig, _single_mode, _spectrum_general, _validated_modes
+from .invariants import _U, _block_min_eig, _single_mode, _spectrum_general, _validated_modes
 from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form,
                          _power_of_four, _read, _require_positive_definite, _symmetric_scale,
                          as_matrix)
@@ -58,7 +57,6 @@ __all__ = [
 
 # Row 2k of O is -sqrt(2) Im p_k and row 2k+1 is sqrt(2) Re p_k.
 _ROW_SCALES = np.array([[-math.sqrt(2.0)], [math.sqrt(2.0)]])
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +86,7 @@ def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric M with M V M = I for symmetric positive definite V; a 2x2 takes the one block
     test and the one-mode closed form, M = S / sqrt(a) with S = sqrt(a) V^(-1/2)."""
     v, rows, flat = _read(v)
-    scale = _symmetric_scale(rows, flat, tol)
+    scale = _symmetric_scale(v, rows, flat, tol)
     if len(rows) != 2:
         return _inv_sqrt(v, tol._cut(scale))[0]
     s, a = _single_mode(rows, 0, _require_positive_definite(*_block_min_eig(rows, 0)))
@@ -141,13 +139,14 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, n
     cut = tol._cut(float(np.abs(xs).max()))
     if anti_residual > cut:
         raise SymmetryError(f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
-    o, a_asc = _block_rotation(xs, n_modes, tol, cut)
-    return o, np.array(a_asc)
+    o, a_desc = _block_rotation(xs, n_modes, tol, cut)
+    return o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape), np.array(a_desc[::-1])
 
 
 def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
                     ) -> tuple[np.ndarray, list]:
-    """Core of ``skew_block_rotation`` on a validated antisymmetric xs; a comes as a list."""
+    """Core of ``skew_block_rotation`` on a validated antisymmetric xs, in eigh's order: a comes
+    descending, as a list, and o's 2-row blocks with it."""
     # i*Xs is Hermitian; its eigenvalue -a pairs with the Xs eigenvalue +ia.
     evals, vecs = _eigh(1j * xs)
     ev = evals.tolist()
@@ -155,25 +154,25 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
     band = tol.band(*map(abs, ev))
     if max(abs(x + y) for x, y in zip(neg[::-1], pos)) > 16.0 * band:
         raise PairingError(f"eigenvalues do not split into conjugate pairs: {evals}")
-    a_asc = [-x for x in neg[::-1]]  # ascending since eigh sorts ascending
-    if a_asc[0] <= cut:
+    a_desc = [-x for x in neg]  # descending since eigh sorts ascending
+    if a_desc[-1] <= cut:
         raise SingularInput(
             f"antisymmetric matrix is singular to tolerance "
-            f"(smallest pair magnitude {a_asc[0]:.3e})")
+            f"(smallest pair magnitude {a_desc[-1]:.3e})")
 
     dim = 2 * n_modes
     # Only p_k is read: its partner conj(p_k) is implied, which keeps the pairing
     # exact under degeneracy. vecs views as (Re, Im) float pairs; parts[k] = (Im p_k, Re p_k).
-    parts = vecs.view(float).reshape(dim, dim, 2)[:, n_modes - 1::-1, ::-1].transpose(1, 2, 0)
+    parts = vecs.view(float).reshape(dim, dim, 2)[:, :n_modes, ::-1].transpose(1, 2, 0)
     o = np.multiply(parts, _ROW_SCALES, order="C").reshape(dim, dim)
     gram = o @ o.T
     gram.flat[::dim + 1] -= 1.0
     ortho_residual = float(np.abs(gram).max())
     # iX's eigenvectors and o's Gram err by about eps * a_max/a_min, at most cond V for X from V.
-    if ortho_residual > max(10.0 * tol.band(1.0), 16.0 * _EPS * a_asc[-1] / a_asc[0]):
+    if ortho_residual > max(10.0 * tol.band(1.0), 32.0 * _U * a_desc[0] / a_desc[-1]):
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
-    return o, a_asc
+    return o, a_desc
 
 
 def _one_mode(rows: list, f: float
@@ -193,15 +192,12 @@ def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float, f: floa
     inv_root, kappa = _inv_sqrt(v, cut, f)
     skew = _skew_kernel(inv_root, n_modes)
     # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
-    o, a_asc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
-
-    # Ascending nu = 1/a means descending a: reverse the order of the 2-row
-    # blocks (an even permutation, hence still a proper rotation).
-    r = o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape)
+    # a comes descending, so nu = 1/a ascends, and R is the rotation as it comes.
+    r, a_desc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
     det_r = float(np.linalg.det(r))
     if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
         raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
-    nu = [1.0 / a for a in reversed(a_asc)]
+    nu = [1.0 / a for a in a_desc]
     return nu, r, np.sqrt(np.array(nu).repeat(2))[:, None] * (r @ inv_root), skew, kappa
 
 
@@ -222,11 +218,11 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     nu, r, s, skew, kappa = (_one_mode(rows, f) if n_modes == 1
                              else _many_modes(v, n_modes, tol, tol._cut(scale), f))
     # eigvals(Omega V) errs by about eps * kappa relative, kappa = cond V: so does the allowance.
-    # Past 4 eps kappa = 1, which only a one-mode block passing the block test reaches, the
-    # reference checks nothing and is not formed.
-    if 4.0 * _EPS * kappa < 1.0:
+    # Past 8 u kappa = 4 eps kappa = 1, which only a one-mode block passing the block test
+    # reaches, the reference checks nothing and is not formed.
+    if 8.0 * _U * kappa < 1.0:
         reference = _spectrum_general(v, n_modes, tol)
-        allowance = max(1e-8, 4.0 * _EPS * kappa) * max(reference)
+        allowance = max(1e-8, 8.0 * _U * kappa) * max(reference)
         if max(abs(x - y) for x, y in zip(nu, reference)) > allowance:
             raise InternalInconsistency(
                 f"eigenvector route spectrum {np.array(nu) * f} disagrees with "

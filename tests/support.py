@@ -24,6 +24,12 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q
 
 
+def upper_mirror(m: np.ndarray) -> np.ndarray:
+    """m with its lower triangle replaced by its upper one, exactly: the one matrix that the
+    input boundary hands on for m symmetric within tolerance."""
+    return np.where(np.tri(len(m), k=-1, dtype=bool), m.T, m)
+
+
 def random_spd(rng: np.random.Generator, dim: int, lo: float = 0.2,
                hi: float = 5.0) -> np.ndarray:
     """Random symmetric positive definite matrix with spectrum in [lo, hi]."""

@@ -13,7 +13,7 @@ import pytest
 import twomode as tm
 from twomode.cli import main, parse_document
 
-from .support import count_linalg
+from .support import count_linalg, upper_mirror
 
 # Nested far past the interpreter's recursion limit: json.loads raises RecursionError.
 DEEP_DOCUMENT = '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"
@@ -246,6 +246,17 @@ def test_warning_is_one_line_without_a_path():
     assert len(lines) == 1
     assert lines[0].startswith("warning: symplectic spectrum is degenerate")
     assert "/" not in lines[0] and ".py" not in lines[0]
+
+
+def test_williamson_decomposes_a_document_symmetric_within_tolerance(run):
+    # The document's own tolerance admits the asymmetry; the record decomposes, and echoes, the
+    # matrix whose lower triangle is its upper one.
+    v = tm.random_physical(7)
+    w = v + np.tril(np.full((4, 4), 0.5), -1) * 1e-6 * float(np.abs(v).max())
+    code, out, err = run(["williamson", "--format", "machine"],
+                         stdin_text=doc(w, tolerance={"rel": 1e-6}))
+    assert code == 0, err
+    assert json.loads(out)["matrix"] == upper_mirror(w).tolist()
 
 
 def test_williamson_indefinite_exits_4(run):

@@ -101,8 +101,8 @@ def test_det_identity_self_test_fires(monkeypatch, fn):
 
 @pytest.mark.parametrize("rel", [1e-9, 1e-6, 1e-3])
 def test_det_identity_holds_on_input_symmetric_within_tolerance(rel):
-    # det V reads every entry as given, and so does I4 (A^T, B^T and the lower-left block in
-    # place of A, B and C^T): an asymmetry that the tolerance admits cannot trip the self-test.
+    # The boundary copies the upper triangle onto the lower one, so det V and I4 read one
+    # symmetric matrix: an asymmetry that the tolerance admits cannot trip the self-test.
     tol = tm.Tolerance(rel=rel)
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -122,10 +122,7 @@ def _moved_within_tolerance(seed: int, k: int, tol: tm.Tolerance) -> np.ndarray:
     return w
 
 
-# The draws of 200 from seeds 5 and 0 on which classify_global raises NumericalError.
-@pytest.mark.xfail(strict=True, raises=tm.NumericalError,
-                   reason="ROADMAP item 8: the radicand Delta^2 - 4 det V gets its own M. Its "
-                          "clamp allows for rounding, not for the asymmetry the tolerance admits")
+# The draws of 200 from seeds 5 and 0 on which classify_global raised NumericalError.
 @pytest.mark.parametrize("seed, k", [(5, 5), (5, 88), (5, 156), (5, 186), (0, 189)])
 def test_classify_global_decides_input_symmetric_within_tolerance(seed, k):
     tol = tm.Tolerance(rel=1e-3)

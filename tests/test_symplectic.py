@@ -1,4 +1,5 @@
 """Core conventions: symplectic form, basic transforms, blocks, tolerances."""
+import functools
 import math
 import pickle
 import struct
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import twomode as tm
 from twomode.symplectic import _checked
 
-from .support import random_local_symplectic, random_symplectic
+from .support import random_local_symplectic, random_symplectic, upper_mirror
 
 OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -261,7 +262,37 @@ def test_checked_matches_the_numpy_reading(n, seed, log_scale, kind, factor):
         return
     arr, rows, got_scale, modes = _checked(m, tol)
     assert got_scale == scale and tm.require_symmetric(m, tol) == scale
-    assert rows == m.tolist() and arr.tobytes() == m.tobytes() and modes == n
+    # A symmetric draw is handed on as given; an accepted straddle with its upper triangle copied
+    # onto the lower one, exactly.
+    read = m if kind == "symmetric" else upper_mirror(m)
+    assert rows == read.tolist() and arr.tobytes() == read.tobytes() and modes == n
+
+
+_SYMMETRIC_CALLS = (  # every public call that takes one symmetric matrix and a Tolerance
+    tm.heisenberg_oracle, tm.is_positive_definite, tm.two_mode_invariants, tm.check_global,
+    tm.check_local, tm.classify_global, tm.classify_local, tm.simon_criterion,
+    tm.posdef_criterion, tm.symplectic_spectrum_2mode, tm.ppt_spectrum_2mode,
+    tm.symplectic_spectrum_general, tm.reduce_to_standard_form, tm.williamson_decompose,
+    tm.inv_sqrt, tm.build_x, tm.blocks)
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-3])
+@pytest.mark.parametrize("triangle", ["lower", "upper"])
+def test_every_call_decides_the_mirrored_upper_triangle(rel, triangle):
+    # A physical matrix with one triangle moved by up to 0.9 of the symmetry cut is, to every
+    # call, the matrix whose lower triangle is its upper one: every layer reads that one V, so
+    # none finds its routes inconsistent.
+    tol = tm.Tolerance(rel=rel)
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        v = tm.random_physical(int(rng.integers(2**31)))
+        moved = np.tril(rng.uniform(-0.9, 0.9, (4, 4)), -1) * tol._cut(float(np.abs(v).max()))
+        w = v + (moved if triangle == "lower" else moved.T)
+        mirror = upper_mirror(w)
+        for fn in _SYMMETRIC_CALLS:
+            got = _outcome(functools.partial(fn, tol=tol), w)
+            assert isinstance(got, bytes), (fn.__name__, got)
+            assert got == _outcome(functools.partial(fn, tol=tol), mirror), fn.__name__
 
 
 def test_tolerance_band_has_unit_floor():

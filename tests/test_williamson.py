@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import twomode as tm
 from twomode import cli
 
-from .support import count_linalg, random_orthogonal, random_physical_cm, random_spd
+from .support import (count_linalg, random_orthogonal, random_physical_cm, random_spd,
+                      upper_mirror)
 
 
 def decompose_quietly(v):
@@ -305,6 +306,22 @@ def test_williamson_random_spd_all_sizes(n):
             1j * tm.omega(n) @ v).real))[::2]
         np.testing.assert_allclose(dec.spectrum, np.sort(target),
                                    rtol=1e-8, atol=1e-9)
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-3])
+def test_williamson_decomposes_input_symmetric_within_tolerance(rel):
+    # Its lower triangle moved by up to 0.9 of the symmetry cut, V is decomposed as the matrix
+    # whose lower triangle is its upper one, which every route of the decomposition reads.
+    tol = tm.Tolerance(rel=rel)
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        n = 1 + k % 3
+        v = random_spd(rng, 2 * n)
+        w = v + np.tril(rng.uniform(-0.9, 0.9, v.shape), -1) * tol._cut(float(np.abs(v).max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", tm.DegeneracyWarning)
+            dec = tm.williamson_decompose(w, tol)
+        assert_valid_decomposition(upper_mirror(w), dec)
 
 
 def test_williamson_phase_freedom_same_normal_form(rephase_eigh):
