@@ -174,7 +174,7 @@ def _write_text(path: str, text: str) -> None:
 def _evaluation(v, tol: Tolerance):
     """The global route, its invariants' fields and its four spectra, None unless V > 0."""
     _, inv, _, spec, ppt = route = _global_route(v, tol)
-    nus = (None,) * 4 if spec is None else (spec.nu_minus, spec.nu_plus, ppt.nu_minus, ppt.nu_plus)
+    nus = (None,) * 4 if spec is None else (*spec, *ppt)
     return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, nus))
 
 

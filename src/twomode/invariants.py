@@ -57,6 +57,7 @@ _U = sys.float_info.epsilon / 2.0  # unit roundoff
 _ERR_A, _ERR_3, _ERR_V, _GAMMA_2, _GAMMA_4 = (n * k * _U / (1.0 - k * _U) for n, k in (
     (2.02, 2), (6.06, 5), (24.24, 8), (1.0, 2), (1.0, 4)))
 _FILTER_MIN_SCALE = 2.0**-240
+_TINY = math.ulp(0.0)  # the smallest subnormal
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,14 +80,6 @@ class SymplecticSpectrum2:
 
     nu_minus: float
     nu_plus: float
-
-
-def _w_product(x: tuple, y: tuple) -> tuple:
-    """(x w) y for 2x2 matrices given as row-major 4-tuples; x w is a signed column swap."""
-    x00, x01, x10, x11 = x
-    y00, y01, y10, y11 = y
-    return (x00 * y10 - x01 * y00, x00 * y11 - x01 * y01,
-            x10 * y10 - x11 * y00, x10 * y11 - x11 * y01)
 
 
 def _minors(rows) -> tuple:
@@ -112,7 +105,7 @@ def _exact(rows: list) -> tuple[float, float, float, float]:
     margin, prev = math.inf, 1  # the pivots D_j / D_(j-1) up to the first that is not > 0
     for d in (m[0][0], det_a, d3, det_v):
         try:
-            p = d / (prev << k) or math.ulp(0.0) * (d > 0)  # an underflow keeps its sign
+            p = d / (prev << k) or _TINY * (d > 0)  # an underflow keeps its sign
         except OverflowError:  # a ratio past float64
             p = math.inf if d > 0 else -math.inf  # copysign would convert d to a float
         margin, prev = min(margin, p), d
@@ -134,10 +127,13 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
     v, rows, scale, _ = _checked(v, tol, 2)
     det_a, det_b, det_c, d3, det_v = _minors(rows)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
-    # I4 = Tr(A w C w B w C^T w) = r10 - r01 with r = ((A w C) w B) w C^T.
-    r = _w_product(_w_product(_w_product((a00, a01, a10, a11), (c00, c01, c10, c11)),
-                              (b00, b01, b10, b11)), (c00, c10, c01, c11))
-    i4 = r[2] - r[1]
+    # I4 = Tr(A w C w B w C^T w) = r10 - r01, r = (q w) C^T, q = (p w) B, p = (A w) C (x w: x's
+    # columns swapped, the new second one negated).
+    p00, p01, p10, p11 = (a00 * c10 - a01 * c00, a00 * c11 - a01 * c01,
+                          a10 * c10 - a11 * c00, a10 * c11 - a11 * c01)
+    q00, q01, q10, q11 = (p00 * b10 - p01 * b00, p00 * b11 - p01 * b01,
+                          p10 * b10 - p11 * b00, p10 * b11 - p11 * b01)
+    i4 = (q10 * c01 - q11 * c00) - (q00 * c11 - q01 * c10)
     delta, delta_tilde = det_a + det_b + 2 * det_c, det_a + det_b - 2 * det_c
     # The float minors decide where they clear their static bounds: each sign Sylvester reads,
     # and each det V entry (det V >= 1, Delta and Delta~ <= 1 + det V) against both edges of its
@@ -222,8 +218,8 @@ def _vieta(delta: float, det_v: float) -> tuple[float, float, float]:
 
 
 def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
-                         rows: list) -> SymplecticSpectrum2:
-    """``_vieta``'s spectrum with its checks, on the band of Delta^2 >= 4 det V."""
+                         rows: list) -> tuple[float, float]:
+    """``_vieta``'s spectrum (nu_-, nu_+) with its checks, on the band of Delta^2 >= 4 det V."""
     rad, minus, plus = _vieta(delta, det_v)
     band = tol.band(4.0 * det_v, delta * delta)
     # For V > 0, given by its rows, rad = (nu_+^2 - nu_-^2)^2 >= 0: it is clamped unless its
@@ -236,8 +232,7 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
     for sq in (minus, plus):
         if sq < -band:
             raise NumericalError(f"squared symplectic eigenvalue {sq:.3e} < 0")
-    return SymplecticSpectrum2(nu_minus=math.sqrt(max(minus, 0.0)),
-                               nu_plus=math.sqrt(max(plus, 0.0)))
+    return math.sqrt(max(minus, 0.0)), math.sqrt(max(plus, 0.0))
 
 
 def _require_sylvester(v: np.ndarray, pivot: float) -> None:
@@ -258,7 +253,7 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     """
     v, rows, pivot, (_, _, _, det_v, _, delta, _, _) = _evaluate(v, tol)
     _require_sylvester(v, pivot)
-    return _spectrum_from_delta(delta, det_v, tol, rows)
+    return SymplecticSpectrum2(*_spectrum_from_delta(delta, det_v, tol, rows))
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
@@ -291,12 +286,12 @@ def _block_min_eig(rows: list, i: int) -> tuple[float, float]:
     p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
     lam, ps, qq, trace = _min_eig_2x2(p, q, s), p * s, q * q, p + s
     det = ps - qq
-    if not abs(det) > _ERR_A / 2.0 * (abs(ps) + qq) + math.ulp(0.0):  # ulp(0): two underflows
+    if not abs(det) > _ERR_A / 2.0 * (abs(ps) + qq) + _TINY:  # ps and q^2 can both underflow
         from fractions import Fraction  # only for blocks that float64 cannot decide
         det, trace = Fraction(p) * Fraction(s) - Fraction(q) ** 2, Fraction(p) + Fraction(s)
     positive = p > 0.0 and det > 0
     if (lam > 0.0) != positive:  # trace > 0 here, and det/trace <= min(p, s) cannot overflow
-        lam = float(det / trace) or math.ulp(0.0) * positive
+        lam = float(det / trace) or _TINY * positive
     return lam, 0.0
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invariants import SymplecticSpectrum2, _block_min_eig, _evaluate, _spectrum_from_delta
+from .errors import NumericalError
+from .invariants import _block_min_eig, _evaluate, _spectrum_from_delta
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
 
 __all__ = [
@@ -138,6 +139,7 @@ _POSDEF = {"det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1 (neither branch applies)
            None: (Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V")}
 _BONA_FIDE = {route: [key for key, (tag, _) in table.items() if tag is Tag.UNPHYSICAL]
               for route, table in (("global", _GLOBAL), ("local", _LOCAL))}
+_STRICT = frozenset({"min_eig_V", "min_eig_A", "min_eig_B"})  # positive definiteness: > +band
 
 
 def _block_margin(rows: list, pivot: float, inv: tuple, tol: Tolerance) -> tuple[float, float]:
@@ -170,7 +172,7 @@ def _verdict(table: dict, conditions: dict) -> tuple[str | None, list[str], dict
     first failed key that has a tag (or None) and the keys within their band of 0."""
     failed, near, margins = None, [], {}
     for key, (margin, band) in conditions.items():
-        if not (margin > band if key.startswith("min_eig_") else margin >= -band) and table[key][0]:
+        if not (margin > band if key in _STRICT else margin >= -band) and table[key][0]:
             failed = failed or key
         if abs(margin) <= band:
             near.append(key)
@@ -178,17 +180,17 @@ def _verdict(table: dict, conditions: dict) -> tuple[str | None, list[str], dict
     return failed, near, margins
 
 
-def _report(route: str, verdict: tuple, spec: SymplecticSpectrum2 | None = None) -> BonaFideReport:
+def _report(route: str, verdict: tuple, spec: tuple | None = None) -> BonaFideReport:
     """The route's report, from a ``_verdict`` pass over its table or its bona fide prefix."""
     failed, near, margins = verdict
     keys = _BONA_FIDE[route]
     return BonaFideReport(failed not in keys, route, {key: margins[key] for key in keys},
-                          None if spec is None else spec.nu_minus, any(key in near for key in keys))
+                          None if spec is None else spec[0], any(key in near for key in keys))
 
 
 def _global(keys, v, tol: Tolerance) -> tuple:
     """One evaluation of V on the global route: its rows, its invariants, the entries of ``keys``
-    and V's spectrum from (Delta, det V), None unless V > 0 (the closed form presumes it)."""
+    and V's (nu_-, nu_+) from (Delta, det V), None unless V > 0 (the closed form presumes it)."""
     _, rows, pivot, inv = _evaluate(v, tol)
     return (rows, inv, _conditions(keys, rows, pivot, inv, tol),
             _spectrum_from_delta(inv[5], inv[3], tol, rows) if pivot > 0.0 else None)
@@ -224,18 +226,21 @@ def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,
         2 lambda_(+-)^(-) = a + b - sqrt(mu +- 2 sqrt(nu))
 
     mu >= 4 and nu >= 0 for every real quadruple; tiny negative radicands
-    from roundoff are clamped to 0.
+    from roundoff are clamped to 0. NumericalError past float64 (mu, nu or a + b).
     """
-    mu = 4.0 + (a - b) ** 2 + 2.0 * (c_plus**2 + c_minus**2)
-    nu = 4.0 * (a - b) ** 2 + (c_plus + c_minus) ** 2 * (4.0 + (c_plus - c_minus) ** 2)
+    a, b, c_plus, c_minus = map(float, (a, b, c_plus, c_minus))  # numpy scalars would warn
+    d, c_sum, c_diff, s = a - b, c_plus + c_minus, c_plus - c_minus, a + b
+    mu = 4.0 + d * d + 2.0 * (c_plus * c_plus + c_minus * c_minus)
+    nu = 4.0 * (d * d) + c_sum * c_sum * (4.0 + c_diff * c_diff)
+    if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(s)):
+        raise NumericalError(f"standard-form eigenvalues past float64: mu = {mu}, nu = {nu}")
     outer_p = np.sqrt(max(mu + 2.0 * np.sqrt(max(nu, 0.0)), 0.0))
     outer_m = np.sqrt(max(mu - 2.0 * np.sqrt(max(nu, 0.0)), 0.0))
-    s = a + b
     return StandardFormEigs(
         lambda_pp=(s + outer_p) / 2.0,
         lambda_mp=(s + outer_m) / 2.0,
         lambda_pm=(s - outer_p) / 2.0,
         lambda_mm=(s - outer_m) / 2.0,
-        mu_aux=float(mu),
-        nu_aux=float(nu),
+        mu_aux=mu,
+        nu_aux=nu,
     )

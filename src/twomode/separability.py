@@ -59,7 +59,7 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
 
 def _global_route(v, tol: Tolerance) -> tuple:
     """One evaluation of the global route: V's rows, its invariants as floats, the conditions of
-    ``_GLOBAL``, and the spectra of V and of its partial transpose (both None unless V > 0)."""
+    ``_GLOBAL``, and (nu_-, nu_+) of V and of its partial transpose (both None unless V > 0)."""
     rows, inv, _, spec = route = _global(_GLOBAL, v, tol)
     # Partial transpose: same det V (inv[3]), Delta -> Delta~ (inv[6]).
     return *route, None if spec is None else _spectrum_from_delta(inv[6], inv[3], tol, rows)
@@ -72,8 +72,8 @@ def _global_verdict(route: tuple, tol: Tolerance) -> tuple[Classification, tuple
     failed, near, margins = _verdict(_GLOBAL, conditions)
     physical = _GLOBAL[failed][0] is not Tag.UNPHYSICAL
     if spec is not None:  # V > 0, which a physical verdict implies
-        margins["nu_minus_minus_1"] = spec.nu_minus - 1.0
-        margins["nu_tilde_minus_minus_1"] = ppt.nu_minus - 1.0
+        margins["nu_minus_minus_1"] = spec[0] - 1.0
+        margins["nu_tilde_minus_minus_1"] = ppt[0] - 1.0
         # Each spectral form must match the determinant form, or lie on the other side of 1 no
         # further than its allowance: physicality always, separability once physical.
         for form, key, holds, entry, x in (
@@ -81,7 +81,7 @@ def _global_verdict(route: tuple, tol: Tolerance) -> tuple[Classification, tuple
                 ("separability", "nu_tilde_minus_minus_1", failed is None, "delta_tilde_margin",
                  delta_tilde)):
             nu_m1 = margins[key]
-            if ((nu_m1 >= -tol.band(1.0)) != holds and (-nu_m1 if holds else nu_m1)
+            if ((nu_m1 >= -tol._cut(1.0)) != holds and (-nu_m1 if holds else nu_m1)
                     > _nu_minus_allowance(rows, x, det_v, conditions[entry][1],
                                           conditions["det_V_minus_1"][1])):
                 raise InternalInconsistency(f"spectral and determinant {form} forms disagree: "

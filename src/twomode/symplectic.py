@@ -9,18 +9,17 @@ Conventions used throughout the package:
 
 All public operations take and return plain float64 ndarrays and validate
 shape, finiteness and (where required) symmetry at the boundary. For every
-symmetric 2n x 2n input that boundary is one function, ``_checked``, which reads
-V once as floats and hands the rows on; only the operations that accept odd
-squares or need no symmetry keep their own. Input symmetric only within
-tolerance is made exactly symmetric there, the upper triangle copied onto the
-lower one, so every later layer reads one V.
+symmetric 2n x 2n input that boundary is one function, ``_checked``, which copies
+V into one float array, reads it back as Python floats and hands the rows on;
+only the operations that accept odd squares or need no symmetry keep their own.
+Input symmetric only within tolerance is made exactly symmetric there, the upper
+triangle copied onto the lower one, so every later layer reads one V.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -107,9 +106,9 @@ def _read(m) -> tuple[np.ndarray, list, list]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not arr.size:
         raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
-    rows = arr.tolist()
-    flat = list(chain.from_iterable(rows))
-    if not all(map(math.isfinite, flat)):
+    rows, flat = arr.tolist(), arr.ravel().tolist()
+    # NaN or +-inf makes the sum NaN or +-inf; only a finite sum that overflows needs the scan.
+    if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
         raise NonFiniteError("matrix contains NaN or infinite entries")
     return arr, rows, flat
 
@@ -133,9 +132,9 @@ def _symmetric_scale(arr: np.ndarray, rows: list, flat: list, tol: Tolerance,
     symmetric only within tolerance are made exactly symmetric in ``arr`` and ``rows`` alike: the
     upper triangle, which holds V's C block, is copied onto the lower one, so all read one V."""
     scale = max(map(abs, flat))
-    flat_t = list(chain.from_iterable(zip(*rows)))  # m_ji in the order of m_ij
-    if flat != flat_t:
-        gap = max(abs(x - y) for x, y in zip(flat, flat_t))
+    cols = arr.T.tolist()  # cols[i][j] = m_ji
+    if rows != cols:
+        gap = max(abs(x - y) for row, col in zip(rows, cols) for x, y in zip(row, col))
         if gap > tol._cut(scale):
             raise SymmetryError(f"{what} is not symmetric: max |M - M^T| = {gap:.3e}")
         arr[...] = np.where(np.tri(len(rows), k=-1, dtype=bool), arr.T, arr)

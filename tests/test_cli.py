@@ -591,8 +591,8 @@ def test_invariants_never_runs_the_classifiers_cross_checks(run, monkeypatch):
 
     from twomode import physicality
     original = physicality._spectrum_from_delta
-    monkeypatch.setattr(physicality, "_spectrum_from_delta", lambda *args: dataclasses.replace(
-        original(*args), nu_minus=0.5))
+    monkeypatch.setattr(physicality, "_spectrum_from_delta",
+                        lambda *args: (0.5, original(*args)[1]))
     v = tm.thermal(2.0, 1.5)
     code, out, err = run(["classify"], stdin_text=doc(v))
     assert code == 1 and out == ""

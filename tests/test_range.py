@@ -175,3 +175,23 @@ def test_two_mode_spectrum_past_delta_squared():
     v = np.diag([1e-93, 4e286, 1.0, 1.0])
     got = tm.symplectic_spectrum_2mode(v)
     assert got.nu_plus == pytest.approx(math.sqrt(4e193)) and got.nu_minus == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("params", [(1e200, 1.0, 0.0, 0.0), (1.0, 1.0, 1e155, 0.0),
+                                    (1.0, 1.0, 1e100, -5e99), (1e308, 1e308, 0.0, 0.0),
+                                    (np.float64(1e200), 1.0, 0.0, 0.0)])
+def test_standard_form_eigenvalues_past_float64_are_a_numerical_error(params):
+    # Past float64: mu and nu, mu and nu, nu alone (its (c+ + c-)^2 (c+ - c-)^2), a + b, and mu and
+    # nu from a numpy scalar, which must not warn first. Squaring 1e200 with ** raised a bare
+    # OverflowError; nu alone and a + b gave infinite eigenvalues.
+    with pytest.raises(tm.NumericalError, match="past float64"):
+        tm.standard_form_hermitian_eigs(*params)
+
+
+@pytest.mark.parametrize("params", [(1e150, 1.0, 0.0, 0.0), (1e150, 3e150, 0.0, 0.0),
+                                    (2.0, 1.0, 1e150, 1e150), (1e150, 1e150, 5e149, -5e149)])
+def test_standard_form_eigenvalues_at_1e150_match_the_dense_solver(params):
+    eigs = tm.standard_form_hermitian_eigs(*params)
+    dense = np.linalg.eigvalsh(tm.standard_form_matrix(*params) + 1j * tm.omega(2))
+    np.testing.assert_allclose(eigs.ordered(), dense, rtol=0.0, atol=1e-12 * max(params))
+    assert math.isfinite(eigs.mu_aux) and math.isfinite(eigs.nu_aux)

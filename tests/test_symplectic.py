@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
@@ -268,6 +268,79 @@ def test_checked_matches_the_numpy_reading(n, seed, log_scale, kind, factor):
     assert rows == read.tolist() and arr.tobytes() == read.tobytes() and modes == n
 
 
+@pytest.mark.parametrize("signs", ["plus", "minus", "checker"])
+def test_finite_entries_whose_sum_overflows_pass_the_boundary(signs):
+    # The finiteness test sums the entries first; a sum that overflows must fall back to the
+    # per-entry test, which these entries pass.
+    sign = {"plus": np.ones((4, 4)), "minus": -np.ones((4, 4)),
+            "checker": (-1.0) ** np.add.outer(np.arange(4) // 2, np.arange(4) // 2)}[signs]
+    m = 1.7e308 * sign
+    assert not math.isfinite(sum(m.ravel().tolist()))
+    arr, rows, scale, modes = _checked(m, tm.DEFAULT_TOL)
+    assert rows == m.tolist() and arr.tobytes() == m.tobytes() and (scale, modes) == (1.7e308, 2)
+    assert tm.as_matrix(m).tobytes() == m.tobytes() and tm.require_symmetric(m) == 1.7e308
+
+
+@pytest.mark.parametrize("base", [np.eye(4), 1.7e308 * np.ones((4, 4))], ids=["unit", "huge"])
+def test_every_non_finite_entry_is_refused_at_every_position(base):
+    cases = [{p: x} for p in range(16) for x in (math.nan, math.inf, -math.inf)]
+    cases += [{p: math.inf, q: -math.inf} for p in range(16) for q in range(16) if p != q]
+    for case in cases:
+        m = base.copy()
+        for p, x in case.items():
+            m.flat[p] = x
+        for call in (lambda: _checked(m, tm.DEFAULT_TOL), lambda: tm.as_matrix(m),
+                     lambda: tm.heisenberg_oracle(m), lambda: tm.classify_global(m),
+                     lambda: tm.classify_local(m)):
+            with pytest.raises(tm.NonFiniteError):
+                call()
+
+
+_INTEGER_MATRICES = ([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],
+                     [[3, 1, 2, 0], [1, 2, 0, -1], [2, 0, 3, 1], [0, -1, 1, 2]],
+                     [[1, 0, 2, 0], [0, 1, 0, 2], [2, 0, 1, 0], [0, 2, 0, 1]])
+
+
+def _layouts(m: list) -> list:
+    """One matrix as a C-ordered array, its Fortran-ordered copy, a transposed view of its
+    transpose, a strided view, a nested list and an int array."""
+    c = np.array(m, dtype=float)
+    wide = np.zeros((8, 8))
+    wide[::2, ::2] = c
+    return [c, np.asfortranarray(c), c.T.copy().T, wide[::2, ::2], m, np.array(m, dtype=int)]
+
+
+@pytest.mark.parametrize("m", _INTEGER_MATRICES)
+def test_every_layout_reads_as_the_same_matrix(m):
+    want = np.array(m, dtype=float)
+    outputs = set()
+    for form in _layouts(m):
+        arr, rows, scale, modes = _checked(form, tm.DEFAULT_TOL)
+        assert rows == want.tolist() and arr.tobytes() == want.tobytes()
+        assert (scale, modes) == (float(np.abs(want).max()), 2)
+        outputs.add(tuple(repr(fn(form)) for fn in (tm.heisenberg_oracle, tm.classify_global,
+                                                     tm.classify_local)))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("triangle", ["lower", "upper"])
+def test_near_symmetric_input_is_mirrored_in_every_layout(triangle):
+    # An asymmetry within the cut, in either triangle, is read as the upper triangle mirrored
+    # onto the lower one, in the rows and in the array; the caller's matrix is left as it was.
+    tol = tm.Tolerance(rel=1e-6)
+    rng = np.random.default_rng(11)
+    v = tm.random_physical(4)
+    moved = np.tril(rng.uniform(-0.9, 0.9, (4, 4)), -1) * tol._cut(float(np.abs(v).max()))
+    w = v + (moved if triangle == "lower" else moved.T)
+    mirror = upper_mirror(w)
+    assert not np.array_equal(w, mirror)
+    for form in _layouts(w.tolist())[:5]:  # all but the int array
+        before = np.array(form, dtype=float)
+        arr, rows, _, _ = _checked(form, tol)
+        assert rows == mirror.tolist() and arr.tobytes() == mirror.tobytes()
+        assert np.array(form, dtype=float).tobytes() == before.tobytes()
+
+
 _SYMMETRIC_CALLS = (  # every public call that takes one symmetric matrix and a Tolerance
     tm.heisenberg_oracle, tm.is_positive_definite, tm.two_mode_invariants, tm.check_global,
     tm.check_local, tm.classify_global, tm.classify_local, tm.simon_criterion,
@@ -321,12 +394,16 @@ def _band_reference(tol, *values):
 _BAND_VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.integers(-10**300, 10**300),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 1, -1]))
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_BAND_VALUES, max_size=6), st.sampled_from([tm.DEFAULT_TOL, tm.Tolerance(0.0, 0.0),
                                                              tm.Tolerance(rel=1e-3, abs=0.5)]))
+# A float compared with a float32 scalar is compared in float32 (NEP 50): 128633573.0 is not
+# below float32(128633576.0) unless each value is converted to float first.
+@example([128633573.0, np.float32(128633576.0)], tm.DEFAULT_TOL)
 def test_tolerance_band_matches_the_loop_it_replaced(values, tol):
     got = tol.band(*values)
     assert type(got) is float
