@@ -123,8 +123,9 @@ def _payload(text: str):
 
 
 def _resolve_tol(rel, abs_) -> Tolerance:
-    return Tolerance(rel=DEFAULT_TOL.rel if rel is None else float(rel),
-                     abs=DEFAULT_TOL.abs if abs_ is None else float(abs_))
+    # Read through str: an int past float64 is then the infinity Tolerance refuses, not an overflow.
+    return Tolerance(rel=DEFAULT_TOL.rel if rel is None else float(str(rel)),
+                     abs=DEFAULT_TOL.abs if abs_ is None else float(str(abs_)))
 
 
 def _document(text: str, rel=None, abs_=None) -> tuple[MatrixDocument, Tolerance]:

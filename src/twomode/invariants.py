@@ -10,11 +10,11 @@ combine into the global invariants
 
 and satisfy det V = det A det B + det C^2 - I4 for every symmetric V, as the input boundary makes
 every V it hands on. ``_evaluate`` forms them with no LAPACK call and decides V > 0 for the spectra
-and the routes alike by Sylvester's leading minors; a float sign or det V decision too close to its
-static error bound is taken on Python ints instead (filtered exact predicates, Shewchuk, DCG 18
-(1997)). The one test of a diagonal block is ``_block_min_eig``, and ``_single_mode`` its one
-Williamson transform S = sqrt(a) A^(-1/2). Both two-mode spectra come from ``_vieta``, the roots of
-z^2 - Delta z + det V.
+and the routes alike by Sylvester's leading minors, with each det V condition's (margin, band); a
+sign too close to its static error bound, or a margin to its own band, is taken on Python ints
+instead (filtered exact predicates, Shewchuk, DCG 18 (1997)). The one test of a diagonal block is
+``_block_min_eig``, and ``_single_mode`` its one Williamson transform S = sqrt(a) A^(-1/2). Both
+two-mode spectra come from ``_vieta``, the roots of z^2 - Delta z + det V.
 """
 from __future__ import annotations
 
@@ -118,11 +118,20 @@ def _exact(rows: list) -> tuple[float, float, float, float]:
         raise NumericalError("invariants overflow float64: det V or Delta is too large") from None
 
 
-def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, ...]]:
-    """Validate ``v`` and compute its invariants, the one path: (v, rows, the min_eig_V margin,
-    invariants), the invariants as floats in ``TwoModeInvariants`` field order; only public calls
-    build records. The margin is the smallest LDL^T pivot D_j / D_(j-1) of the leading minors
-    v_00, det A, D3 and det V up to the first that is not > 0: it has lambda_min(V)'s sign
+def _entries(det_v: float, delta: float, delta_tilde: float, tol: Tolerance) -> dict:
+    """The entry (rhs - lhs, ``tol.band(lhs, rhs)``) of each lhs <= rhs that reads det V: 1 <= det V
+    and Delta, Delta~, Gamma <= 1 + det V; Gamma = max(Delta, Delta~) shares that one's entry."""
+    top = 1.0 + det_v
+    d, dt = (top - delta, tol.band(delta, top)), (top - delta_tilde, tol.band(delta_tilde, top))
+    return {"det_V_minus_1": (det_v - 1.0, tol.band(1.0, det_v)), "delta_margin": d,
+            "delta_tilde_margin": dt, "gamma_margin": dt if delta_tilde > delta else d}
+
+
+def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, tuple[float, ...], dict]:
+    """Validate ``v`` and compute its invariants, the one path: (v, rows, invariants as floats in
+    ``TwoModeInvariants`` field order, ``_entries`` plus min_eig_V's); only public calls build
+    records. min_eig_V's margin (band 0) is the smallest LDL^T pivot D_j / D_(j-1) of the leading
+    minors v_00, det A, D3 and det V up to the first that is not > 0: it has lambda_min(V)'s sign
     (Sylvester), and on a diagonal V with at most one entry <= 0 it is lambda_min."""
     v, rows, scale, _ = _checked(v, tol, 2)
     det_a, det_b, det_c, d3, det_v = _minors(rows)
@@ -135,20 +144,20 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
                           p10 * b10 - p11 * b00, p10 * b11 - p11 * b01)
     i4 = (q10 * c01 - q11 * c00) - (q00 * c11 - q01 * c10)
     delta, delta_tilde = det_a + det_b + 2 * det_c, det_a + det_b - 2 * det_c
+    entries = _entries(det_v, delta, delta_tilde, tol)
     # The float minors decide where they clear their static bounds: each sign Sylvester reads,
-    # and each det V entry (det V >= 1, Delta and Delta~ <= 1 + det V) against both edges of its
-    # band. Otherwise det V, the margin, Delta and Delta~ are exact. NaN and inf fail each test.
-    # Each band lies between tol._cut(1) and tol._cut(total), total >= every number it reads.
-    s2, top = scale * scale, 1.0 + det_v
-    total = 1.0 + abs(det_v) + abs(delta) + abs(delta_tilde)
+    # and each entry's decision (m >= -band) and borderline flag (|m| <= band) while ||m| - band|
+    # > near. A margin errs by err = 2 err_v + 8u total at most; its band, by rel err with its
+    # operands and 4u tol._cut(total) by rounding, total >= every number a band reads. Otherwise
+    # det V, the pivot, Delta and Delta~ are exact, and so formed again. NaN and inf fail each test.
+    s2, total = scale * scale, 1.0 + abs(det_v) + abs(delta) + abs(delta_tilde)
     err_a, err_3, err_v = ((_ERR_A * s2, _ERR_3 * s2 * scale, _ERR_V * s2 * s2)
                            if scale >= _FILTER_MIN_SCALE else (math.inf,) * 3)
-    near = 2.0 * err_v + 8.0 * _U * total
-    low, high = tol._cut(1.0) - near, tol._cut(total) + near
-    m1, m2, m3 = abs(det_v - 1.0), abs(top - delta), abs(top - delta_tilde)
+    err = 2.0 * err_v + 8.0 * _U * total
+    near = err + tol.rel * err + 4.0 * _U * tol._cut(total)
     if ((a00 <= 0.0 or abs(det_a) > err_a and (det_a < 0.0 or abs(d3) > err_3))
-            and abs(det_v) > near and (m1 > high or m1 < low) and (m2 > high or m2 < low)
-            and (m3 > high or m3 < low)):
+            and abs(det_v) > err
+            and all(abs(abs(m) - band) > near for m, band in entries.values())):
         # No pivot underflows: each certified |D_j| clears its bound, s >= 2^-240. One that
         # overflows is infinite, with its sign.
         pivot = (a00 if a00 <= 0.0 else min(a00, det_a / a00) if det_a < 0.0
@@ -156,6 +165,8 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
                  else min(a00, det_a / a00, d3 / det_a, det_v / d3))
     else:
         det_v, pivot, delta, delta_tilde = _exact(rows)
+        entries = _entries(det_v, delta, delta_tilde, tol)
+    entries["min_eig_V"] = (pivot, 0.0)
     residual = det_v - (det_a * det_b + det_c * det_c - i4)
     magnitude = 1.0 + abs(det_a * det_b) + det_c * det_c + abs(i4) + abs(det_v)
     if not math.isfinite(magnitude):
@@ -165,8 +176,8 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, float, tuple[float, 
         raise InternalInconsistency(
             f"det V identity violated: residual {residual:.3e} at scale {magnitude:.3e}")
     # Gamma = det A + det B + 2 |det C| = max(Delta, Delta~).
-    return v, rows, pivot, (det_a, det_b, det_c, det_v, i4, delta, delta_tilde,
-                            max(delta, delta_tilde))
+    return v, rows, (det_a, det_b, det_c, det_v, i4, delta, delta_tilde,
+                     max(delta, delta_tilde)), entries
 
 
 def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
@@ -179,7 +190,7 @@ def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     threshold to be trusted. The identity det V = det A det B + det C^2 - I4
     is then asserted as a free self-test (InternalInconsistency on failure).
     """
-    return TwoModeInvariants(*_evaluate(v, tol)[3])
+    return TwoModeInvariants(*_evaluate(v, tol)[2])
 
 
 def _rounding(rows: list, det_v: float) -> tuple[float, float]:
@@ -235,10 +246,10 @@ def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
     return math.sqrt(max(minus, 0.0)), math.sqrt(max(plus, 0.0))
 
 
-def _require_sylvester(v: np.ndarray, pivot: float) -> None:
+def _require_sylvester(v: np.ndarray, entries: dict) -> None:
     """Raise NotPositiveDefinite, carrying V's smallest eigenvalue, unless the min_eig_V margin
     (Sylvester's minors, from ``_evaluate``) says V > 0; only this raise path calls LAPACK."""
-    if not pivot > 0.0:
+    if not entries["min_eig_V"][0] > 0.0:
         _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), math.inf)
 
 
@@ -251,8 +262,8 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     clamped to 0 when within tolerance or its rounding bound (degenerate spectrum);
     larger violations raise NumericalError.
     """
-    v, rows, pivot, (_, _, _, det_v, _, delta, _, _) = _evaluate(v, tol)
-    _require_sylvester(v, pivot)
+    v, rows, (_, _, _, det_v, _, delta, _, _), entries = _evaluate(v, tol)
+    _require_sylvester(v, entries)
     return SymplecticSpectrum2(*_spectrum_from_delta(delta, det_v, tol, rows))
 
 

@@ -10,13 +10,13 @@ Three independent routes are provided and must agree:
   evaluated directly on the blocks, never via the standard-form reduction.
 
 Each call validates V and computes the raw invariants once, as plain floats,
-with V > 0 by Sylvester's minors and det V certified: neither route calls LAPACK.
-Every route's conditions, the classifiers' in ``separability`` too, are written
-once, in ``_ENTRIES``, as ``key -> (margin, band)`` entries formed only when a
-route names them, each lhs <= rhs from ``Tolerance._at_most``. Each route's tag
-table (``_GLOBAL``, ``_LOCAL``, ``_POSDEF``) is its one key list in checking
-order, the bona fide conditions (Unphysical) first; ``check_*`` evaluate that
-prefix, and the global route adds nu_-^2 = det V / nu_+^2 (Vieta form).
+with V > 0 by Sylvester's minors: neither route calls LAPACK. Every condition,
+the classifiers' in ``separability`` too, is a ``key -> (margin, band)`` entry
+written once: min_eig_V and each one that reads det V in ``invariants._evaluate``,
+certified against its own band, and the local route's blocks in ``_local_entries``.
+Each route's tag table (``_GLOBAL``, ``_LOCAL``, ``_POSDEF``) is its one key list
+in checking order, the bona fide conditions (Unphysical) first; ``check_*`` report
+that prefix, and the global route adds nu_-^2 = det V / nu_+^2 (Vieta form).
 
 Verdict policy, implemented once by ``_verdict``: one pass over a route's
 conditions returns the first failed key and the margins. Inequality margins are
@@ -142,37 +142,26 @@ _BONA_FIDE = {route: [key for key, (tag, _) in table.items() if tag is Tag.UNPHY
 _STRICT = frozenset({"min_eig_V", "min_eig_A", "min_eig_B"})  # positive definiteness: > +band
 
 
-def _block_margin(rows: list, pivot: float, inv: tuple, tol: Tolerance) -> tuple[float, float]:
-    """The block inequality's entry; the clamp keeps it finite where a block already failed."""
+def _local_entries(rows: list, inv: tuple, entries: dict, tol: Tolerance) -> dict:
+    """``_evaluate``'s ``entries`` with the local route's own: A > 0, B > 0 and the block
+    inequality, whose clamp keeps its margin finite where a block already failed."""
     det_a, det_b, det_c, det_v = inv[:4]
-    return ((det_v + det_a * det_b) - (2.0 * math.sqrt(max(det_a * det_b, 0.0)) + det_c**2),
-            tol.band(det_v, det_a * det_b, det_c**2))
+    entries["min_eig_A"], entries["min_eig_B"] = _block_min_eig(rows, 0), _block_min_eig(rows, 2)
+    entries["block_margin"] = (
+        (det_v + det_a * det_b) - (2.0 * math.sqrt(max(det_a * det_b, 0.0)) + det_c**2),
+        tol.band(det_v, det_a * det_b, det_c**2))
+    return entries
 
 
-# Each condition's (margin, band) entry, written once, on a validated matrix's rows, min_eig_V
-# margin (the smallest LDL^T pivot, with lambda_min(V)'s sign), invariants (inv[3] is det V,
-# inv[5:] Delta, Delta~ and Gamma) and tol. det V~ = det V: Delta~ or Gamma decides the PPT stage.
-_ENTRIES = {"min_eig_V": lambda rows, pivot, inv, tol: (pivot, 0.0),
-            "min_eig_A": lambda rows, pivot, inv, tol: _block_min_eig(rows, 0),
-            "min_eig_B": lambda rows, pivot, inv, tol: _block_min_eig(rows, 2),
-            "det_V_minus_1": lambda rows, pivot, inv, tol: tol._at_most(1.0, inv[3]),
-            "delta_margin": lambda rows, pivot, inv, tol: tol._at_most(inv[5], 1.0 + inv[3]),
-            "block_margin": _block_margin,
-            "delta_tilde_margin": lambda rows, pivot, inv, tol: tol._at_most(inv[6], 1.0 + inv[3]),
-            "gamma_margin": lambda rows, pivot, inv, tol: tol._at_most(inv[7], 1.0 + inv[3])}
-
-
-def _conditions(keys, rows: list, pivot: float, inv: tuple, tol: Tolerance) -> dict:
-    """The entry of each condition in ``keys`` (a tag table or a list), in that order."""
-    return {key: _ENTRIES[key](rows, pivot, inv, tol) for key in keys if key is not None}
-
-
-def _verdict(table: dict, conditions: dict) -> tuple[str | None, list[str], dict[str, float]]:
-    """The verdict policy, one pass over a route's conditions: ``(failed, near, margins)``, the
-    first failed key that has a tag (or None) and the keys within their band of 0."""
+def _verdict(table: dict, entries: dict) -> tuple[str | None, list[str], dict[str, float]]:
+    """The verdict policy, one pass over a tag table up to its None key: ``(failed, near,
+    margins)``, the first failed key that has a tag (or None) and the keys within their band."""
     failed, near, margins = None, [], {}
-    for key, (margin, band) in conditions.items():
-        if not (margin > band if key in _STRICT else margin >= -band) and table[key][0]:
+    for key, (tag, _) in table.items():
+        if key is None:
+            break
+        margin, band = entries[key]
+        if not (margin > band if key in _STRICT else margin >= -band) and tag:
             failed = failed or key
         if abs(margin) <= band:
             near.append(key)
@@ -181,25 +170,25 @@ def _verdict(table: dict, conditions: dict) -> tuple[str | None, list[str], dict
 
 
 def _report(route: str, verdict: tuple, spec: tuple | None = None) -> BonaFideReport:
-    """The route's report, from a ``_verdict`` pass over its table or its bona fide prefix."""
+    """The route's report, its bona fide keys alone, from a ``_verdict`` pass over its table."""
     failed, near, margins = verdict
     keys = _BONA_FIDE[route]
     return BonaFideReport(failed not in keys, route, {key: margins[key] for key in keys},
                           None if spec is None else spec[0], any(key in near for key in keys))
 
 
-def _global(keys, v, tol: Tolerance) -> tuple:
-    """One evaluation of V on the global route: its rows, its invariants, the entries of ``keys``
-    and V's (nu_-, nu_+) from (Delta, det V), None unless V > 0 (the closed form presumes it)."""
-    _, rows, pivot, inv = _evaluate(v, tol)
-    return (rows, inv, _conditions(keys, rows, pivot, inv, tol),
-            _spectrum_from_delta(inv[5], inv[3], tol, rows) if pivot > 0.0 else None)
+def _global(v, tol: Tolerance) -> tuple:
+    """One evaluation of V on the global route: its rows, its invariants, its entries and V's
+    (nu_-, nu_+) from (Delta, det V), None unless V > 0 (the closed form presumes it)."""
+    _, rows, inv, entries = _evaluate(v, tol)
+    return (rows, inv, entries, _spectrum_from_delta(inv[5], inv[3], tol, rows)
+            if entries["min_eig_V"][0] > 0.0 else None)
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    _, _, conditions, spec = _global(_BONA_FIDE["global"], v, tol)
-    return _report("global", _verdict(_GLOBAL, conditions), spec)
+    _, _, entries, spec = _global(v, tol)
+    return _report("global", _verdict(_GLOBAL, entries), spec)
 
 
 def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
@@ -210,9 +199,8 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     global conditions; kept free of any standard-form reduction so the two
     routes stay independent.
     """
-    _, rows, pivot, inv = _evaluate(v, tol)
-    conditions = _conditions(_BONA_FIDE["local"], rows, pivot, inv, tol)
-    return _report("local", _verdict(_LOCAL, conditions))
+    _, rows, inv, entries = _evaluate(v, tol)
+    return _report("local", _verdict(_LOCAL, _local_entries(rows, inv, entries, tol)))
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency, PreconditionViolated
 from .invariants import _evaluate, _nu_minus_allowance, _require_sylvester, _spectrum_from_delta
-from .physicality import (_GLOBAL, _LOCAL, _POSDEF, BonaFideReport, Tag, _conditions, _global,
+from .physicality import (_GLOBAL, _LOCAL, _POSDEF, BonaFideReport, Tag, _global, _local_entries,
                           _report, _verdict)
 from .symplectic import DEFAULT_TOL, Tolerance
 
@@ -58,18 +58,18 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
 
 
 def _global_route(v, tol: Tolerance) -> tuple:
-    """One evaluation of the global route: V's rows, its invariants as floats, the conditions of
-    ``_GLOBAL``, and (nu_-, nu_+) of V and of its partial transpose (both None unless V > 0)."""
-    rows, inv, _, spec = route = _global(_GLOBAL, v, tol)
+    """One evaluation of the global route: V's rows, its invariants as floats, its entries, and
+    (nu_-, nu_+) of V and of its partial transpose (both None unless V > 0)."""
+    rows, inv, _, spec = route = _global(v, tol)
     # Partial transpose: same det V (inv[3]), Delta -> Delta~ (inv[6]).
     return *route, None if spec is None else _spectrum_from_delta(inv[6], inv[3], tol, rows)
 
 
 def _global_verdict(route: tuple, tol: Tolerance) -> tuple[Classification, tuple]:
     """classify_global's Classification, with the spectral margins checked, and its verdict."""
-    rows, inv, conditions, spec, ppt = route
+    rows, inv, entries, spec, ppt = route
     _, _, _, det_v, _, delta, delta_tilde, _ = inv
-    failed, near, margins = _verdict(_GLOBAL, conditions)
+    failed, near, margins = _verdict(_GLOBAL, entries)
     physical = _GLOBAL[failed][0] is not Tag.UNPHYSICAL
     if spec is not None:  # V > 0, which a physical verdict implies
         margins["nu_minus_minus_1"] = spec[0] - 1.0
@@ -82,8 +82,8 @@ def _global_verdict(route: tuple, tol: Tolerance) -> tuple[Classification, tuple
                  delta_tilde)):
             nu_m1 = margins[key]
             if ((nu_m1 >= -tol._cut(1.0)) != holds and (-nu_m1 if holds else nu_m1)
-                    > _nu_minus_allowance(rows, x, det_v, conditions[entry][1],
-                                          conditions["det_V_minus_1"][1])):
+                    > _nu_minus_allowance(rows, x, det_v, entries[entry][1],
+                                          entries["det_V_minus_1"][1])):
                 raise InternalInconsistency(f"spectral and determinant {form} forms disagree: "
                                             f"{key} = {nu_m1:.3e}, margins {margins}")
             if not physical:
@@ -107,8 +107,8 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     it can tag Entangled a rounded squeezed state that classify_global finds
     Unphysical (the block margin's band hides det V < 1).
     """
-    _, rows, pivot, inv = _evaluate(v, tol)
-    failed, _, margins = _verdict(_LOCAL, _conditions(_LOCAL, rows, pivot, inv, tol))
+    _, rows, inv, entries = _evaluate(v, tol)
+    failed, _, margins = _verdict(_LOCAL, _local_entries(rows, inv, entries, tol))
     return Classification(*_LOCAL[failed], margins)
 
 
@@ -121,8 +121,7 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     an unphysical matrix the inequality is meaningless (it can hold for matrices that are not
     CMs at all), so callers must classify instead.
     """
-    _, rows, pivot, inv = _evaluate(v, tol)
-    verdict = _verdict(_GLOBAL, _conditions(_GLOBAL, rows, pivot, inv, tol))
+    verdict = _verdict(_GLOBAL, _evaluate(v, tol)[3])
     report = _report("global", verdict)
     if not report.verdict:
         raise PreconditionViolated("simon_criterion requires a bona fide CM; margins "
@@ -139,7 +138,7 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ > 1 + det V >= Delta: the routes' det V >= 1, Delta and Gamma entries decide, and
     Delta~'s margin is reported as ``classify_local`` does. NotPositiveDefinite outside its domain.
     """
-    v, rows, pivot, inv = _evaluate(v, tol)
-    _require_sylvester(v, pivot)
-    failed, _, margins = _verdict(_POSDEF, _conditions(_POSDEF, rows, pivot, inv, tol))
+    v, _, _, entries = _evaluate(v, tol)
+    _require_sylvester(v, entries)
+    failed, _, margins = _verdict(_POSDEF, entries)
     return Classification(*_POSDEF[failed], margins)

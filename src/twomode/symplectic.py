@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 <= self.rel < math.inf and 0.0 <= self.abs < math.inf):  # NaN fails too
+        top = sys.float_info.max  # NaN, inf and an int past float64 (compared exactly) fail
+        if not (0.0 <= self.rel <= top and 0.0 <= self.abs <= top):
             raise ValueError(f"tolerances must be finite and nonnegative, got rel={self.rel}, "
                              f"abs={self.abs}")
 
@@ -70,10 +72,6 @@ class Tolerance:
     def _cut(self, scale: float) -> float:
         """The comparison threshold for operands whose largest |element| is ``scale``."""
         return self.abs + self.rel * scale
-
-    def _at_most(self, lhs: float, rhs: float) -> tuple[float, float]:
-        """The one band rule of a condition lhs <= rhs: its ``(margin, band)`` entry."""
-        return rhs - lhs, self.band(lhs, rhs)
 
     def band(self, *values: float) -> float:
         """Threshold for scalar margin comparisons; scale floor of 1, NaN and +-inf skipped."""
@@ -101,7 +99,10 @@ def _read(m) -> tuple[np.ndarray, list, list]:
         probe = np.asarray(probe.tolist())
     if probe.dtype.kind == "c":
         raise NonRealError(f"expected a real matrix, got dtype {probe.dtype}")
-    arr = np.array(m, dtype=float, copy=True)
+    try:
+        arr = np.array(m, dtype=float, copy=True)
+    except OverflowError:  # an int past float64, which float64 reads as no finite number
+        raise NonFiniteError("matrix contains an entry past float64") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not arr.size:

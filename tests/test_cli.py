@@ -526,6 +526,12 @@ def test_cli_flag_beats_document_tolerance(run):
     assert code == 3
 
 
+# JSON integers past float64, which converting to float raised as a bare OverflowError.
+_BIG = "1" * 401
+_BIG_ENTRY = '{"matrix": [[%s,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]}' % _BIG
+_BIG_TOLERANCE = '{"matrix": [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]], "tolerance": {%s}}'
+
+
 @pytest.mark.parametrize("argv, text", [
     (["classify", "--tol-rel", "nan"], doc(tm.simon_vx(0.7))),
     (["sweep", "--family", "simon_vx", "--from", "0.4", "--to", "0.6", "--step", "0.1",
@@ -533,6 +539,8 @@ def test_cli_flag_beats_document_tolerance(run):
     # Would pass the symmetry check under a NaN tolerance, and exit 3 under any valid one.
     (["classify"], json.dumps({"matrix": [[1, 5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                                "tolerance": {"rel": "nan"}})),
+    pytest.param(["classify"], _BIG_TOLERANCE % f'"rel": {_BIG}', id="int_rel_past_float64"),
+    pytest.param(["classify"], _BIG_TOLERANCE % f'"abs": -{_BIG}', id="int_abs_past_float64"),
 ])
 def test_non_finite_tolerance_exits_2(run, argv, text):
     code, out, err = run(argv, stdin_text=text)
@@ -660,6 +668,24 @@ def test_overflowing_invariants_print_one_error_line(command, exponent):
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr.decode().startswith("error: invariants overflow")
     assert proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants", "standard-form", "williamson"])
+def test_integer_entry_past_float64_exits_3(run, command):
+    code, out, err = run([command, "--format", "machine"], stdin_text=_BIG_ENTRY)
+    assert (code, out, err) == (3, "", "error: matrix contains an entry past float64\n")
+
+
+@pytest.mark.parametrize("text, code", [(_BIG_ENTRY, 3), (_BIG_TOLERANCE % f'"rel": {_BIG}', 2)],
+                         ids=["entry", "tolerance"])
+def test_integers_past_float64_print_one_error_line(text, code):
+    src = str(Path(tm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "twomode.cli", "classify"], input=text.encode(),
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    assert b"Traceback" not in proc.stderr
 
 
 _BAD_TOLERANCES = [{"rel": [1]}, {"rel": {"value": 1}}, {"abs": True}]

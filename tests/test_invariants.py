@@ -371,6 +371,62 @@ def test_sylvester_decides_the_pure_states_and_their_scalings():
                 assert tm.check_global(v * factor).margins["min_eig_V"] > 0.0
 
 
+def _band_edge_draws(rng: np.random.Generator, tol: tm.Tolerance) -> list[np.ndarray]:
+    """Physical CMs scaled so that det V - 1 lands on +-band, its band at det V, or 10^-15 to
+    10^-7 either side: det V - 1 = abs + rel det V above 1 and -(abs + rel) below it."""
+    out = []
+    for _ in range(6):
+        v = random_physical_cm(rng)
+        det = tm.two_mode_invariants(v).det_V
+        for target in ((1.0 + tol.abs) / (1.0 - tol.rel), 1.0 - tol.band(1.0)):
+            for nudge in (0.0, *(sign * 10.0**-k for sign in (1, -1) for k in range(7, 16, 2))):
+                out.append(v * ((target + nudge) / det) ** 0.25)
+    return out
+
+
+_FILTER_TOLERANCES = [tm.Tolerance(rel=rel, abs=abs_) for rel in (0.0, 1e-9, 1e-6, 1e-3)
+                      for abs_ in (0.0, 1e-12)]
+
+
+def test_filtered_entries_decide_as_the_exact_ones(monkeypatch):
+    # Each det V entry's decision (m >= -band) and borderline flag (|m| <= band), and the sign of
+    # min_eig_V, must be those of the entries formed on the exact det V, Delta and Delta~,
+    # whichever path _evaluate took; over a quarter of the evaluations take the float path.
+    from twomode import invariants
+    exact, fallbacks = invariants._exact, []
+    monkeypatch.setattr(invariants, "_exact", lambda rows: fallbacks.append(1) or exact(rows))
+    rng = np.random.default_rng(11)
+    draws = ([random_physical_cm(rng) for _ in range(100)] + list(boundary_biased(200, 11))
+             + [np.array(integer_pure_state(family, k), dtype=float)
+                for family in PURE_FAMILIES for k in PURE_EXPONENTS]
+             + [tm.two_mode_squeezed(r) for r in np.linspace(0.0, 8.0, 801)])
+    evaluations, bad = 0, []
+    for tol in _FILTER_TOLERANCES:
+        for v in draws + _band_edge_draws(rng, tol):
+            _, rows, _, entries = invariants._evaluate(v, tol)
+            det_v, pivot, delta, delta_tilde = exact(rows)
+            reference = invariants._entries(det_v, delta, delta_tilde, tol)
+            evaluations += 1
+            if (entries["min_eig_V"][0] > 0.0) != (pivot > 0.0):
+                bad.append(("min_eig_V", tol, v.tolist()))
+            for key, (m, band) in reference.items():
+                got, want = entries[key], (m >= -band, abs(m) <= band)
+                if (got[0] >= -got[1], abs(got[0]) <= got[1]) != want:
+                    bad.append((key, tol, v.tolist()))
+    assert not bad, bad[:5]
+    assert evaluations - len(fallbacks) > evaluations / 4
+
+
+def test_a_margin_far_from_its_band_takes_no_exact_path(monkeypatch):
+    # delta_margin 0.006 lies far from its band of 2.5e-3: its float decision stands, where a
+    # window spanning every band a route might form sent it to the exact path.
+    from twomode import invariants
+    exact, calls = invariants._exact, []
+    monkeypatch.setattr(invariants, "_exact", lambda rows: calls.append(1) or exact(rows))
+    got = tm.classify_global(tm.simon_vx(0.502), tm.Tolerance(rel=1e-3))
+    assert got.tag is tm.Tag.ENTANGLED and calls == []
+
+
 _BLAS_PROBE = """
 import json, sys
 import twomode as tm

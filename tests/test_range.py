@@ -195,3 +195,17 @@ def test_standard_form_eigenvalues_at_1e150_match_the_dense_solver(params):
     dense = np.linalg.eigvalsh(tm.standard_form_matrix(*params) + 1j * tm.omega(2))
     np.testing.assert_allclose(eigs.ordered(), dense, rtol=0.0, atol=1e-12 * max(params))
     assert math.isfinite(eigs.mu_aux) and math.isfinite(eigs.nu_aux)
+
+
+BIG = 10**400  # an int past float64: converting it raised a bare OverflowError
+
+
+@pytest.mark.parametrize("name, dim", [("as_matrix", 4)] + [(name, 4) for name in CALLS_4]
+                         + [(name, 2) for name in CALLS_2])
+@pytest.mark.parametrize("container", [list, lambda m: np.array(m, dtype=object)],
+                         ids=["list", "object_array"])
+def test_integer_entry_past_float64_is_a_non_finite_error(name, dim, container):
+    m = np.eye(dim, dtype=int).tolist()
+    m[-1][-1] = BIG
+    with pytest.raises(tm.NonFiniteError, match="matrix contains an entry past float64"):
+        getattr(tm, name)(container(m))

@@ -188,7 +188,8 @@ def test_tolerance_threshold_scales_with_operands():
     assert big == pytest.approx(1e-12 + 1e-6)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-12])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1e-12,
+                                 pytest.param(10**400, id="int_past_float64")])
 @pytest.mark.parametrize("field", ["rel", "abs"])
 def test_tolerance_must_be_finite_and_nonnegative(field, bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):
