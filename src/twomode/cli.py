@@ -47,8 +47,8 @@ from .errors import (
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .invariants import TwoModeInvariants
-from .physicality import heisenberg_oracle
-from .separability import _global_classification, _global_route
+from .physicality import _global, heisenberg_oracle
+from .separability import _global_classification
 from .standard_form import reduce_to_standard_form
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, omega
 from .williamson import williamson_decompose
@@ -174,9 +174,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _evaluation(v, tol: Tolerance):
     """The global route, its invariants' fields and its four spectra, None unless V > 0."""
-    _, inv, _, spec, ppt = route = _global_route(v, tol)
-    nus = (None,) * 4 if spec is None else (*spec, *ppt)
-    return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, nus))
+    _, inv, _, spectra = route = _global(v, tol)
+    return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, spectra or (None,) * 4))
 
 
 def _cell(x, none: str) -> str:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symplectic import congruence, direct_sum, rotation, squeeze
+from .symplectic import _finite_float, congruence, direct_sum, rotation, squeeze
 
 __all__ = [
     "FAMILY_NAMES",
@@ -63,10 +63,11 @@ def _finite(m: np.ndarray, params: str) -> np.ndarray:
 
 
 def thermal(nu1: float, nu2: float) -> np.ndarray:
-    """diag(nu1, nu1, nu2, nu2) with nu1, nu2 >= 1 (separable product state)."""
+    """diag(nu1, nu1, nu2, nu2) with nu1, nu2 >= 1 and finite (separable product state)."""
+    nu1, nu2 = _finite_float(nu1, "nu1"), _finite_float(nu2, "nu2")
     if nu1 < 1.0 or nu2 < 1.0:
         raise ValueError(f"thermal occupations must be >= 1, got {nu1}, {nu2}")
-    return _finite(np.diag([nu1, nu1, nu2, nu2]).astype(float), f"nu1={nu1}, nu2={nu2}")
+    return np.diag([nu1, nu1, nu2, nu2])
 
 
 def two_mode_squeezed(r: float) -> np.ndarray:
@@ -91,7 +92,7 @@ def simon_vx(x: float) -> np.ndarray:
     Positive definite for every x > 0; det V = x(1+8x); physical iff
     x >= 1/2 and entangled everywhere it is physical.
     """
-    if x <= 0.0:
+    if (x := _finite_float(x, "x")) <= 0.0:
         raise ValueError(f"family parameter must be > 0, got {x}")
     a = (1.0 + 4.0 * x) / 2.0
     c1 = (4.0 * x - 1.0) / 2.0

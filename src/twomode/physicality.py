@@ -16,7 +16,8 @@ written once: min_eig_V and each one that reads det V in ``invariants._evaluate`
 certified against its own band, and the local route's blocks in ``_local_entries``.
 Each route's tag table (``_GLOBAL``, ``_LOCAL``, ``_POSDEF``) is its one key list
 in checking order, the bona fide conditions (Unphysical) first; ``check_*`` report
-that prefix, and the global route adds nu_-^2 = det V / nu_+^2 (Vieta form).
+that prefix. Where V > 0 the global route adds the Vieta spectra of V and of its partial
+transpose, nu_-^2 = det V / nu_+^2 from (Delta, det V) and from (Delta~, det V), in ``_global``.
 
 Verdict policy, implemented once by ``_verdict``: one pass over a route's
 conditions returns the first failed key and the margins. Inequality margins are
@@ -34,7 +35,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .invariants import _block_min_eig, _evaluate, _spectrum_from_delta
-from .symplectic import DEFAULT_TOL, Tolerance, _checked, _omega_form, _read, _symmetric_scale
+from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _float, _omega_form, _read,
+                         _symmetric_scale)
 
 __all__ = [
     "BonaFideReport",
@@ -169,26 +171,28 @@ def _verdict(table: dict, entries: dict) -> tuple[str | None, list[str], dict[st
     return failed, near, margins
 
 
-def _report(route: str, verdict: tuple, spec: tuple | None = None) -> BonaFideReport:
+def _report(route: str, verdict: tuple, spectra: tuple | None = None) -> BonaFideReport:
     """The route's report, its bona fide keys alone, from a ``_verdict`` pass over its table."""
     failed, near, margins = verdict
     keys = _BONA_FIDE[route]
     return BonaFideReport(failed not in keys, route, {key: margins[key] for key in keys},
-                          None if spec is None else spec[0], any(key in near for key in keys))
+                          None if spectra is None else spectra[0], any(key in near for key in keys))
 
 
 def _global(v, tol: Tolerance) -> tuple:
-    """One evaluation of V on the global route: its rows, its invariants, its entries and V's
-    (nu_-, nu_+) from (Delta, det V), None unless V > 0 (the closed form presumes it)."""
+    """One evaluation of V on the global route: its rows, its invariants, its entries and the
+    spectra (nu_-, nu_+, nu~_-, nu~_+), None unless V > 0 (the closed form presumes it): V's
+    first, from (Delta, det V), then its partial transpose's, from (Delta~, det V)."""
     _, rows, inv, entries = _evaluate(v, tol)
-    return (rows, inv, entries, _spectrum_from_delta(inv[5], inv[3], tol, rows)
-            if entries["min_eig_V"][0] > 0.0 else None)
+    return rows, inv, entries, ((*_spectrum_from_delta(inv[5], inv[3], tol, rows),
+                                 *_spectrum_from_delta(inv[6], inv[3], tol, rows))
+                                if entries["min_eig_V"][0] > 0.0 else None)
 
 
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    _, _, entries, spec = _global(v, tol)
-    return _report("global", _verdict(_GLOBAL, entries), spec)
+    _, _, entries, spectra = _global(v, tol)
+    return _report("global", _verdict(_GLOBAL, entries), spectra)
 
 
 def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
@@ -214,9 +218,9 @@ def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,
         2 lambda_(+-)^(-) = a + b - sqrt(mu +- 2 sqrt(nu))
 
     mu >= 4 and nu >= 0 for every real quadruple; tiny negative radicands
-    from roundoff are clamped to 0. NumericalError past float64 (mu, nu or a + b).
+    from roundoff are clamped to 0. NumericalError past float64 (mu, nu or a + b, or an int).
     """
-    a, b, c_plus, c_minus = map(float, (a, b, c_plus, c_minus))  # numpy scalars would warn
+    a, b, c_plus, c_minus = map(_float, (a, b, c_plus, c_minus))  # numpy scalars would warn
     d, c_sum, c_diff, s = a - b, c_plus + c_minus, c_plus - c_minus, a + b
     mu = 4.0 + d * d + 2.0 * (c_plus * c_plus + c_minus * c_minus)
     nu = 4.0 * (d * d) + c_sum * c_sum * (4.0 + c_diff * c_diff)

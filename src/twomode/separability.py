@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInconsistency, PreconditionViolated
-from .invariants import _evaluate, _nu_minus_allowance, _require_sylvester, _spectrum_from_delta
+from .invariants import _evaluate, _nu_minus_allowance, _require_sylvester
 from .physicality import (_GLOBAL, _LOCAL, _POSDEF, BonaFideReport, Tag, _global, _local_entries,
                           _report, _verdict)
 from .symplectic import DEFAULT_TOL, Tolerance
@@ -54,26 +54,18 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ <= 1 + det V for separability) are evaluated alongside the
     spectral forms and the two must agree away from the boundary band.
     """
-    return _global_verdict(_global_route(v, tol), tol)[0]
-
-
-def _global_route(v, tol: Tolerance) -> tuple:
-    """One evaluation of the global route: V's rows, its invariants as floats, its entries, and
-    (nu_-, nu_+) of V and of its partial transpose (both None unless V > 0)."""
-    rows, inv, _, spec = route = _global(v, tol)
-    # Partial transpose: same det V (inv[3]), Delta -> Delta~ (inv[6]).
-    return *route, None if spec is None else _spectrum_from_delta(inv[6], inv[3], tol, rows)
+    return _global_verdict(_global(v, tol), tol)[0]
 
 
 def _global_verdict(route: tuple, tol: Tolerance) -> tuple[Classification, tuple]:
     """classify_global's Classification, with the spectral margins checked, and its verdict."""
-    rows, inv, entries, spec, ppt = route
+    rows, inv, entries, spectra = route
     _, _, _, det_v, _, delta, delta_tilde, _ = inv
     failed, near, margins = _verdict(_GLOBAL, entries)
     physical = _GLOBAL[failed][0] is not Tag.UNPHYSICAL
-    if spec is not None:  # V > 0, which a physical verdict implies
-        margins["nu_minus_minus_1"] = spec[0] - 1.0
-        margins["nu_tilde_minus_minus_1"] = ppt[0] - 1.0
+    if spectra is not None:  # V > 0, which a physical verdict implies
+        margins["nu_minus_minus_1"] = spectra[0] - 1.0
+        margins["nu_tilde_minus_minus_1"] = spectra[2] - 1.0
         # Each spectral form must match the determinant form, or lie on the other side of 1 no
         # further than its allowance: physicality always, separability once physical.
         for form, key, holds, entry, x in (

@@ -90,6 +90,21 @@ MAX_MODES = 8
 _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _float(x) -> float:
+    """``x`` as a float; an int past float64 as the infinity of its sign, as float64 reads it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _finite_float(x, what: str) -> float:
+    """``x`` as a float; ValueError for NaN, +-inf and an int past float64."""
+    if not math.isfinite(value := _float(x)):
+        raise ValueError(f"{what} = {value} is non-finite (NaN, infinite or past float64)")
+    return value
+
+
 def _read(m) -> tuple[np.ndarray, list, list]:
     """``as_matrix``'s checks on one read of the entries as floats: (array, rows, entries)."""
     # float64 keeps only the real part of complex entries, in an array or a nested list. The
@@ -147,9 +162,9 @@ def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "
     """Raise SymmetryError unless the square ``m`` is symmetric within tolerance; return its
     scale, max |m_ij|. With a NaN or infinite entry ``m`` passes, and the scale is NaN or inf."""
     try:
-        return _symmetric_scale(*_read(m), tol, what) if m.size else 0.0
-    except NonFiniteError:
-        return float(np.abs(m).max())
+        return _symmetric_scale(*_read(m), tol, what) if np.size(m) else 0.0
+    except NonFiniteError:  # an int past float64 reads as inf
+        return _float(np.abs(m).max())
 
 
 def _require_positive_definite(min_eig: float, cut: float, what: str = "matrix") -> float:
@@ -218,14 +233,15 @@ def _omega_form(n_modes: int, factor: complex = 1.0) -> np.ndarray:
 
 
 def rotation(angle: float) -> np.ndarray:
-    """Single-mode phase rotation [[cos, -sin], [sin, cos]]."""
+    """Single-mode phase rotation [[cos, -sin], [sin, cos]] by a finite angle."""
+    angle = _finite_float(angle, "rotation angle")
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
 
 
 def squeeze(xi: float) -> np.ndarray:
-    """Single-mode squeezing matrix diag(sqrt(xi), 1/sqrt(xi)), xi > 0."""
-    if xi <= 0:
+    """Single-mode squeezing matrix diag(sqrt(xi), 1/sqrt(xi)), xi > 0 and finite."""
+    if (xi := _finite_float(xi, "squeezing parameter")) <= 0:
         raise ValueError("squeezing parameter must be positive")
     r = np.sqrt(xi)
     return np.diag([r, 1.0 / r])

@@ -209,3 +209,23 @@ def test_integer_entry_past_float64_is_a_non_finite_error(name, dim, container):
     m[-1][-1] = BIG
     with pytest.raises(tm.NonFiniteError, match="matrix contains an entry past float64"):
         getattr(tm, name)(container(m))
+
+
+@pytest.mark.parametrize("call, x", [
+    (tm.simon_vx, BIG), (lambda x: tm.thermal(x, 1), BIG), (lambda x: tm.thermal(1, x), BIG),
+    (tm.squeeze, BIG), (tm.squeeze, math.inf), (tm.squeeze, math.nan),
+    (tm.rotation, BIG), (tm.rotation, -BIG), (tm.rotation, math.inf), (tm.rotation, math.nan),
+], ids=["simon_vx-big", "thermal-nu1-big", "thermal-nu2-big", "squeeze-big", "squeeze-inf",
+        "squeeze-nan", "rotation-big", "rotation-minus-big", "rotation-inf", "rotation-nan"])
+def test_scalar_parameter_past_float64_or_non_finite_is_a_value_error(call, x):
+    # An int past float64 raised a bare OverflowError (the families) or numpy's TypeError
+    # (squeeze, rotation); squeeze and rotation returned inf or NaN entries for inf and NaN.
+    with pytest.raises(ValueError, match="is non-finite"):
+        call(x)
+
+
+@pytest.mark.parametrize("params", [(BIG, 1, 0, 0), (1, 1, 0, -BIG)], ids=["a", "c_minus"])
+def test_standard_form_eigenvalues_of_an_int_past_float64_are_a_numerical_error(params):
+    # float() of the int raised a bare OverflowError; float64 reads it as infinite.
+    with pytest.raises(tm.NumericalError, match="past float64"):
+        tm.standard_form_hermitian_eigs(*params)

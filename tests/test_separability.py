@@ -1,11 +1,12 @@
 """Separable/entangled/unphysical classification and the criterion forms."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import twomode as tm
-from twomode import Tag, physicality, separability
+from twomode import Tag, physicality
 
 from .support import (
     boundary_biased,
@@ -108,32 +109,35 @@ def test_each_ppt_reason(classify, separable, entangled):
     assert (out.tag, out.reason) == (Tag.ENTANGLED, entangled)
 
 
-def _shift_nu_minus(monkeypatch, module, nu_minus):
-    """Make ``module._spectrum_from_delta`` report nu_minus in place of the computed value."""
-    original = module._spectrum_from_delta
-    monkeypatch.setattr(module, "_spectrum_from_delta",
-                        lambda *args: (nu_minus, original(*args)[1]))
+def _shift_nu_minus(monkeypatch, form, nu_minus):
+    """Make ``physicality._spectrum_from_delta`` report nu_minus in place of the computed value
+    on the call that forms the spectrum of ``form``: its first call forms nu_- (physicality),
+    its second nu~_- (separability). By order, as on a thermal state Delta = Delta~."""
+    original, turn = physicality._spectrum_from_delta, itertools.count()
+    target = ("physicality", "separability").index(form)
+    monkeypatch.setattr(physicality, "_spectrum_from_delta", lambda *args: (
+        (nu_minus, original(*args)[1]) if next(turn) == target else original(*args)))
 
 
-@pytest.mark.parametrize("module, v, nu_minus, form", [
-    (physicality, tm.thermal(2.0, 1.5), 0.5, "physicality"),
-    (separability, tm.thermal(2.0, 1.5), 0.5, "separability"),
-    (separability, tm.two_mode_squeezed(0.5), 2.0, "separability"),
+@pytest.mark.parametrize("v, nu_minus, form", [
+    (tm.thermal(2.0, 1.5), 0.5, "physicality"),
+    (tm.thermal(2.0, 1.5), 0.5, "separability"),
+    (tm.two_mode_squeezed(0.5), 2.0, "separability"),
 ], ids=["nu_minus", "nu_tilde_minus-below", "nu_tilde_minus-above"])
-def test_spectral_form_far_from_the_determinant_form_raises(monkeypatch, module, v, nu_minus,
-                                                           form):
-    # nu_- is formed in physicality, nu~_- in separability; each is put far on
-    # the wrong side of 1 while the determinant forms still decide the other way.
-    _shift_nu_minus(monkeypatch, module, nu_minus)
+def test_spectral_form_far_from_the_determinant_form_raises(monkeypatch, v, nu_minus, form):
+    # physicality._global forms nu_- and then nu~_-; each is put far on the wrong
+    # side of 1 while the determinant forms still decide the other way.
+    _shift_nu_minus(monkeypatch, form, nu_minus)
     with pytest.raises(tm.InternalInconsistency,
                        match=f"spectral and determinant {form} forms disagree"):
         tm.classify_global(v)
 
 
-@pytest.mark.parametrize("module", [physicality, separability])
-def test_spectral_form_disagreeing_within_ten_bands_does_not_raise(monkeypatch, module):
+@pytest.mark.parametrize("form", ["physicality", "separability"],
+                         ids=["twomode.physicality", "twomode.separability"])
+def test_spectral_form_disagreeing_within_ten_bands_does_not_raise(monkeypatch, form):
     # nu - 1 = -5 bands fails the spectral form, but lies within 10 bands of 0.
-    _shift_nu_minus(monkeypatch, module, 1.0 - 5.0 * tm.DEFAULT_TOL.band(1.0))
+    _shift_nu_minus(monkeypatch, form, 1.0 - 5.0 * tm.DEFAULT_TOL.band(1.0))
     assert tm.classify_global(tm.thermal(2.0, 1.5)).tag is Tag.SEPARABLE
 
 

@@ -147,6 +147,16 @@ def test_require_symmetric_rejects_non_square():
     assert tm.require_symmetric(np.zeros((0, 5))) == 0.0
 
 
+@pytest.mark.parametrize("m, scale", [
+    ([[1.0, 0.0], [0.0, 2.0]], 2.0),
+    (np.array([[10**400, 0], [0, 1]], dtype=object), math.inf),
+], ids=["nested_list", "object_array_int_past_float64"])
+def test_require_symmetric_reads_every_input_the_boundary_reads(m, scale):
+    # A nested list has no .size, which raised AttributeError; an int past float64, which
+    # float64 reads as infinite, passes as a non-finite entry does, and raised OverflowError.
+    assert tm.require_symmetric(m) == scale
+
+
 def test_partial_transpose_flips_last_momentum():
     rng = np.random.default_rng(4)
     m = rng.uniform(-1, 1, size=(4, 4))
