@@ -47,8 +47,7 @@ from .errors import (
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .invariants import TwoModeInvariants
-from .physicality import _global, heisenberg_oracle
-from .separability import _global_classification
+from .physicality import _GLOBAL, _global, _global_verdict, _report, heisenberg_oracle
 from .standard_form import reduce_to_standard_form
 from .symplectic import DEFAULT_TOL, Tolerance, _checked, omega
 from .williamson import williamson_decompose
@@ -198,9 +197,10 @@ def _text_lines(record: dict, indent: str = ""):
 
 def _classify_record(v, tol: Tolerance) -> dict:
     route, inv, spectra = _evaluation(v, tol)
-    result, report = _global_classification(route, tol)
-    return {"tag": result.tag.value, "reason": result.reason, "margins": result.margins,
-            "invariants": inv, "report": asdict(report), **spectra}
+    failed, _, margins = verdict = _global_verdict(route, tol)
+    tag, reason = _GLOBAL[failed]
+    return {"tag": tag.value, "reason": reason, "margins": margins, "invariants": inv,
+            "report": asdict(_report("global", verdict, route[3])), **spectra}
 
 
 def _invariants_record(v, tol: Tolerance) -> dict:

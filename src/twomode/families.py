@@ -72,7 +72,7 @@ def thermal(nu1: float, nu2: float) -> np.ndarray:
 
 def two_mode_squeezed(r: float) -> np.ndarray:
     """Two-mode squeezed CM with a = cosh 2r, c+ = -c- = sinh 2r."""
-    if r < 0.0:
+    if (r := _finite_float(r, "r")) < 0.0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     try:
         ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)

@@ -18,6 +18,11 @@ Each route's tag table (``_GLOBAL``, ``_LOCAL``, ``_POSDEF``) is its one key lis
 in checking order, the bona fide conditions (Unphysical) first; ``check_*`` report
 that prefix. Where V > 0 the global route adds the Vieta spectra of V and of its partial
 transpose, nu_-^2 = det V / nu_+^2 from (Delta, det V) and from (Delta~, det V), in ``_global``.
+Beside it ``_global_verdict``, the one global verdict of ``check_global``, ``classify_global``
+and the CLI's classify, cross-checks nu_- >= 1 and nu~_- >= 1 against the determinant forms that
+decide: a spectral value may lie on the other side of 1 only as far as Delta (Delta~) and det V,
+moved by their rounding bounds and bands, move nu_- (``invariants._nu_minus_allowance``), else
+InternalInconsistency, a bug, never bad input. The invariants record reads ``_global`` alone.
 
 Verdict policy, implemented once by ``_verdict``: one pass over a route's
 conditions returns the first failed key and the margins. Inequality margins are
@@ -33,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
-from .invariants import _block_min_eig, _evaluate, _spectrum_from_delta
+from .errors import InternalInconsistency, NumericalError
+from .invariants import _block_min_eig, _evaluate, _nu_minus_allowance, _spectrum_from_delta
 from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _float, _omega_form, _read,
                          _symmetric_scale)
 
@@ -61,9 +66,9 @@ class Tag(enum.Enum):
 class BonaFideReport:
     """Physicality verdict with per-condition margins.
 
-    ``margins`` maps condition names to signed distances from the boundary
-    (nonnegative means satisfied). ``nu_minus`` carries the equivalent
-    spectral form when the matrix is positive definite (global route only).
+    ``margins`` maps condition names to signed distances from the boundary (nonnegative means
+    satisfied). ``nu_minus`` carries the equivalent spectral form, cross-checked against the
+    determinant form that decides, when the matrix is positive definite (global route only).
     ``borderline`` is set when some margin sits within tolerance of 0.
     """
 
@@ -189,10 +194,33 @@ def _global(v, tol: Tolerance) -> tuple:
                                 if entries["min_eig_V"][0] > 0.0 else None)
 
 
+def _global_verdict(route: tuple, tol: Tolerance) -> tuple[str | None, list[str], dict[str, float]]:
+    """``_verdict`` over ``_global``'s route plus nu_- - 1 and nu~_- - 1 where V > 0, each checked
+    against its determinant form: physicality always, separability once physical."""
+    rows, inv, entries, spectra = route
+    failed, _, margins = verdict = _verdict(_GLOBAL, entries)
+    if spectra is None:  # not V > 0, which a physical verdict implies
+        return verdict
+    margins["nu_minus_minus_1"] = spectra[0] - 1.0
+    margins["nu_tilde_minus_minus_1"] = spectra[2] - 1.0
+    physical = _GLOBAL[failed][0] is not Tag.UNPHYSICAL
+    for form, key, holds, entry, x in (
+            ("physicality", "nu_minus_minus_1", physical, "delta_margin", inv[5]),
+            ("separability", "nu_tilde_minus_minus_1", failed is None, "delta_tilde_margin",
+             inv[6]))[:1 + physical]:
+        nu_m1 = margins[key]
+        if ((nu_m1 >= -tol._cut(1.0)) != holds and (-nu_m1 if holds else nu_m1)
+                > _nu_minus_allowance(rows, x, inv[3], entries[entry][1],
+                                      entries["det_V_minus_1"][1])):
+            raise InternalInconsistency(f"spectral and determinant {form} forms disagree: "
+                                        f"{key} = {nu_m1:.3e}, margins {margins}")
+    return verdict
+
+
 def check_global(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
-    """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V."""
-    _, _, entries, spectra = _global(v, tol)
-    return _report("global", _verdict(_GLOBAL, entries), spectra)
+    """Global bona fide conditions: V > 0, det V >= 1, Delta <= 1 + det V (nu_- >= 1)."""
+    route = _global(v, tol)
+    return _report("global", _global_verdict(route, tol), route[3])
 
 
 def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:

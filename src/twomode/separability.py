@@ -10,21 +10,18 @@ entries.
 
 Each classifier is one ``physicality._verdict`` pass over the entries of its
 route's tag table: the first key that failed beyond its band gives the tag and
-reason, and None (none failed) means separable. The global route also
-evaluates the spectral forms nu_- >= 1 and nu~_- >= 1 and cross checks them
-against the determinant forms that decide, which are better conditioned near
-the boundary. A spectral value may lie on the other side of 1 only as far as
-Delta (Delta~) and det V, moved by their rounding bounds and the determinant
-form's bands, move nu_- (``invariants._nu_minus_allowance``); beyond that
-InternalInconsistency is raised, which indicates a bug, never bad input.
+reason, and None (none failed) means separable. The global route's pass is
+``physicality._global_verdict``, which also cross-checks the spectral forms
+nu_- >= 1 and nu~_- >= 1 against the determinant forms that decide (see the
+``physicality`` module docstring).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InternalInconsistency, PreconditionViolated
-from .invariants import _evaluate, _nu_minus_allowance, _require_sylvester
-from .physicality import (_GLOBAL, _LOCAL, _POSDEF, BonaFideReport, Tag, _global, _local_entries,
+from .errors import PreconditionViolated
+from .invariants import _evaluate, _require_sylvester
+from .physicality import (_GLOBAL, _LOCAL, _POSDEF, Tag, _global, _global_verdict, _local_entries,
                           _report, _verdict)
 from .symplectic import DEFAULT_TOL, Tolerance
 
@@ -54,39 +51,8 @@ def classify_global(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ <= 1 + det V for separability) are evaluated alongside the
     spectral forms and the two must agree away from the boundary band.
     """
-    return _global_verdict(_global(v, tol), tol)[0]
-
-
-def _global_verdict(route: tuple, tol: Tolerance) -> tuple[Classification, tuple]:
-    """classify_global's Classification, with the spectral margins checked, and its verdict."""
-    rows, inv, entries, spectra = route
-    _, _, _, det_v, _, delta, delta_tilde, _ = inv
-    failed, near, margins = _verdict(_GLOBAL, entries)
-    physical = _GLOBAL[failed][0] is not Tag.UNPHYSICAL
-    if spectra is not None:  # V > 0, which a physical verdict implies
-        margins["nu_minus_minus_1"] = spectra[0] - 1.0
-        margins["nu_tilde_minus_minus_1"] = spectra[2] - 1.0
-        # Each spectral form must match the determinant form, or lie on the other side of 1 no
-        # further than its allowance: physicality always, separability once physical.
-        for form, key, holds, entry, x in (
-                ("physicality", "nu_minus_minus_1", physical, "delta_margin", delta),
-                ("separability", "nu_tilde_minus_minus_1", failed is None, "delta_tilde_margin",
-                 delta_tilde)):
-            nu_m1 = margins[key]
-            if ((nu_m1 >= -tol._cut(1.0)) != holds and (-nu_m1 if holds else nu_m1)
-                    > _nu_minus_allowance(rows, x, det_v, entries[entry][1],
-                                          entries["det_V_minus_1"][1])):
-                raise InternalInconsistency(f"spectral and determinant {form} forms disagree: "
-                                            f"{key} = {nu_m1:.3e}, margins {margins}")
-            if not physical:
-                break
-    return Classification(*_GLOBAL[failed], margins), (failed, near, margins)
-
-
-def _global_classification(route: tuple, tol: Tolerance) -> tuple[Classification, BonaFideReport]:
-    """``classify_global``'s Classification and ``check_global``'s report from one verdict pass."""
-    result, verdict = _global_verdict(route, tol)
-    return result, _report("global", verdict, route[3])
+    failed, _, margins = _global_verdict(_global(v, tol), tol)
+    return Classification(*_GLOBAL[failed], margins)
 
 
 def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:

@@ -109,9 +109,12 @@ def _read(m) -> tuple[np.ndarray, list, list]:
     """``as_matrix``'s checks on one read of the entries as floats: (array, rows, entries)."""
     # float64 keeps only the real part of complex entries, in an array or a nested list. The
     # conversion reads m, not this probe: a list mixing strings and numbers probes as strings.
-    probe = m if isinstance(m, np.ndarray) else np.asarray(m)
-    if probe.dtype.kind == "O":  # an object array's dtype hides its entries' types
-        probe = np.asarray(probe.tolist())
+    try:
+        probe = m if isinstance(m, np.ndarray) else np.asarray(m)
+        if probe.dtype.kind == "O":  # an object array's dtype hides its entries' types
+            probe = np.asarray(probe.tolist())
+    except ValueError:  # numpy's "inhomogeneous shape": rows of unequal lengths
+        raise DimensionError("expected a square matrix, got ragged rows") from None
     if probe.dtype.kind == "c":
         raise NonRealError(f"expected a real matrix, got dtype {probe.dtype}")
     try:
@@ -161,8 +164,8 @@ def _symmetric_scale(arr: np.ndarray, rows: list, flat: list, tol: Tolerance,
 def require_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL, what: str = "matrix") -> float:
     """Raise SymmetryError unless the square ``m`` is symmetric within tolerance; return its
     scale, max |m_ij|. With a NaN or infinite entry ``m`` passes, and the scale is NaN or inf."""
-    try:
-        return _symmetric_scale(*_read(m), tol, what) if np.size(m) else 0.0
+    try:  # read as objects, a ragged list has a size too
+        return _symmetric_scale(*_read(m), tol, what) if np.asarray(m, dtype=object).size else 0.0
     except NonFiniteError:  # an int past float64 reads as inf
         return _float(np.abs(m).max())
 

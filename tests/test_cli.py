@@ -482,7 +482,8 @@ def test_unreadable_input_exits_2(run, argv, text, message):
 
 
 def test_exit_code_3_for_odd_dimension(run):
-    for text in ("[[1,0,0],[0,1,0],[0,0,1]]", "[[1,2],[3,4],[5,6]]"):
+    # A ragged JSON matrix exited 2, "matrix entries are not numeric: setting an array element".
+    for text in ("[[1,0,0],[0,1,0],[0,0,1]]", "[[1,2],[3,4],[5,6]]", "[[1, 0], [0]]"):
         code, _, err = run(["classify"], stdin_text=text)
         assert code == 3
 
@@ -583,7 +584,7 @@ def test_numerical_error_exits_1(run, monkeypatch):
     def failing(*args, **kwargs):
         raise tm.NumericalError("squared symplectic eigenvalue -1 < 0")
 
-    monkeypatch.setattr(cli, "_global_classification", failing)
+    monkeypatch.setattr(cli, "_global_verdict", failing)
     for argv, stdin_text in ((["classify"], doc(tm.simon_vx(0.7))),
                              (["sweep", "--family", "simon_vx", "--from", "0.5",
                                "--to", "0.6", "--step", "0.1"], None)):

@@ -211,15 +211,30 @@ def test_integer_entry_past_float64_is_a_non_finite_error(name, dim, container):
         getattr(tm, name)(container(m))
 
 
+@pytest.mark.parametrize("name", ["as_matrix", "require_symmetric", "is_positive_definite",
+                                  "classify_global"])
+@pytest.mark.parametrize("container", [list, lambda m: np.array(m, dtype=object)],
+                         ids=["list", "object_array"])
+def test_ragged_rows_are_a_dimension_error(name, container):
+    # numpy's read of rows of unequal lengths raised its bare ValueError ("inhomogeneous shape").
+    m = ([[1, 2], [3]] if name == "as_matrix"
+         else [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1]])
+    with pytest.raises(tm.DimensionError, match="got ragged rows"):
+        getattr(tm, name)(container(m))
+
+
 @pytest.mark.parametrize("call, x", [
     (tm.simon_vx, BIG), (lambda x: tm.thermal(x, 1), BIG), (lambda x: tm.thermal(1, x), BIG),
     (tm.squeeze, BIG), (tm.squeeze, math.inf), (tm.squeeze, math.nan),
     (tm.rotation, BIG), (tm.rotation, -BIG), (tm.rotation, math.inf), (tm.rotation, math.nan),
+    (tm.two_mode_squeezed, BIG), (tm.two_mode_squeezed, math.nan),
 ], ids=["simon_vx-big", "thermal-nu1-big", "thermal-nu2-big", "squeeze-big", "squeeze-inf",
-        "squeeze-nan", "rotation-big", "rotation-minus-big", "rotation-inf", "rotation-nan"])
+        "squeeze-nan", "rotation-big", "rotation-minus-big", "rotation-inf", "rotation-nan",
+        "two_mode_squeezed-big", "two_mode_squeezed-nan"])
 def test_scalar_parameter_past_float64_or_non_finite_is_a_value_error(call, x):
     # An int past float64 raised a bare OverflowError (the families) or numpy's TypeError
-    # (squeeze, rotation); squeeze and rotation returned inf or NaN entries for inf and NaN.
+    # (squeeze, rotation); squeeze and rotation returned inf or NaN entries for inf and NaN, and
+    # two_mode_squeezed printed all of the int's digits in its non-finite matrix error.
     with pytest.raises(ValueError, match="is non-finite"):
         call(x)
 

@@ -119,26 +119,34 @@ def _shift_nu_minus(monkeypatch, form, nu_minus):
         (nu_minus, original(*args)[1]) if next(turn) == target else original(*args)))
 
 
-@pytest.mark.parametrize("v, nu_minus, form", [
-    (tm.thermal(2.0, 1.5), 0.5, "physicality"),
-    (tm.thermal(2.0, 1.5), 0.5, "separability"),
-    (tm.two_mode_squeezed(0.5), 2.0, "separability"),
-], ids=["nu_minus", "nu_tilde_minus-below", "nu_tilde_minus-above"])
-def test_spectral_form_far_from_the_determinant_form_raises(monkeypatch, v, nu_minus, form):
+# Both global calls run the one global verdict; classify_global's cells keep their plain ids.
+DECIDERS = ((tm.classify_global, ""), (tm.check_global, "check_global-"))
+
+
+@pytest.mark.parametrize("decide, v, nu_minus, form", [
+    pytest.param(decide, *case, id=prefix + name) for decide, prefix in DECIDERS
+    for name, case in (("nu_minus", (tm.thermal(2.0, 1.5), 0.5, "physicality")),
+                       ("nu_tilde_minus-below", (tm.thermal(2.0, 1.5), 0.5, "separability")),
+                       ("nu_tilde_minus-above", (tm.two_mode_squeezed(0.5), 2.0, "separability")))])
+def test_spectral_form_far_from_the_determinant_form_raises(monkeypatch, decide, v, nu_minus,
+                                                            form):
     # physicality._global forms nu_- and then nu~_-; each is put far on the wrong
-    # side of 1 while the determinant forms still decide the other way.
+    # side of 1 while the determinant forms still decide the other way. check_global
+    # returned its report unchecked.
     _shift_nu_minus(monkeypatch, form, nu_minus)
     with pytest.raises(tm.InternalInconsistency,
                        match=f"spectral and determinant {form} forms disagree"):
-        tm.classify_global(v)
+        decide(v)
 
 
-@pytest.mark.parametrize("form", ["physicality", "separability"],
-                         ids=["twomode.physicality", "twomode.separability"])
-def test_spectral_form_disagreeing_within_ten_bands_does_not_raise(monkeypatch, form):
+@pytest.mark.parametrize("decide, form", [
+    pytest.param(decide, form, id=f"{prefix}twomode.{form}") for decide, prefix in DECIDERS
+    for form in ("physicality", "separability")])
+def test_spectral_form_disagreeing_within_ten_bands_does_not_raise(monkeypatch, decide, form):
     # nu - 1 = -5 bands fails the spectral form, but lies within 10 bands of 0.
     _shift_nu_minus(monkeypatch, form, 1.0 - 5.0 * tm.DEFAULT_TOL.band(1.0))
-    assert tm.classify_global(tm.thermal(2.0, 1.5)).tag is Tag.SEPARABLE
+    result = decide(tm.thermal(2.0, 1.5))
+    assert result.tag is Tag.SEPARABLE if decide is tm.classify_global else result.verdict
 
 
 def test_product_state_is_separable():
