@@ -342,16 +342,11 @@ def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
             *_block_min_eig(rows, 0)))[1]])
     _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
     f = _power_of_four(scale)  # as Williamson reduces V: nu scales back exactly
-    return np.array(_spectrum_general(v / f, n, tol)) * f
-
-
-def _spectrum_general(v: np.ndarray, n: int, tol: Tolerance) -> list:
-    """Core of ``symplectic_spectrum_general`` on a validated positive definite v, as a list."""
-    mods = sorted(map(abs, np.linalg.eigvals(_omega_form(n) @ v).tolist()))
+    mods = sorted(map(abs, np.linalg.eigvals(_omega_form(n) @ (v / f)).tolist()))
     nus = []
     for lo, hi in zip(mods[0::2], mods[1::2]):
         if hi - lo > tol.band(hi):
             raise PairingError(
                 f"eigenvalue moduli {lo!r} and {hi!r} fail to pair")
         nus.append((lo + hi) / 2.0)
-    return nus
+    return np.array(nus) * f

@@ -12,25 +12,19 @@ symplectic eigenvalues. The constructive route used here:
    O are sqrt(2) (-Im p_k)^T and sqrt(2) (Re p_k)^T, real by construction,
 4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k ascending and R = O.
 
-Each call validates its input once. For two or more modes it makes four LAPACK
-calls: eigh of V (also the positivity check), eigh of iX, and the cross-checks
-det R = +1 and the spectrum from the independent route |eig(Omega V)|; O is
-checked to be orthogonal. Between them the pairing, singularity and degeneracy
-tests, nu = 1/a and the spectrum comparison run on Python floats, and O is one
-scaled copy of a real view of the eigenvectors of iX. eig(Omega V) errs by about
-eps * kappa, kappa = cond V from the eigh of V, and the eigenvectors of iX by about
-eps * a_max/a_min <= kappa (nu = 1/a lies between V's extreme eigenvalues), so the
-spectrum and orthogonality allowances grow with these above their fixed floors.
+Each call validates its input once. Two or more modes make two LAPACK calls, eigh of V (also the
+positivity check) and eigh of iX. One mode makes none: X = omega/nu is already in block form,
+R = I, and nu = sqrt(det V) and S = sqrt(nu) V^(-1/2) are ``invariants._single_mode``'s closed
+form. Outside max |v_ij| in [2^-510, 2^512) V / 4^j is decomposed (``symplectic._power_of_four``).
 
-One mode needs no eigenproblem: X = omega/nu is already in block form and R = I, and
-nu = sqrt(det V) and S = sqrt(nu) V^(-1/2) are every one-mode path's closed form,
-``invariants._single_mode``, after the one block test. Only |eig(Omega V)| is left (none
-once cond V passes 1/(4 eps), where it checks nothing). Outside max |v_ij| in [2^-510,
-2^512) every mode count decomposes V / 4^j (``symplectic._power_of_four``).
-
-S is symplectic by construction: S Omega S^T = W^{1/2} (R X R^T) W^{1/2}
-= (+)_k nu_k a_k omega = Omega. R itself is orthogonal with det +1 but not
-in general symplectic; only the product is.
+S is certified on V / 4^j by its defining identities: E_F = S F S^T - T_F, (F, T_F) = (Omega,
+Omega) and (V, W), must meet max |E_F| <= u ((2d + 1) max(|S| |F| |S|^T) + 32 d kappa max |T_F|),
+d = 2n, kappa = cond V (one mode's is (nu/lambda_-)^2), or InternalInconsistency names it. The
+first term is the rounding of the products (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 3), the second the decomposition's: eigh(V) is backward stable in norm only, so
+V^(-1/2) V V^(-1/2) = I + O(u kappa), X is formed to O(u / lambda_min), and W^(1/2) scales both by
+nu_max <= lambda_max. Scaled by T_F, not by the product, which grows like kappa on squeezed V, it
+catches a 1% error in nu up to kappa 3e11. Then R is orthogonal and det R = prod a_k / Pf X = +1.
 """
 from __future__ import annotations
 
@@ -42,7 +36,8 @@ import numpy as np
 
 from .errors import (DegeneracyWarning, InternalInconsistency, NumericalError, PairingError,
                      SingularInput, SymmetryError)
-from .invariants import _U, _block_min_eig, _single_mode, _spectrum_general, _validated_modes
+from .invariants import _U, _block_min_eig, _single_mode, _validated_modes
+from .standard_form import _product
 from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form,
                          _power_of_four, _read, _require_positive_definite, _symmetric_scale,
                          as_matrix)
@@ -94,8 +89,8 @@ def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def _inv_sqrt(v: np.ndarray, cut: float, f: float = 1.0) -> tuple[np.ndarray, float]:
-    """Core of ``inv_sqrt``: (V^(-1/2), kappa = cond V); eigh(V) is also the positivity check,
-    against ``cut`` for f V, whose smallest eigenvalue a failure reports."""
+    """Core of ``inv_sqrt``: (V^(-1/2), cond V); eigh(V) is also the positivity check, against
+    ``cut`` for f V, whose smallest eigenvalue a failure reports."""
     evals, q = _eigh(v)
     _require_positive_definite(evals[0] * f, cut)
     m = (q / np.sqrt(evals)) @ q.T
@@ -110,28 +105,30 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
 
 
-def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
-    """Antisymmetric part of M Omega M; (x - x^T)/2 is exactly antisymmetric."""
-    x = inv_root @ _omega_form(n_modes) @ inv_root
-    return (x - x.T) / 2.0
+def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> tuple[np.ndarray, float]:
+    """X = (x - x^T)/2, x = M Omega M, and max |X|; NumericalError, not warnings, on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = inv_root @ _omega_form(n_modes) @ inv_root
+        skew = (x - x.T) / 2.0
+    if not (size := float(np.abs(skew).max())) < math.inf:  # NaN too
+        raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
+    return skew, size
 
 
 def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The antisymmetric V^(-1/2) Omega V^(-1/2) for positive definite V."""
     v, _, scale, n_modes = _checked(v, tol)
-    return _skew_kernel(_inv_sqrt(v, tol._cut(scale))[0], n_modes)
+    return _skew_kernel(_inv_sqrt(v, tol._cut(scale))[0], n_modes)[0]
 
 
 def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Proper-rotation block-diagonalization of a nonsingular antisymmetric Xs.
 
-    Returns (o, a) with o @ Xs @ o.T = (+)_k a_k omega, the a_k positive and
-    ascending. The eigenvectors of Xs come in conjugate pairs (p, conj(p))
-    with eigenvalues (+i a, -i a). Orthonormality of the pair makes
-    Re p and Im p orthogonal with norm 1/sqrt(2) each, and Xs maps Re p to
-    a (-Im p) and -Im p to -a Re p. So the rows
-    sqrt(2) (-Im p_k)^T, sqrt(2) (Re p_k)^T form a real orthogonal o for any
-    eigenbasis.
+    Returns (o, a) with o @ Xs @ o.T = (+)_k a_k omega, the a_k positive and ascending. The
+    eigenvectors of Xs come in conjugate pairs (p, conj(p)) with eigenvalues (+i a, -i a).
+    Orthonormality of the pair makes Re p and Im p orthogonal with norm 1/sqrt(2) each, and Xs
+    maps Re p to a (-Im p) and -Im p to -a Re p. So the rows sqrt(2) (-Im p_k)^T, sqrt(2)
+    (Re p_k)^T form a real orthogonal o for any eigenbasis, which o's Gram matrix checks.
     """
     xs = as_matrix(xs)
     n_modes = _mode_count(xs)
@@ -140,6 +137,11 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, n
     if anti_residual > cut:
         raise SymmetryError(f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
     o, a_desc = _block_rotation(xs, n_modes, tol, cut)
+    ortho_residual = float(np.abs(o @ o.T - np.eye(2 * n_modes)).max())
+    # iX's eigenvectors and o's Gram err by about eps * a_max/a_min, at most cond V for X from V.
+    if ortho_residual > max(10.0 * tol.band(1.0), 32.0 * _U * a_desc[0] / a_desc[-1]):
+        raise InternalInconsistency(
+            f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
     return o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape), np.array(a_desc[::-1])
 
 
@@ -164,50 +166,63 @@ def _block_rotation(xs: np.ndarray, n_modes: int, tol: Tolerance, cut: float
     # Only p_k is read: its partner conj(p_k) is implied, which keeps the pairing
     # exact under degeneracy. vecs views as (Re, Im) float pairs; parts[k] = (Im p_k, Re p_k).
     parts = vecs.view(float).reshape(dim, dim, 2)[:, :n_modes, ::-1].transpose(1, 2, 0)
-    o = np.multiply(parts, _ROW_SCALES, order="C").reshape(dim, dim)
-    gram = o @ o.T
-    gram.flat[::dim + 1] -= 1.0
-    ortho_residual = float(np.abs(gram).max())
-    # iX's eigenvectors and o's Gram err by about eps * a_max/a_min, at most cond V for X from V.
-    if ortho_residual > max(10.0 * tol.band(1.0), 32.0 * _U * a_desc[0] / a_desc[-1]):
-        raise InternalInconsistency(
-            f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
-    return o, a_desc
+    return np.multiply(parts, _ROW_SCALES, order="C").reshape(dim, dim), a_desc
 
 
-def _one_mode(rows: list, f: float
-              ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
+def _certify(residuals: tuple, sizes: tuple, dim: int, kappa: float, nu_max: float) -> None:
+    """InternalInconsistency unless each max |S F S^T - T_F| in ``residuals`` is at most u ((2d + 1)
+    size + 32 d kappa max |T_F|), (F, T_F) = (Omega, Omega) then (V, W); max |W| = nu_max."""
+    for name, res, size, target in zip(("S Omega S^T - Omega", "S V S^T - W"), residuals, sizes,
+                                       (1.0, nu_max)):
+        if not res <= (bound := ((2 * dim + 1) * size + 32.0 * dim * kappa * target) * _U):
+            raise InternalInconsistency(f"residual max |{name}| = {res:.3e} exceeds its bound "
+                                        f"{bound:.3e}")  # a NaN residual fails too
+
+
+def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """One mode in closed form on V's rows, returned as ``_many_modes`` returns V/f: (nu/f as a
-    list, R = I, S = sqrt(nu) V^(-1/2), X = f omega/nu, kappa = (nu/lambda_-)^2)."""
+    list, R = I, S = sqrt(nu) V^(-1/2), X = f omega/nu), certified on v = V/f in Python floats,
+    faster here than numpy: S = S^T, so S v S^T = (S v) S, and S omega S^T = (det S) omega."""
     min_eig = _require_positive_definite(*_block_min_eig(rows, 0))
-    (s00, s01, s10, s11), nu = _single_mode(rows, 0, min_eig)
-    return ([nu / f], np.eye(2), np.array([[s00, s01], [s10, s11]]),
-            np.array([[0.0, f / nu], [-f / nu, 0.0]]), (nu / min_eig) * (nu / min_eig))
+    s, nu = _single_mode(rows, 0, min_eig)
+    (s00, s01, s10, s11), w = s, nu / f
+    m = (rows[0][0] / f, rows[1][0] / f, rows[1][0] / f, rows[1][1] / f)
+    c, abs_s = _product(_product(s, m), s), tuple(map(abs, s))
+    _certify((abs(s00 * s11 - s01 * s10 - 1.0), max(map(abs, (c[0] - w, c[1], c[2], c[3] - w)))),
+             (abs(s00 * s11) + abs(s01 * s10), max(_product(_product(abs_s, map(abs, m)), abs_s))),
+             2, (nu / min_eig) * (nu / min_eig), w)
+    return [w], np.eye(2), np.array(s).reshape(2, 2), np.array([[0.0, f / nu], [-f / nu, 0.0]])
 
 
 def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float, f: float
-                ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, float]:
+                ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Two or more modes, through the eigenvectors of iX, on v = V/f with V's positivity cut:
-    (nu, R, S, X, kappa) of v."""
+    (nu, R, S, X) of v, certified on v."""
     inv_root, kappa = _inv_sqrt(v, cut, f)
-    skew = _skew_kernel(inv_root, n_modes)
+    skew, size = _skew_kernel(inv_root, n_modes)
     # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
     # a comes descending, so nu = 1/a ascends, and R is the rotation as it comes.
-    r, a_desc = _block_rotation(skew, n_modes, tol, tol.rel * float(np.abs(skew).max()))
-    det_r = float(np.linalg.det(r))
-    if abs(det_r - 1.0) > 100.0 * tol.band(1.0):
-        raise InternalInconsistency(f"rotation determinant {det_r!r} is not +1")
+    r, a_desc = _block_rotation(skew, n_modes, tol, tol.rel * size)
     nu = [1.0 / a for a in a_desc]
-    return nu, r, np.sqrt(np.array(nu).repeat(2))[:, None] * (r @ inv_root), skew, kappa
+    nus = np.array(nu).repeat(2)
+    s = np.sqrt(nus)[:, None] * (r @ inv_root)
+    # One batched product, out[i, j] = L_i F_ij L_i^T: L = (S, |S|), F = ((Omega, V), |F_0j|).
+    dim, omega = 2 * n_modes, _omega_form(n_modes)
+    left = np.array((s, np.abs(s)))[:, None]
+    out = left @ np.array(((omega, v), (np.abs(omega), np.abs(v)))) @ left.transpose(0, 1, 3, 2)
+    out[0, 0] -= omega
+    out[0, 1].flat[::dim + 1] -= nus
+    _certify(*np.abs(out).max(axis=(2, 3)).tolist(), dim, kappa, nu[-1])
+    return nu, r, s, skew
 
 
 def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposition:
     """Full Williamson decomposition of a symmetric positive definite V.
 
-    Computes W, the symplectic S with S V S^T = W and S Omega S^T = Omega,
-    and the proper rotation R with S = W^(1/2) R V^(-1/2). Issues a
-    DegeneracyWarning (and flags the result) when two symplectic eigenvalues
-    coincide within tolerance; the decomposition itself remains valid.
+    Computes W, the symplectic S with S V S^T = W and S Omega S^T = Omega, both certified, and
+    the proper rotation R with S = W^(1/2) R V^(-1/2). Issues a DegeneracyWarning (and flags the
+    result) when two symplectic eigenvalues coincide within tolerance; the decomposition itself
+    remains valid.
     """
     v, rows, scale, n_modes = _validated_modes(v, tol)
     # Far from unit scale X leaves float64's range and LAPACK rescales V by factors that are not
@@ -215,18 +230,8 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     f = _power_of_four(scale)
     if f != 1.0:
         v = v / f
-    nu, r, s, skew, kappa = (_one_mode(rows, f) if n_modes == 1
-                             else _many_modes(v, n_modes, tol, tol._cut(scale), f))
-    # eigvals(Omega V) errs by about eps * kappa relative, kappa = cond V: so does the allowance.
-    # Past 8 u kappa = 4 eps kappa = 1, which only a one-mode block passing the block test
-    # reaches, the reference checks nothing and is not formed.
-    if 8.0 * _U * kappa < 1.0:
-        reference = _spectrum_general(v, n_modes, tol)
-        allowance = max(1e-8, 8.0 * _U * kappa) * max(reference)
-        if max(abs(x - y) for x, y in zip(nu, reference)) > allowance:
-            raise InternalInconsistency(
-                f"eigenvector route spectrum {np.array(nu) * f} disagrees with "
-                f"product-eigenvalue route {np.array(reference) * f}")
+    nu, r, s, skew = (_one_mode(rows, f) if n_modes == 1
+                      else _many_modes(v, n_modes, tol, tol._cut(scale), f))
 
     # nu scales with V, and the gaps' rounding with max nu: like X's cut, this one is relative only.
     degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]

@@ -148,6 +148,17 @@ def test_tiny_block_scales_up():
         tm.williamson_decompose(TINY)
 
 
+@pytest.mark.parametrize("call", [tm.build_x, tm.williamson_decompose])
+def test_x_past_float64_at_zero_tolerance_is_a_numerical_error(call):
+    # diag(1e-310, 1e-310, 1, 1) passes the zero cut at scale 1, and X = V^(-1/2) Omega V^(-1/2)
+    # has entries 1e310: build_x returned them as inf with matmul's overflow warning, and the
+    # decomposition warned twice before LAPACK failed on them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tm.NumericalError, match="overflows float64"):
+            call(np.diag([1e-310, 1e-310, 1.0, 1.0]), tm.Tolerance(rel=0.0, abs=0.0))
+
+
 def test_standard_form_block_far_below_the_matrix_scale():
     # lambda_- of A over the matrix's 4^j underflowed to 0 and divided by zero.
     params = tm.reduce_to_standard_form(np.diag([1.0, 1e-300, 1e200, 1.0]))

@@ -1,5 +1,6 @@
 """Williamson decomposition: inverse square root, block rotation, assembly."""
 import json
+import re
 import warnings
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
-from twomode import cli
+from twomode import cli, williamson
 
 from .support import (count_linalg, random_orthogonal, random_physical_cm, random_spd,
                       upper_mirror)
@@ -227,9 +228,9 @@ def test_williamson_single_mode_is_already_in_block_form(log_sigma, log_kappa, a
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_ill_conditioned_inputs_pass_the_cross_checks(n):
-    # Q diag(sigma, sigma/kappa, ...) Q^T at kappa = 3e8 ... 1e9: valid inputs on which
-    # eigvals(Omega V) and the eigenvectors of iX err by about eps * kappa, past 1e-8. The
-    # spectrum and orthogonality cross-checks must allow for that and not raise.
+    # Q diag(sigma, sigma/kappa, ...) Q^T at kappa = 3e8 ... 1e9: valid inputs on which the
+    # eigenvectors of iX and both residuals of the certificate err by about eps * kappa. Its
+    # bound must allow for that and not raise, and nu and R keep that accuracy.
     rng = np.random.default_rng(n)
     eps, decomposed = np.finfo(float).eps, 0
     for kappa in (3e8, 5e8, 7e8, 1e9):
@@ -272,6 +273,57 @@ def test_bare_skew_rotation_takes_every_x_that_williamson_decomposes():
         _, a = tm.skew_block_rotation(tm.build_x(v))
         np.testing.assert_allclose(a, 1.0 / dec.spectrum[::-1], rtol=1e-6)
     assert decomposed >= 100
+
+
+def test_residuals_meet_the_stated_bound():
+    # The certificate's contract, on the squeezing grid and a kappa sweep to 1e12 over n = 1-4,
+    # rotated Q diag Q^T and graded D^(1/2) C D^(1/2) (on which eigh(V) errs by eps * cond V in
+    # norm only): V is refused as not positive definite, or S meets both identities within
+    # u ((2d + 1) max(|S| |F| |S|^T) + 32 d cond V max |T_F|), (F, T_F) = (Omega, Omega), (V, W).
+    u = np.finfo(float).eps / 2.0
+    rng = np.random.default_rng(31)
+    inputs = [tm.two_mode_squeezed(r) for r in np.linspace(0.0, 8.0, 801)]
+    for i in range(800):
+        n = 1 + i % 4
+        kappa, sigma = 10.0 ** rng.uniform(0.0, 12.0), 10.0 ** rng.uniform(-8.0, 8.0)
+        ev = sigma * 10.0 ** rng.uniform(-np.log10(kappa), 0.0, 2 * n)
+        ev[:2] = sigma, sigma / kappa
+        q = random_orthogonal(rng, 2 * n)
+        if i % 2:
+            c = (q * 10.0 ** rng.uniform(-0.5, 0.5, 2 * n)) @ q.T
+            root = np.sqrt(ev / np.diag(c))
+            v = root[:, None] * c * root
+        else:
+            v = (q * ev) @ q.T
+        inputs.append((v + v.T) / 2.0)
+    decomposed = 0
+    for v in inputs:
+        try:
+            dec = decompose_quietly(v)
+        except tm.NotPositiveDefinite:
+            continue
+        decomposed += 1
+        dim, s = len(v), dec.transform
+        evals = np.linalg.eigvalsh(v)
+        cond = evals[-1] / evals[0]
+        om = tm.omega(dim // 2)
+        for form, target in ((om, om), (v, dec.normal_form)):
+            residual = np.abs(s @ form @ s.T - target).max()
+            size = (np.abs(s) @ np.abs(form) @ np.abs(s).T).max()
+            assert residual <= ((2 * dim + 1) * size + 32 * dim * cond * np.abs(target).max()) * u
+    assert decomposed >= 1000
+
+
+def test_certificate_allows_the_rounding_of_its_products():
+    # The bound u ((2d + 1) size + 32 d kappa max |T_F|) at d = 4, kappa = 1 and max |T_F| = 1
+    # is (9e3 + 128) u for products of size 1e3: 8e3 u of residual is their rounding, which the
+    # kappa term alone would refuse. A residual past the bound, or NaN, names its identity.
+    u = np.finfo(float).eps / 2.0
+    williamson._certify((8e3 * u, 8e3 * u), (1e3, 1e3), 4, 1.0, 1.0)
+    for res in (1e4 * u, np.nan):
+        for residuals, name in (((res, 0.0), "S Omega S^T - Omega"), ((0.0, res), "S V S^T - W")):
+            with pytest.raises(tm.InternalInconsistency, match=re.escape(name)):
+                williamson._certify(residuals, (1e3, 1e3), 4, 1.0, 1.0)
 
 
 def test_williamson_mixing_family():
@@ -443,18 +495,19 @@ def test_empty_matrix_is_a_dimension_error(fn):
 
 def test_each_normal_form_factors_the_matrix_once(monkeypatch):
     # Williamson: eigh(V) is both V^(-1/2) and the positivity check, then
-    # eigh(iX) and the two cross-checks det R and eigvals(Omega V). One mode
-    # needs no eigh: the closed form of the block gives nu = sqrt(det V), R = I
-    # and S, and eigvals(Omega V) still checks the spectrum. The standard
-    # form: closed forms on each diagonal block, no LAPACK call.
-    counts = count_linalg(monkeypatch, "eigh", "eigvals", "det", "eigvalsh")
+    # eigh(iX); the residuals of S V S^T = W and S Omega S^T = Omega certify
+    # the result with matrix products alone. One mode needs no LAPACK call:
+    # the closed form of the block gives nu = sqrt(det V), R = I and S, and
+    # both residuals are formed on its Python floats. The standard form:
+    # closed forms on each diagonal block, no LAPACK call.
+    counts = count_linalg(monkeypatch, "eig", "eigh", "eigvals", "eigvalsh", "det", "inv",
+                          "solve", "svd", "cholesky")
     v = tm.random_physical(3)
     decompose_quietly(v)
-    assert counts.pop("det", 0) <= 1
-    assert counts == {"eigh": 2, "eigvals": 1}
+    assert counts == {"eigh": 2}
     counts.clear()
     tm.williamson_decompose(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    assert counts == {"eigvals": 1}
+    assert counts == {}
     counts.clear()
     tm.reduce_to_standard_form(v)
     assert counts == {}
@@ -484,12 +537,47 @@ def _patched(monkeypatch, name, change):
     monkeypatch.setattr(np.linalg, name, lambda *args: change(args, original(*args)))
 
 
-def test_williamson_spectrum_cross_check_fires(monkeypatch):
-    # A product-eigenvalue route 1% off the eigenvector route: the moduli
-    # still pair, so only the comparison of the two spectra can catch it.
-    _patched(monkeypatch, "eigvals", lambda args, ev: ev * 1.01)
-    with pytest.raises(tm.InternalInconsistency, match="disagrees with product-eigenvalue route"):
+_SYMPLECTIC_RESIDUAL = r"residual max \|S Omega S\^T - Omega\| = .* exceeds its bound"
+_NORMAL_FORM_RESIDUAL = r"residual max \|S V S\^T - W\| = .* exceeds its bound"
+
+
+def test_williamson_eigenvalue_of_ix_error_fires_symplectic_residual(monkeypatch):
+    # The eigenvalues of iX 1% too large: they still pair, and S V S^T = W
+    # holds for the nu = 1/a they give, so only S Omega S^T = Omega can catch it.
+    def scale(args, res):
+        return (res[0] * 1.01, res[1]) if np.iscomplexobj(args[0]) else res
+    _patched(monkeypatch, "eigh", scale)
+    with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
         tm.williamson_decompose(tm.thermal(1.5, 2.5))
+
+
+def _rotated(cond):
+    q = random_orthogonal(np.random.default_rng(31), 4)
+    v = (q * np.array([1.0, 1e-3, 10.0 ** -4.5, 1.0 / cond])) @ q.T
+    return (v + v.T) / 2.0
+
+
+@pytest.mark.parametrize("v", [[[2.0, 0.5], [0.5, 1.0]], [[4.0, 0.0], [0.0, 1.0]],
+                               [[1.5e308, 1e308], [1e308, 1.5e308]], tm.simon_vx(0.7),
+                               tm.two_mode_squeezed(4.0), _rotated(1e8)],
+                         ids=["mixed", "squeezed", "near-max", "two-mode", "squeezed-r4",
+                              "rotated-cond-1e8"])
+def test_williamson_normal_form_residual_fires(monkeypatch, v):
+    # One mode: the closed form's nu 1% too large, S untouched. Two modes: V's
+    # eigenvalues 1% too large, so M V M = I/1.01 and X and nu move with it.
+    # Either way S Omega S^T = Omega holds and only S V S^T = W can catch it,
+    # also at cond V = e^16 (two_mode_squeezed(4.0)) and 1e8, where the bound
+    # must stay below the 1% error: its cond V term multiplies max |W|, not
+    # max |S| |V| |S|^T, which grows like cond V itself on squeezed inputs.
+    if len(v) == 2:
+        single_mode = williamson._single_mode
+        monkeypatch.setattr(williamson, "_single_mode",
+                            lambda *args: (single_mode(*args)[0], single_mode(*args)[1] * 1.01))
+    else:
+        _patched(monkeypatch, "eigh",
+                 lambda args, res: res if np.iscomplexobj(args[0]) else (res[0] * 1.01, res[1]))
+    with pytest.raises(tm.InternalInconsistency, match=_NORMAL_FORM_RESIDUAL):
+        tm.williamson_decompose(np.array(v))
 
 
 def test_general_spectrum_rejects_unpaired_moduli(monkeypatch):
@@ -502,26 +590,35 @@ def test_general_spectrum_rejects_unpaired_moduli(monkeypatch):
         tm.symplectic_spectrum_general(tm.thermal(1.5, 2.5))
 
 
-def test_williamson_determinant_cross_check_fires(monkeypatch):
-    _patched(monkeypatch, "det", lambda args, d: -1.0)
-    with pytest.raises(tm.InternalInconsistency, match=r"rotation determinant -1\.0 is not \+1"):
+def test_williamson_improper_rotation_fires_symplectic_residual(monkeypatch):
+    # p_0 conjugated negates row 0 of R, sqrt(2) (-Im p_0)^T: R stays orthogonal, so
+    # S V S^T = W holds, but det R = -1 turns R X R^T's first block to -a omega, which
+    # S Omega S^T = Omega catches.
+    def conjugate_first(args, res):
+        if not np.iscomplexobj(args[0]):
+            return res
+        vecs = res[1].copy()
+        vecs[:, 0] = vecs[:, 0].conj()
+        return res[0], vecs
+    _patched(monkeypatch, "eigh", conjugate_first)
+    with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
         tm.williamson_decompose(tm.simon_vx(0.7))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_block_rotation_orthogonality_check_fires(monkeypatch, n):
-    # Eigenvectors of iX (the one complex eigh) stretched by 10%. A one-mode
-    # decomposition makes no such call, but skew_block_rotation still does.
+    # Eigenvectors of iX (the one complex eigh) stretched by 10%. The bare
+    # rotation checks its Gram matrix; the decomposition's R R^T = 1.21 I moves
+    # S Omega S^T to 1.21 Omega. A one-mode decomposition makes no such call.
     def stretch(args, res):
         return (res[0], res[1] * 1.1) if np.iscomplexobj(args[0]) else res
     _patched(monkeypatch, "eigh", stretch)
     v = random_spd(np.random.default_rng(n), 2 * n)
-    calls = [lambda: tm.skew_block_rotation(tm.build_x(v))]
+    with pytest.raises(tm.InternalInconsistency, match="departs from orthogonality"):
+        tm.skew_block_rotation(tm.build_x(v))
     if n > 1:
-        calls.append(lambda: decompose_quietly(v))
-    for call in calls:
-        with pytest.raises(tm.InternalInconsistency, match="departs from orthogonality"):
-            call()
+        with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
+            decompose_quietly(v)
 
 
 @pytest.mark.parametrize("c", [1e307, 5e307, 6e307])
