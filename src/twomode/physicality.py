@@ -254,8 +254,8 @@ def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,
     nu = 4.0 * (d * d) + c_sum * c_sum * (4.0 + c_diff * c_diff)
     if not (math.isfinite(mu) and math.isfinite(nu) and math.isfinite(s)):
         raise NumericalError(f"standard-form eigenvalues past float64: mu = {mu}, nu = {nu}")
-    outer_p = np.sqrt(max(mu + 2.0 * np.sqrt(max(nu, 0.0)), 0.0))
-    outer_m = np.sqrt(max(mu - 2.0 * np.sqrt(max(nu, 0.0)), 0.0))
+    outer_p = math.sqrt(max(mu + 2.0 * math.sqrt(max(nu, 0.0)), 0.0))
+    outer_m = math.sqrt(max(mu - 2.0 * math.sqrt(max(nu, 0.0)), 0.0))
     return StandardFormEigs(
         lambda_pp=(s + outer_p) / 2.0,
         lambda_mp=(s + outer_m) / 2.0,

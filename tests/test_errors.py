@@ -75,7 +75,7 @@ def _unpaired_eigenvalues(monkeypatch):
 @pytest.mark.parametrize("fire, error, message", [
     (_negative_vieta_root, tm.NumericalError, r"squared symplectic eigenvalue -1\.000e\+00 < 0$"),
     (_identity_phase_rotation, tm.InternalInconsistency,
-     "off-diagonal residue .* after angle selection"),
+     r"residual max \|S V S\^T - T\| = .* exceeds its bound"),
     (_unpaired_eigenvalues, tm.PairingError, "eigenvalues do not split into conjugate pairs"),
 ], ids=["invariants-vieta", "standard_form-angles", "williamson-pairing"])
 def test_each_self_check_fires_on_the_step_it_checks(monkeypatch, fire, error, message):

@@ -218,6 +218,22 @@ def test_closed_form_spectrum_matches_dense_solver(a, b, c_plus, c_minus):
     assert eigs.lambda_pm == pytest.approx(dense[0], abs=1e-10 * scale)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+def test_closed_form_spectrum_fields_are_python_floats(a, b, c_plus, c_minus):
+    # Every field is a float, the four eigenvalues too, with the value numpy's sqrt gave them:
+    # math.sqrt and np.sqrt are both the correctly rounded square root.
+    eigs = tm.standard_form_hermitian_eigs(a, b, c_plus, c_minus)
+    mu, nu, s = eigs.mu_aux, eigs.nu_aux, a + b
+    outer_p = np.sqrt(max(mu + 2.0 * np.sqrt(max(nu, 0.0)), 0.0))
+    outer_m = np.sqrt(max(mu - 2.0 * np.sqrt(max(nu, 0.0)), 0.0))
+    want = ((s + outer_p) / 2.0, (s + outer_m) / 2.0, (s - outer_p) / 2.0, (s - outer_m) / 2.0)
+    for name, value in zip(("lambda_pp", "lambda_mp", "lambda_pm", "lambda_mm"), want):
+        got = getattr(eigs, name)
+        assert type(got) is float and repr(got) == repr(float(value))
+    assert type(mu) is float and type(nu) is float
+
+
 def test_closed_form_spectrum_mixing_family():
     # V(x) has blocks a = b = (1 + 4x)/2, c+ = (4x - 1)/2, c- = -2x, and its
     # smallest V + i Omega eigenvalue must match the heisenberg oracle.

@@ -1,4 +1,12 @@
 """Standard-form reduction: canonical parameters and the local symplectic."""
+import cmath
+import dataclasses
+import importlib.util
+import re
+import types
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +33,13 @@ def assert_valid_reduction(v, params, tol=1e-9):
     scale = max(1.0, np.max(np.abs(v)))
     np.testing.assert_allclose(tm.congruence(v, s), params.matrix(),
                                atol=tol * scale)
-    # The residual the reduction checked is the one it reports, bit for bit.
-    assert params.residual == np.abs(tm.congruence(v, s) - params.matrix()).max()
+    # The residual the reduction certified, formed blockwise, is this 4x4 product's within the
+    # rounding of both, and meets the stated bound u (2d + 1 + 16) max(|S| |V| |S|^T), d = 2.
+    u = np.finfo(float).eps / 2.0
+    size = (np.abs(s) @ np.abs(v) @ np.abs(s).T).max()
+    reference = np.abs(tm.congruence(v, s) - params.matrix()).max()
+    assert abs(params.residual - reference) <= u * (2 * 4 + 1) * size
+    assert params.residual <= u * (2 * 2 + 1 + 16) * size
 
 
 def test_single_mode_williamson_squeezed_diag():
@@ -299,6 +312,36 @@ def test_reduction_preserves_spectra_when_positive(seed):
     assert after.nu_plus == pytest.approx(before.nu_plus, rel=1e-8, abs=1e-9)
 
 
+def test_residuals_meet_the_stated_bound():
+    # The certificate's contract on blocks R diag(sigma, sigma/kappa) R^T with kappa up to 1e15,
+    # rotated or within 1e-9 of diagonal, and cross blocks that are generic, or a multiple of a
+    # rotation or a reflection (z2 = 0 or z1 = 0): every reduction that is not refused meets
+    # max |S V S^T - T| <= u (2d + 1 + 16) max(|S| |V| |S|^T), d = 2.
+    u = np.finfo(float).eps / 2.0
+    rng = np.random.default_rng(12)
+    reduced = 0
+    for i in range(1500):
+        sigma_a, sigma_b = 10.0 ** rng.uniform(-6.0, 6.0, 2)
+        blocks = []
+        for sigma in (sigma_a, sigma_b):
+            angle = 10.0 ** rng.uniform(-9.0, 0.0) if i % 3 == 1 else rng.uniform(0.0, 2 * np.pi)
+            r = tm.rotation(angle)
+            blocks.append((r * (sigma * np.array([1.0, 10.0 ** -rng.uniform(0.0, 15.0)]))) @ r.T)
+        c = rng.normal(size=(2, 2)) * np.sqrt(sigma_a * sigma_b) * 10.0 ** rng.uniform(-3.0, 1.0)
+        if i % 3 == 2:
+            c = c[0, 0] * tm.rotation(rng.uniform(0.0, 2 * np.pi)) @ np.diag([1.0, (-1.0) ** i])
+        v = np.block([[blocks[0], c], [c.T, blocks[1]]])
+        v = (v + v.T) / 2.0
+        try:
+            params = tm.reduce_to_standard_form(v)
+        except tm.BlockNotPositiveDefinite:
+            continue
+        reduced += 1
+        s = params.s_local
+        assert params.residual <= u * 21 * (np.abs(s) @ np.abs(v) @ np.abs(s).T).max()
+    assert reduced >= 1400
+
+
 @pytest.mark.parametrize("c", [1e150, 1e160, 1e200, 1e300, 4e307, 5e307])
 def test_reduction_far_from_unit_scale_stays_finite(c):
     # Block eigenvalues past ~1e154 overflowed a = sqrt(lambda_+ lambda_-) to
@@ -324,9 +367,63 @@ def test_reduction_reports_a_c_plus_beyond_float64():
 
 
 def test_reduction_rejects_a_nan_residual(monkeypatch):
-    monkeypatch.setattr(standard_form, "symmetric_part", lambda m: np.full_like(m, np.nan))
-    with pytest.raises(tm.InternalInconsistency):
+    # NaN in the certificate's B block, after A's finite entries: max skips it, but the size's
+    # sum cannot, and a NaN bound passes no residual.
+    sandwich, calls = standard_form._symmetric_sandwich, []
+
+    def nan_for_b(*args):
+        calls.append(args)
+        return (np.nan,) * 3 if len(calls) % 2 == 0 else sandwich(*args)
+    monkeypatch.setattr(standard_form, "_symmetric_sandwich", nan_for_b)
+    with pytest.raises(tm.InternalInconsistency,
+                       match=r"max \|S V S\^T - T\| = .* exceeds its bound nan$"):
         tm.reduce_to_standard_form(tm.simon_vx(1.0))
+
+
+def _wrong_target(index):
+    """Hand the certificate T with entry ``index`` of (a, b, c+, c-) 1e-3 too large."""
+    def patch(monkeypatch):
+        certify = standard_form._local_certificate
+
+        def wrong(ra, rb, rows, cross, t):
+            t = list(t)
+            t[index] *= 1.0 + 1e-3
+            return certify(ra, rb, rows, cross, tuple(t))
+        monkeypatch.setattr(standard_form, "_local_certificate", wrong)
+    return patch
+
+
+def _turned_theta_a(monkeypatch):
+    # Both phases 1e-3 lower turn theta_a = (alpha + beta)/2 by 1e-3 and leave theta_b.
+    monkeypatch.setattr(standard_form, "cmath",
+                        types.SimpleNamespace(phase=lambda z: cmath.phase(z) - 1e-3))
+
+
+def _scaled_s_a(monkeypatch):
+    # S_A (1 + 1e-3) with a (1 + 1e-3)^2 keeps S V S^T = T; only det S_A = 1 fails.
+    single_mode = standard_form._single_mode
+
+    def scaled(rows, i, min_eig):
+        s, a = single_mode(rows, i, min_eig)
+        k = 1.0 + 1e-3
+        return (tuple(k * x for x in s), a * k * k) if i == 0 else (s, a)
+    monkeypatch.setattr(standard_form, "_single_mode", scaled)
+
+
+@pytest.mark.parametrize("mutate, identity", [
+    (_wrong_target(2), "S V S^T - T"), (_wrong_target(3), "S V S^T - T"),
+    (_wrong_target(0), "S V S^T - T"), (_turned_theta_a, "S V S^T - T"),
+    (_scaled_s_a, "S Omega S^T - Omega"),
+], ids=["c_plus", "c_minus", "a", "theta_a", "s_a-and-a"])
+def test_certificate_fires_on_each_wrong_output(monkeypatch, mutate, identity):
+    # A standard form (2, 1.5, 0.8, -0.3) moved by a local symplectic: each output 1e-3 off, in
+    # a way the other outputs do not absorb, breaks the identity named.
+    v = tm.congruence(tm.standard_form_matrix(2.0, 1.5, 0.8, -0.3),
+                      random_local_symplectic(np.random.default_rng(0)))
+    tm.reduce_to_standard_form(v)
+    mutate(monkeypatch)
+    with pytest.raises(tm.InternalInconsistency, match=f"max \\|{re.escape(identity)}\\|"):
+        tm.reduce_to_standard_form(v)
 
 
 def test_reduction_names_offending_block():
@@ -415,8 +512,6 @@ def test_normal_forms_are_scale_equivariant(seed):
     # f = 4^j scales every output exactly: a, b, c+- and nu by f, X by 1/f, S and R not at all.
     # Skipped: f V between 2^485 and 2^512, where LAPACK rescales V by a factor that is not a
     # power of two and the outputs keep the bits they have without a reduction.
-    import warnings
-
     from .support import random_spd
     rng = np.random.default_rng(seed)
     blocks = [random_block_positive(rng) for _ in range(20)]
@@ -446,3 +541,36 @@ def test_normal_forms_are_scale_equivariant(seed):
             np.testing.assert_array_equal(got.transform, ref.transform)
             np.testing.assert_array_equal(got.rotation, ref.rotation)
             assert got.degenerate == ref.degenerate
+
+
+def _benchmark_inputs():
+    """The benchmark's ``perfbench/inputs.py``, loaded as a module and only read."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_zero_tolerance_gives_the_default_normal_forms(seed):
+    # The normal_forms benchmark pool at Tolerance(rel=0, abs=0). Past the input boundary neither
+    # normal form reads a tolerance but in its positivity cuts, so each may refuse only a block or
+    # a V that is not positive definite, and returns the default's fields bit for bit, but for the
+    # residual and the degeneracy flag, whose cut is relative.
+    zero = tm.Tolerance(rel=0.0, abs=0.0)
+    for op in _benchmark_inputs().normal_forms_pool(seed):
+        v = np.array(op["v"])
+        fn = (tm.reduce_to_standard_form if op["kind"] == "standard_form"
+              else tm.williamson_decompose)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", tm.DegeneracyWarning)
+            try:
+                got = fn(v, zero)
+            except (tm.BlockNotPositiveDefinite, tm.NotPositiveDefinite):
+                continue
+            ref = fn(v)
+        for field in dataclasses.fields(ref):
+            if field.name not in ("residual", "degenerate"):
+                want, have = getattr(ref, field.name), getattr(got, field.name)
+                assert np.asarray(have).tobytes() == np.asarray(want).tobytes(), field.name

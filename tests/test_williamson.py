@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
-from twomode import cli, williamson
+from twomode import cli, standard_form, williamson
 
 from .support import (count_linalg, random_orthogonal, random_physical_cm, random_spd,
                       upper_mirror)
@@ -315,15 +315,18 @@ def test_residuals_meet_the_stated_bound():
 
 
 def test_certificate_allows_the_rounding_of_its_products():
-    # The bound u ((2d + 1) size + 32 d kappa max |T_F|) at d = 4, kappa = 1 and max |T_F| = 1
-    # is (9e3 + 128) u for products of size 1e3: 8e3 u of residual is their rounding, which the
-    # kappa term alone would refuse. A residual past the bound, or NaN, names its identity.
+    # The bound u ((2d + 1) size + error) with Williamson's error 32 d kappa max |T_F| = 128 at
+    # d = 4, kappa = 1 and max |T_F| = 1 is (9e3 + 128) u for products of size 1e3: 8e3 u of
+    # residual is their rounding, which the error term alone would refuse. A residual past the
+    # bound, or NaN, names its identity, with the standard form's target T as well.
     u = np.finfo(float).eps / 2.0
-    williamson._certify((8e3 * u, 8e3 * u), (1e3, 1e3), 4, 1.0, 1.0)
+    standard_form._certify((8e3 * u, 8e3 * u), (1e3, 1e3), 4, (128.0, 128.0))
     for res in (1e4 * u, np.nan):
-        for residuals, name in (((res, 0.0), "S Omega S^T - Omega"), ((0.0, res), "S V S^T - W")):
+        for residuals, name, target in (((res, 0.0), "S Omega S^T - Omega", "W"),
+                                        ((0.0, res), "S V S^T - W", "W"),
+                                        ((0.0, res), "S V S^T - T", "T")):
             with pytest.raises(tm.InternalInconsistency, match=re.escape(name)):
-                williamson._certify(residuals, (1e3, 1e3), 4, 1.0, 1.0)
+                standard_form._certify(residuals, (1e3, 1e3), 4, (128.0, 128.0), target)
 
 
 def test_williamson_mixing_family():
