@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _U = sys.float_info.epsilon / 2.0  # unit roundoff
+_REACH = 3200.0 * _U  # within Williamson's reach: lambda_min > _REACH d lambda_max, d = 2n
 # Static error bounds (Higham, ch. 3): n terms, each a product of m entries at most s = max |v_ij|
 # that passes k roundings, err by n gamma_k s^m, gamma_k = k u / (1 - k u). det A: n, k = 2, 2;
 # the leading 3x3 minor D3: 6, 5; det V: 24, 8. 1% more covers underflow for s >= 2^-240.
@@ -330,19 +331,29 @@ def _validated_modes(v, tol: Tolerance) -> tuple[np.ndarray, list, float, int]:
     return checked
 
 
+def _require_in_reach(evals, f: float = 1.0) -> None:
+    """NotPositiveDefinite, carrying V's smallest eigenvalue, unless V = f v, v of ascending
+    eigenvalues ``evals``, is within Williamson's reach cond V <= 0.01 / (32 d u) (``_REACH``)."""
+    lo, hi, d = float(evals[0]), float(evals[-1]), len(evals)
+    if not lo > _REACH * d * hi:
+        _require_positive_definite(lo * f, math.inf, "matrix" if not lo > 0.0 else (
+            f"matrix with cond V {hi / lo:.3e} past Williamson's reach {1 / (_REACH * d):.2e}"))
+
+
 def symplectic_spectrum_general(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symplectic eigenvalues of a 2n x 2n positive definite matrix, ascending.
 
     Two or more modes: the moduli of the eigenvalues of i Omega V, +-nu_k pairs, each adjacent
-    pair collapsed to its mean (PairingError if its gap exceeds tolerance), after the eigenvalue
-    cut. One mode makes no LAPACK call: the block test and the closed form's nu = a."""
+    pair collapsed to its mean (PairingError if its gap exceeds tolerance), for V within
+    Williamson's reach. One mode makes no LAPACK call: the block test and closed form's nu = a."""
     v, rows, scale, n = _validated_modes(v, tol)
     if n == 1:
         return np.array([_single_mode(rows, 0, _require_positive_definite(
             *_block_min_eig(rows, 0)))[1]])
-    _require_positive_definite(float(np.linalg.eigvalsh(v)[0]), tol._cut(scale))
     f = _power_of_four(scale)  # as Williamson reduces V: nu scales back exactly
-    mods = sorted(map(abs, np.linalg.eigvals(_omega_form(n) @ (v / f)).tolist()))
+    v = v / f
+    _require_in_reach(np.linalg.eigvalsh(v).tolist(), f)
+    mods = sorted(map(abs, np.linalg.eigvals(_omega_form(n) @ v).tolist()))
     nus = []
     for lo, hi in zip(mods[0::2], mods[1::2]):
         if hi - lo > tol.band(hi):

@@ -100,12 +100,10 @@ class StandardFormEigs:
 
 
 def is_positive_definite(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Strict positive definiteness via the smallest eigenvalue.
-
-    Decided by eigenvalue rather than a factorization success flag so the
-    margin is always available; values within tolerance of 0 count as not
-    positive definite.
-    """
+    """Strict positive definiteness via the smallest eigenvalue: values within tolerance of 0,
+    abs + rel max |m_ij|, count as not positive definite. The public tolerance predicate keeps
+    that caller-set cut; the classifiers and normal forms read none (Sylvester's exact signs, the
+    block test, or the reach of Williamson's certificate on cond V)."""
     m, rows, flat = _read(m)
     cut = tol._cut(_symmetric_scale(m, rows, flat, tol))
     return float(np.linalg.eigvalsh(m)[0]) > cut

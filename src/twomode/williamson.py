@@ -12,8 +12,8 @@ symplectic eigenvalues. The constructive route used here:
    O are sqrt(2) (-Im p_k)^T and sqrt(2) (Re p_k)^T, real by construction,
 4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k ascending and R = O.
 
-Each call validates its input once. Two or more modes make two LAPACK calls, eigh of V (also the
-positivity check) and eigh of iX. One mode makes none: X = omega/nu is already in block form,
+Each call validates its input once. Two or more modes make two LAPACK calls, eigh of V and eigh
+of iX. One mode makes none: X = omega/nu is already in block form,
 R = I, and nu = sqrt(det V) and S = sqrt(nu) V^(-1/2) are ``invariants._single_mode``'s closed
 form. Outside max |v_ij| in [2^-510, 2^512) V / 4^j is decomposed (``symplectic._power_of_four``).
 
@@ -25,7 +25,9 @@ first term is the rounding of the products (Higham, Accuracy and Stability of Nu
 Algorithms, ch. 3), the second the decomposition's: eigh(V) is backward stable in norm only, so
 V^(-1/2) V V^(-1/2) = I + O(u kappa), X is formed to O(u / lambda_min), and W^(1/2) scales both by
 nu_max <= lambda_max. Scaled by T_F, not by the product, which grows like kappa on squeezed V, it
-catches a 1% error in nu up to kappa 3e11. Then R is orthogonal and det R = prod a_k / Pf X = +1.
+catches a 1% error in nu up to kappa = 0.01 / (32 d u), 7.0e11 for two modes: that is the reach of
+eigh(V), also the positivity check, which refuses V past it as NotPositiveDefinite at every
+tolerance (``invariants._require_in_reach``). Then R is orthogonal and det R = prod a_k / Pf X = +1.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import (DegeneracyWarning, InternalInconsistency, NumericalError, PairingError,
                      SingularInput, SymmetryError)
-from .invariants import _U, _block_min_eig, _single_mode, _validated_modes
+from .invariants import _U, _block_min_eig, _require_in_reach, _single_mode, _validated_modes
 from .standard_form import _certify, _symmetric_sandwich
 from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _mode_count, _omega_form,
                          _power_of_four, _read, _require_positive_definite, _symmetric_scale,
@@ -82,18 +84,19 @@ def inv_sqrt(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Symmetric M with M V M = I for symmetric positive definite V; a 2x2 takes the one block
     test and the one-mode closed form, M = S / sqrt(a) with S = sqrt(a) V^(-1/2)."""
     v, rows, flat = _read(v)
-    scale = _symmetric_scale(v, rows, flat, tol)
+    _symmetric_scale(v, rows, flat, tol)
     if len(rows) != 2:
-        return _inv_sqrt(v, tol._cut(scale))[0]
+        return _inv_sqrt(v)[0]
     s, a = _single_mode(rows, 0, _require_positive_definite(*_block_min_eig(rows, 0)))
     return np.array(s).reshape(2, 2) / math.sqrt(a)
 
 
-def _inv_sqrt(v: np.ndarray, cut: float, f: float = 1.0) -> tuple[np.ndarray, float]:
-    """Core of ``inv_sqrt``: (V^(-1/2), cond V); eigh(V) is also the positivity check, against
-    ``cut`` for f V, whose smallest eigenvalue a failure reports."""
+def _inv_sqrt(v: np.ndarray, f: float = 1.0) -> tuple[np.ndarray, float]:
+    """Core of ``inv_sqrt``: (V^(-1/2), cond V). eigh(V) is also the positivity check, which
+    reads no tolerance: f V must be within the certificate's reach, cond V <= 0.01 / (32 d u),
+    past which its cond V term no longer catches a 1% error in nu (``_require_in_reach``)."""
     evals, q = _eigh(v)
-    _require_positive_definite(evals[0] * f, cut)
+    _require_in_reach(evals, f)
     m = (q / np.sqrt(evals)) @ q.T
     return (m + m.T) / 2.0, float(evals[-1]) / float(evals[0])
 
@@ -106,20 +109,20 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
 
 
-def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> tuple[np.ndarray, float]:
-    """X = (x - x^T)/2, x = M Omega M, and max |X|; NumericalError, not warnings, on overflow."""
+def _skew_kernel(inv_root: np.ndarray, n_modes: int) -> np.ndarray:
+    """X = (x - x^T)/2, x = M Omega M; NumericalError, not warnings, on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         x = inv_root @ _omega_form(n_modes) @ inv_root
         skew = (x - x.T) / 2.0
-    if not (size := float(np.abs(skew).max())) < math.inf:  # NaN too
+    if not float(np.abs(skew).max()) < math.inf:  # NaN too
         raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
-    return skew, size
+    return skew
 
 
 def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """The antisymmetric V^(-1/2) Omega V^(-1/2) for positive definite V."""
-    v, _, scale, n_modes = _checked(v, tol)
-    return _skew_kernel(_inv_sqrt(v, tol._cut(scale))[0], n_modes)[0]
+    v, _, _, n_modes = _checked(v, tol)
+    return _skew_kernel(_inv_sqrt(v)[0], n_modes)
 
 
 def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -138,9 +141,11 @@ def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, n
     if anti_residual > cut:
         raise SymmetryError(f"matrix is not antisymmetric (max |X + X^T| = {anti_residual:.3e})")
     o, a_desc = _block_rotation(xs, n_modes, cut)
-    ortho_residual = float(np.abs(o @ o.T - np.eye(2 * n_modes)).max())
-    # iX's eigenvectors and o's Gram err by about eps * a_max/a_min, at most cond V for X from V.
-    if ortho_residual > max(10.0 * tol.band(1.0), 32.0 * _U * a_desc[0] / a_desc[-1]):
+    ortho_residual = float(np.abs(o @ o.T - np.eye(len(o))).max())
+    # eigh's orthonormality and the Gram product's rounding err by a few d u, and Re p, Im p by
+    # about u a_max/a_min, at most cond V for X from V: measured, at most 5.5 d u (a_max/a_min
+    # near 1) and 3.6 u a_max/a_min (above 10), over 53,692 draws with n = 2-8, none past 0.35.
+    if ortho_residual > _U * (8.0 * len(o) + 32.0 * a_desc[0] / a_desc[-1]):
         raise InternalInconsistency(
             f"assembled rotation departs from orthogonality by {ortho_residual:.3e}")
     return o.reshape(n_modes, 2, -1)[::-1].reshape(o.shape), np.array(a_desc[::-1])
@@ -186,15 +191,15 @@ def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray, np.nd
     return [w], np.eye(2), np.array(s).reshape(2, 2), np.array([[0.0, f / nu], [-f / nu, 0.0]])
 
 
-def _many_modes(v: np.ndarray, n_modes: int, tol: Tolerance, cut: float, f: float
+def _many_modes(v: np.ndarray, n_modes: int, f: float
                 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Two or more modes, through the eigenvectors of iX, on v = V/f with V's positivity cut:
-    (nu, R, S, X) of v, certified on v."""
-    inv_root, kappa = _inv_sqrt(v, cut, f)
-    skew, size = _skew_kernel(inv_root, n_modes)
-    # X is in units of 1/V, so its singularity cut is relative only: tol.abs is in V's units.
+    """Two or more modes, through the eigenvectors of iX, on v = V/f: (nu, R, S, X) of v,
+    certified on v."""
+    inv_root, kappa = _inv_sqrt(v, f)
+    skew = _skew_kernel(inv_root, n_modes)
+    # Within reach a_min / a_max >= 1/kappa, far above rounding: X's singularity cut is 0.
     # a comes descending, so nu = 1/a ascends, and R is the rotation as it comes.
-    r, a_desc = _block_rotation(skew, n_modes, tol.rel * size)
+    r, a_desc = _block_rotation(skew, n_modes, 0.0)
     nu = [1.0 / a for a in a_desc]
     nus = np.array(nu).repeat(2)
     s = np.sqrt(nus)[:, None] * (r @ inv_root)
@@ -223,10 +228,9 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     f = _power_of_four(scale)
     if f != 1.0:
         v = v / f
-    nu, r, s, skew = (_one_mode(rows, f) if n_modes == 1
-                      else _many_modes(v, n_modes, tol, tol._cut(scale), f))
+    nu, r, s, skew = _one_mode(rows, f) if n_modes == 1 else _many_modes(v, n_modes, f)
 
-    # nu scales with V, and the gaps' rounding with max nu: like X's cut, this one is relative only.
+    # nu scales with V, and the gaps' rounding with max nu: this cut is relative only.
     degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]
     if degenerate:
         warnings.warn(DegeneracyWarning(

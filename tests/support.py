@@ -7,12 +7,23 @@ equivalent formulations would show up first).
 """
 from __future__ import annotations
 
+import importlib.util
 import math
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 
 import twomode as tm
+
+
+def benchmark_inputs():
+    """The benchmark's ``perfbench/inputs.py``, loaded as a module and only read."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:

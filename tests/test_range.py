@@ -150,13 +150,18 @@ def test_tiny_block_scales_up():
 
 @pytest.mark.parametrize("call", [tm.build_x, tm.williamson_decompose])
 def test_x_past_float64_at_zero_tolerance_is_a_numerical_error(call):
-    # diag(1e-310, 1e-310, 1, 1) passes the zero cut at scale 1, and X = V^(-1/2) Omega V^(-1/2)
-    # has entries 1e310: build_x returned them as inf with matmul's overflow warning, and the
-    # decomposition warned twice before LAPACK failed on them.
+    # diag(1e-310, 1e-310, 1e-300, 1e-300) has cond V = 1e10, within Williamson's reach, and
+    # X = V^(-1/2) Omega V^(-1/2) has entries 1e310: build_x returned them as inf with matmul's
+    # overflow warning, and the decomposition warned twice before LAPACK failed on them.
+    # diag(1e-310, 1e-310, 1, 1), cond V = 1e310, is past the reach at every tolerance.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for tol in (tm.DEFAULT_TOL, tm.Tolerance(rel=0.0, abs=0.0)):
+            with pytest.raises(tm.NotPositiveDefinite) as exc:
+                call(np.diag([1e-310, 1e-310, 1.0, 1.0]), tol)
+            assert exc.value.min_eig == 1e-310
         with pytest.raises(tm.NumericalError, match="overflows float64"):
-            call(np.diag([1e-310, 1e-310, 1.0, 1.0]), tm.Tolerance(rel=0.0, abs=0.0))
+            call(np.diag([1e-310, 1e-310, 1e-300, 1e-300]), tm.Tolerance(rel=0.0, abs=0.0))
 
 
 def test_standard_form_block_far_below_the_matrix_scale():

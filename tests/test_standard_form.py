@@ -1,11 +1,9 @@
 """Standard-form reduction: canonical parameters and the local symplectic."""
 import cmath
 import dataclasses
-import importlib.util
 import re
 import types
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from hypothesis import strategies as st
 import twomode as tm
 from twomode import standard_form
 
-from .support import random_block_positive, random_local_symplectic
+from .support import benchmark_inputs, random_block_positive, random_local_symplectic
 
 
 def assert_valid_reduction(v, params, tol=1e-9):
@@ -543,23 +541,14 @@ def test_normal_forms_are_scale_equivariant(seed):
             assert got.degenerate == ref.degenerate
 
 
-def _benchmark_inputs():
-    """The benchmark's ``perfbench/inputs.py``, loaded as a module and only read."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_zero_tolerance_gives_the_default_normal_forms(seed):
-    # The normal_forms benchmark pool at Tolerance(rel=0, abs=0). Past the input boundary neither
-    # normal form reads a tolerance but in its positivity cuts, so each may refuse only a block or
-    # a V that is not positive definite, and returns the default's fields bit for bit, but for the
-    # residual and the degeneracy flag, whose cut is relative.
+    # The normal_forms benchmark pool at Tolerance(rel=0, abs=0). Past the input boundary the
+    # normal forms read a tolerance only in Williamson's degeneracy flag, so each may refuse only a
+    # block or a V that is not positive definite, and returns the default's fields bit for bit, but
+    # for the residual and the degeneracy flag, whose cut is relative.
     zero = tm.Tolerance(rel=0.0, abs=0.0)
-    for op in _benchmark_inputs().normal_forms_pool(seed):
+    for op in benchmark_inputs().normal_forms_pool(seed):
         v = np.array(op["v"])
         fn = (tm.reduce_to_standard_form if op["kind"] == "standard_form"
               else tm.williamson_decompose)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import twomode as tm
 from twomode import cli, standard_form, williamson
 
-from .support import (count_linalg, random_orthogonal, random_physical_cm, random_spd,
-                      upper_mirror)
+from .support import (benchmark_inputs, count_linalg, random_orthogonal, random_physical_cm,
+                      random_spd, upper_mirror)
 
 
 def decompose_quietly(v):
@@ -230,9 +230,10 @@ def test_williamson_single_mode_is_already_in_block_form(log_sigma, log_kappa, a
 def test_ill_conditioned_inputs_pass_the_cross_checks(n):
     # Q diag(sigma, sigma/kappa, ...) Q^T at kappa = 3e8 ... 1e9: valid inputs on which the
     # eigenvectors of iX and both residuals of the certificate err by about eps * kappa. Its
-    # bound must allow for that and not raise, and nu and R keep that accuracy.
+    # bound must allow for that and not raise, and nu and R keep that accuracy. Each is within
+    # Williamson's reach at any scale sigma, so none is refused.
     rng = np.random.default_rng(n)
-    eps, decomposed = np.finfo(float).eps, 0
+    eps = np.finfo(float).eps
     for kappa in (3e8, 5e8, 7e8, 1e9):
         for i in range(100):
             sigma = 10.0 ** rng.uniform(-6.0, 6.0)
@@ -242,16 +243,11 @@ def test_ill_conditioned_inputs_pass_the_cross_checks(n):
             q = random_orthogonal(rng, 2 * n)
             v = (q * (sigma * np.array([1.0, 1.0 / kappa, *inner]))) @ q.T
             v = (v + v.T) / 2.0
-            try:
-                dec = decompose_quietly(v)
-            except tm.NotPositiveDefinite:  # sigma/kappa at or below the positivity cut
-                continue
-            decomposed += 1
+            dec = decompose_quietly(v)
             reference = tm.symplectic_spectrum_general(v)
             assert np.abs(dec.spectrum - reference).max() <= 4.0 * eps * kappa * reference.max()
             gram = dec.rotation @ dec.rotation.T - np.eye(2 * n)
             assert np.abs(gram).max() <= 16.0 * eps * kappa
-    assert decomposed >= 200
 
 
 def test_bare_skew_rotation_takes_every_x_that_williamson_decomposes():
@@ -259,26 +255,36 @@ def test_bare_skew_rotation_takes_every_x_that_williamson_decomposes():
     # err by about eps * a_max/a_min, which is at most cond V, so build_x's X must pass the
     # orthogonality check of skew_block_rotation wherever the decomposition of V passes it.
     rng = np.random.default_rng(19)
-    kappa, decomposed = 3e8, 0
+    kappa = 3e8
     for _ in range(200):
         sigma = 10.0 ** rng.uniform(-6.0, 6.0)
         q = random_orthogonal(rng, 4)
         v = (q * (sigma * np.array([1.0, 1.0 / kappa, 1.0, 1.0 / kappa]))) @ q.T
         v = (v + v.T) / 2.0
-        try:
-            dec = decompose_quietly(v)
-        except tm.NotPositiveDefinite:  # sigma/kappa at or below the positivity cut
-            continue
-        decomposed += 1
+        dec = decompose_quietly(v)
         _, a = tm.skew_block_rotation(tm.build_x(v))
         np.testing.assert_allclose(a, 1.0 / dec.spectrum[::-1], rtol=1e-6)
-    assert decomposed >= 100
+
+
+def test_bare_skew_rotation_takes_a_near_degenerate_x_at_zero_tolerance():
+    # Eight modes, V's eigenvalues within 1e-12 ... 10 of 1, so a_max/a_min is near 1: o's Gram
+    # then errs by the product's rounding and eigh's orthonormality, a few d u, which
+    # 32 u a_max/a_min alone refuses on 2 of these 300 draws (and 9 of 42,000 with n = 5-8).
+    # Its allowance reads no tolerance.
+    n, rng = 8, np.random.default_rng(1)
+    zero = tm.Tolerance(rel=0.0, abs=0.0)
+    for _ in range(300):
+        q = random_orthogonal(rng, 2 * n)
+        v = (q * rng.uniform(1.0, 1.0 + 10.0 ** rng.uniform(-12.0, 1.0), 2 * n)) @ q.T
+        o, a = tm.skew_block_rotation(tm.build_x((v + v.T) / 2.0, zero), zero)
+        np.testing.assert_allclose(o @ o.T, np.eye(2 * n), rtol=0, atol=1e-13)
 
 
 def test_residuals_meet_the_stated_bound():
     # The certificate's contract, on the squeezing grid and a kappa sweep to 1e12 over n = 1-4,
     # rotated Q diag Q^T and graded D^(1/2) C D^(1/2) (on which eigh(V) errs by eps * cond V in
-    # norm only): V is refused as not positive definite, or S meets both identities within
+    # norm only): V past Williamson's reach is refused as not positive definite, and every other
+    # S meets both identities within
     # u ((2d + 1) max(|S| |F| |S|^T) + 32 d cond V max |T_F|), (F, T_F) = (Omega, Omega), (V, W).
     u = np.finfo(float).eps / 2.0
     rng = np.random.default_rng(31)
@@ -298,20 +304,76 @@ def test_residuals_meet_the_stated_bound():
         inputs.append((v + v.T) / 2.0)
     decomposed = 0
     for v in inputs:
+        dim, evals = len(v), np.linalg.eigvalsh(v)
+        cond = evals[-1] / evals[0]
         try:
             dec = decompose_quietly(v)
         except tm.NotPositiveDefinite:
+            assert dim > 2 and cond > 0.01 / (32 * dim * u) * (1 - 1e-6)
             continue
         decomposed += 1
-        dim, s = len(v), dec.transform
-        evals = np.linalg.eigvalsh(v)
-        cond = evals[-1] / evals[0]
+        s = dec.transform
         om = tm.omega(dim // 2)
         for form, target in ((om, om), (v, dec.normal_form)):
             residual = np.abs(s @ form @ s.T - target).max()
             size = (np.abs(s) @ np.abs(form) @ np.abs(s).T).max()
             assert residual <= ((2 * dim + 1) * size + 32 * dim * cond * np.abs(target).max()) * u
     assert decomposed >= 1000
+
+
+def test_past_the_reach_is_refused_at_zero_tolerance():
+    # two_mode_squeezed(7.5) has cond V = 1.1e13, past the reach 0.01 / (32 d u) = 7.0e11 up to
+    # which the certificate's cond V term catches a 1% error in nu. At zero tolerance both eigh(V)
+    # routes returned nu_- = 0.99987 for the exact 1.0000607 (the float matrix's, at 50 digits);
+    # they refuse it as not positive definite, with its smallest eigenvalue, as the CLI's exit 4.
+    v = tm.two_mode_squeezed(7.5)
+    zero = tm.Tolerance(rel=0.0, abs=0.0)
+    for call in (tm.williamson_decompose, tm.symplectic_spectrum_general):
+        with pytest.raises(tm.NotPositiveDefinite, match="reach") as exc:
+            call(v, zero)
+        assert exc.value.min_eig == pytest.approx(np.linalg.eigvalsh(v)[0], rel=1e-6)
+
+
+def test_squeezed_states_decompose_up_to_the_reach():
+    # two_mode_squeezed(r) to r = 6.8, cond V = e^(4r) = 6.6e11: the default tolerance's cut
+    # abs + rel max |v_ij| refused it from r = 5.36. Its nu is sqrt(a^2 - c^2) for its float
+    # entries a = cosh 2r, c = sinh 2r, held to 8 eps cond V nu_max of that at 50 digits.
+    eps = np.finfo(float).eps
+    for r in np.linspace(0.0, 6.8, 341):
+        v = tm.two_mode_squeezed(r)
+        with mpmath.workdps(50):
+            nu = float(mpmath.sqrt(mpmath.mpf(v[0, 0]) ** 2 - mpmath.mpf(v[0, 2]) ** 2))
+        evals = np.linalg.eigvalsh(v)
+        allowance = 8.0 * eps * evals[-1] / evals[0] * nu
+        for spectrum in (decompose_quietly(v).spectrum, tm.symplectic_spectrum_general(v)):
+            np.testing.assert_allclose(spectrum, [nu, nu], rtol=0, atol=allowance)
+
+
+def test_normal_forms_exist_wherever_a_classifier_says_physical():
+    # The squeezing grid, the extremes pools of seeds 1, 604 and 401-410 and the decide pools of
+    # seeds 1-3: wherever either classifier tags V physical and cond V is within Williamson's
+    # reach, both eigh(V) routes succeed and the standard form's a^2 and b^2 are det A and det B
+    # within their rounding. The 119 physical inputs past the reach are squeezing-grid points.
+    inputs = benchmark_inputs()
+    vs = [tm.two_mode_squeezed(r) for r in np.linspace(0.0, 8.0, 801)]
+    vs += [np.array(op["v"]) for seed in (1, 604, *range(401, 411))
+           for op in inputs.extremes_pool(seed)]
+    vs += [np.array(op["v"]) for seed in (1, 2, 3) for op in inputs.decide_pool(seed)]
+    u, checked = np.finfo(float).eps / 2.0, 0
+    for v in vs:
+        if all(call(v).tag is tm.Tag.UNPHYSICAL for call in (tm.classify_global,
+                                                              tm.classify_local)):
+            continue
+        evals = np.linalg.eigvalsh(v)
+        if not evals[0] > 32 * 4 * u / 0.01 * evals[-1]:  # cond V past 0.01 / (32 d u)
+            continue
+        checked += 1
+        decompose_quietly(v)
+        tm.symplectic_spectrum_general(v)
+        params = tm.reduce_to_standard_form(v)
+        for x, ((p, q), (_, s)) in ((params.a, v[:2, :2]), (params.b, v[2:, 2:])):
+            assert abs(x * x - (p * s - q * q)) <= 16.0 * u * (abs(p * s) + q * q)
+    assert checked >= 3400
 
 
 def test_certificate_allows_the_rounding_of_its_products():
