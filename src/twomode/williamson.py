@@ -6,14 +6,16 @@ symplectic eigenvalues. The constructive route used here:
 
 1. form the inverse square root V^{-1/2} (orthogonal diagonalization),
 2. build the antisymmetric X = V^{-1/2} Omega V^{-1/2},
-3. find a rotation O block-rotating X into (+)_k a_k omega from the
-   eigenvectors p_k of X with eigenvalue +i a_k (those of the Hermitian iX
-   with eigenvalue -a_k, in eigh's order: a descending): rows 2k and 2k+1 of
-   O are sqrt(2) (-Im p_k)^T and sqrt(2) (Re p_k)^T, real by construction,
+3. find a rotation O block-rotating X into (+)_k a_k omega. Two modes take it in closed form:
+   so(4) = so(3) + so(3) splits X = L_u + R_w into left and right multiplications by pure
+   quaternions, and O = L_p R_conj(q) turns u and w onto -i (``_isoclinic_rotation``). Three or
+   more take it from the eigenvectors p_k of X with eigenvalue +i a_k (those of the Hermitian iX
+   with eigenvalue -a_k, in eigh's order: a descending): rows 2k and 2k+1 of O are
+   sqrt(2) (-Im p_k)^T and sqrt(2) (Re p_k)^T, real by construction,
 4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k ascending and R = O.
 
-Each call validates its input once. Two or more modes make two LAPACK calls, eigh of V and eigh
-of iX. One mode makes none: X = omega/nu is already in block form,
+Each call validates its input once. Two modes make one LAPACK call, eigh of V; three or more
+make two, eigh of V and eigh of iX. One mode makes none: X = omega/nu is already in block form,
 R = I, and nu = sqrt(det V) and S = sqrt(nu) V^(-1/2) are ``invariants._single_mode``'s closed
 form. Outside max |v_ij| in [2^-510, 2^512) V / 4^j is decomposed (``symplectic._power_of_four``).
 
@@ -126,9 +128,11 @@ def build_x(v, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def skew_block_rotation(xs, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Proper-rotation block-diagonalization of a nonsingular antisymmetric Xs.
+    """Rotation block-diagonalizing a nonsingular antisymmetric Xs, through eigh of i Xs.
 
-    Returns (o, a) with o @ Xs @ o.T = (+)_k a_k omega, the a_k positive and ascending. The
+    Returns (o, a) with o @ Xs @ o.T = (+)_k a_k omega, the a_k positive and ascending, and
+    det o = sign Pf Xs, as Pf(o Xs o^T) = det o Pf Xs = prod a_k > 0: o is proper for every
+    Xs = V^(-1/2) Omega V^(-1/2), whose Pfaffian is det V^(-1/2) > 0. The
     eigenvectors of Xs come in conjugate pairs (p, conj(p)) with eigenvalues (+i a, -i a).
     Orthonormality of the pair makes Re p and Im p orthogonal with norm 1/sqrt(2) each, and Xs
     maps Re p to a (-Im p) and -Im p to -a Re p. So the rows sqrt(2) (-Im p_k)^T, sqrt(2)
@@ -175,6 +179,42 @@ def _block_rotation(xs: np.ndarray, n_modes: int, cut: float) -> tuple[np.ndarra
     return np.multiply(parts, _ROW_SCALES, order="C").reshape(dim, dim), a_desc
 
 
+def _half_way(u1: float, u2: float, u3: float, norm: float) -> tuple:
+    """Unit quaternion p with p u conj(p) = -norm i for the pure quaternion u of length
+    ``norm`` > 0: the half-way quaternion between u / norm and -i, or, for u nearer +i, the one
+    between u / norm and +i followed by k, a half turn about k, so that no part cancels."""
+    p = (norm - u1, 0.0, -u3, u2) if u1 <= 0.0 else (u2, -u3, 0.0, norm + u1)
+    h = math.hypot(*p)
+    return p[0] / h, p[1] / h, p[2] / h, p[3] / h
+
+
+def _isoclinic_rotation(skew: np.ndarray) -> tuple[np.ndarray, list]:
+    """Two modes' ``_block_rotation`` in closed form on X's Python floats: (R, [a_max, a_min])
+    with R X R^T = a_max omega (+) a_min omega. X = L_u + R_w, the left and right
+    multiplications by pure quaternions u and w (so(4) = so(3) + so(3)), and R = L_p R_conj(q),
+    which maps it to L_(p u conj(p)) + R_(q w conj(q)), is proper for every unit p and q: p and
+    q turn u and w onto -i, and then a = |u| +- |w|. q = 1 where w = 0, a degenerate spectrum.
+    a_min is Pf X / a_max, Pf X = |u|^2 - |w|^2 = det V^(-1/2). X is read over 2^e with
+    max |x_ij| in [1/2, 1), so that |u|, |w| and Pf X neither overflow nor underflow."""
+    (_, x01, x02, x03), (_, _, x12, x13), (_, _, _, x23), _ = skew.tolist()
+    e = math.frexp(max(abs(x01), abs(x02), abs(x03), abs(x12), abs(x13), abs(x23)))[1]
+    t = math.ldexp(1.0, -e)
+    x01, x02, x03, x12, x13, x23 = x01 * t, x02 * t, x03 * t, x12 * t, x13 * t, x23 * t
+    u = (-(x01 + x23) / 2.0, (x13 - x02) / 2.0, -(x03 + x12) / 2.0)
+    w = ((x23 - x01) / 2.0, -(x02 + x13) / 2.0, (x12 - x03) / 2.0)
+    u_norm, w_norm = math.hypot(*u), math.hypot(*w)
+    a_max = u_norm + w_norm
+    a_min = min((x01 * x23 - x02 * x13 + x03 * x12) / a_max, a_max)  # as |u| - |w|; NaN stays
+    if not a_min > 0.0:
+        raise SingularInput(f"antisymmetric matrix is singular (smallest pair magnitude "
+                            f"{math.ldexp(a_min, e):.3e})")
+    p0, p1, p2, p3 = _half_way(*u, u_norm)
+    q0, q1, q2, q3 = _half_way(*w, w_norm) if w_norm > 0.0 else (1.0, 0.0, 0.0, 0.0)
+    left = np.array((p0, -p1, -p2, -p3, p1, p0, -p3, p2, p2, p3, p0, -p1, p3, -p2, p1, p0))
+    right = np.array((q0, q1, q2, q3, -q1, q0, -q3, q2, -q2, q3, q0, -q1, -q3, -q2, q1, q0))
+    return left.reshape(4, 4) @ right.reshape(4, 4), [math.ldexp(a_max, e), math.ldexp(a_min, e)]
+
+
 def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """One mode in closed form on V's rows, returned as ``_many_modes`` returns V/f: (nu/f as a
     list, R = I, S = sqrt(nu) V^(-1/2), X = f omega/nu), certified on v = V/f in Python floats,
@@ -193,13 +233,14 @@ def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray, np.nd
 
 def _many_modes(v: np.ndarray, n_modes: int, f: float
                 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Two or more modes, through the eigenvectors of iX, on v = V/f: (nu, R, S, X) of v,
-    certified on v."""
+    """Two or more modes on v = V/f: (nu, R, S, X) of v, certified on v. Two modes rotate X in
+    closed form, more through the eigenvectors of iX."""
     inv_root, kappa = _inv_sqrt(v, f)
     skew = _skew_kernel(inv_root, n_modes)
     # Within reach a_min / a_max >= 1/kappa, far above rounding: X's singularity cut is 0.
     # a comes descending, so nu = 1/a ascends, and R is the rotation as it comes.
-    r, a_desc = _block_rotation(skew, n_modes, 0.0)
+    r, a_desc = (_isoclinic_rotation(skew) if n_modes == 2
+                 else _block_rotation(skew, n_modes, 0.0))
     nu = [1.0 / a for a in a_desc]
     nus = np.array(nu).repeat(2)
     s = np.sqrt(nus)[:, None] * (r @ inv_root)

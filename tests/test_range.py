@@ -9,7 +9,7 @@ import pytest
 
 import twomode as tm
 
-from .support import count_linalg
+from .support import count_linalg, random_orthogonal
 
 # Calls on a 4x4 and calls on a 2x2; each reads one symmetric matrix.
 CALLS_4 = ("two_mode_invariants", "symplectic_spectrum_2mode", "ppt_spectrum_2mode",
@@ -162,6 +162,31 @@ def test_x_past_float64_at_zero_tolerance_is_a_numerical_error(call):
             assert exc.value.min_eig == 1e-310
         with pytest.raises(tm.NumericalError, match="overflows float64"):
             call(np.diag([1e-310, 1e-310, 1e-300, 1e-300]), tm.Tolerance(rel=0.0, abs=0.0))
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e6, 1e10, 5e11])
+@pytest.mark.parametrize("scale", [1e-150, 1e-152, 2.0**-505],
+                         ids=["1e-150", "1e-152", "2^-505"])
+def test_two_mode_williamson_at_small_scales(scale, cond):
+    # scale Q diag(1, 1/cond, ...) Q^T is decomposed as it stands (4^j = 1), so X reaches
+    # cond / scale, past 1e155: Pf X from X's own entries overflowed to inf - inf, and the two-mode
+    # closed form refused V as singular with a NaN a_min. It reads X over a power of two. nu
+    # matches the eigenvector route's, 1/a from skew_block_rotation(build_x(V)), within the
+    # certificate's error term 32 d cond V u nu_max, with warnings as errors.
+    rng = np.random.default_rng(int(-math.log2(scale) + math.log10(cond)))
+    u = np.finfo(float).eps / 2.0
+    zero = tm.Tolerance(rel=0.0, abs=0.0)
+    for _ in range(4):
+        q = random_orthogonal(rng, 4)
+        v = (q * (scale * np.array([1.0, 1.0 / cond, *cond ** -rng.uniform(0.0, 1.0, 2)]))) @ q.T
+        v = (v + v.T) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", tm.DegeneracyWarning)
+            spectrum = tm.williamson_decompose(v).spectrum
+            reference = 1.0 / tm.skew_block_rotation(tm.build_x(v), zero)[1][::-1]
+        np.testing.assert_allclose(spectrum, reference, rtol=0.0,
+                                   atol=32 * 4 * cond * u * reference.max())
 
 
 def test_standard_form_block_far_below_the_matrix_scale():

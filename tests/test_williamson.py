@@ -137,6 +137,33 @@ def test_skew_rotation_round_trip_random(seed):
     assert np.linalg.det(o) == pytest.approx(1.0, abs=1e-9)
 
 
+def pfaffian(x):
+    """Pf of an antisymmetric matrix by expansion along its first row."""
+    total = 1.0 if len(x) == 0 else 0.0
+    for j in range(1, len(x)):
+        keep = [k for k in range(1, len(x)) if k != j]
+        total += (-1) ** (j + 1) * x[0, j] * pfaffian(x[np.ix_(keep, keep)])
+    return total
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_skew_rotation_determinant_is_the_sign_of_the_pfaffian(n, sign):
+    # Pf(o X o^T) = det o Pf X = prod a_k > 0, so det o = sign Pf X: proper for every
+    # X = V^(-1/2) Omega V^(-1/2), whose Pf is det V^(-1/2) > 0, and improper once a reflection
+    # of the first coordinate turns the sign, as on omega (+) -2 omega.
+    rng = np.random.default_rng(40 + n)
+    flip = np.diag([sign, *np.ones(2 * n - 1)])
+    xs = [flip @ tm.build_x(random_spd(rng, 2 * n)) @ flip for _ in range(5)]
+    xs.append(tm.direct_sum(*(k * tm.omega(1) for k in range(1, n)), sign * n * tm.omega(1)))
+    for x in xs:
+        assert np.sign(pfaffian(x)) == sign
+        o, a = tm.skew_block_rotation(x)
+        assert np.linalg.det(o) == pytest.approx(sign, abs=1e-9)
+        target = tm.direct_sum(*(a_k * tm.omega(1) for a_k in a))
+        np.testing.assert_allclose(o @ x @ o.T, target, atol=1e-9 * a.max())
+
+
 def test_skew_rotation_rejects_singular():
     xs = tm.direct_sum(tm.omega(1), 0.0 * tm.omega(1))
     with pytest.raises(tm.SingularInput):
@@ -442,8 +469,9 @@ def test_williamson_decomposes_input_symmetric_within_tolerance(rel):
 
 
 def test_williamson_phase_freedom_same_normal_form(rephase_eigh):
+    # Three modes, which take the eigenvectors of iX (two rotate X in closed form).
     rng = np.random.default_rng(9)
-    v = random_spd(rng, 4)
+    v = random_spd(rng, 6)
     d1 = decompose_quietly(v)
     rephase_eigh([0.7, -0.2])
     d2 = decompose_quietly(v)
@@ -452,23 +480,47 @@ def test_williamson_phase_freedom_same_normal_form(rephase_eigh):
     assert np.max(np.abs(d1.transform - d2.transform)) > 1e-6
 
 
+def assert_local_rotations(q):
+    """q = (+)_k R(phi_k): zero off its 2x2 diagonal blocks, each block a proper rotation."""
+    blocks = [q[k:k + 2, k:k + 2] for k in range(0, len(q), 2)]
+    assert np.max(np.abs(q - tm.direct_sum(*blocks))) < 1e-8
+    for blk in blocks:
+        np.testing.assert_allclose(blk @ blk.T, np.eye(2), atol=1e-8)
+        assert np.linalg.det(blk) == pytest.approx(1.0, abs=1e-8)
+
+
 def test_williamson_uniqueness_coset_is_local_rotations(rephase_eigh):
     # For distinct symplectic eigenvalues, two valid transforms differ by
     # a symplectic orthogonal block-diagonal of planar rotations on the left:
-    # S2 S1^{-1} = (+)_k R(phi_k).
+    # S2 S1^{-1} = (+)_k R(phi_k). Three modes, whose eigenvectors of iX the rephasing moves.
     rng = np.random.default_rng(11)
-    v = random_spd(rng, 4)
+    v = random_spd(rng, 6)
     d1 = decompose_quietly(v)
     if d1.degenerate:
         pytest.skip("degenerate draw")
     rephase_eigh([0.9, -0.4])
     d2 = decompose_quietly(v)
     q = d2.transform @ np.linalg.inv(d1.transform)
-    assert np.max(np.abs(q[:2, 2:])) < 1e-8
-    assert np.max(np.abs(q[2:, :2])) < 1e-8
-    for blk in (q[:2, :2], q[2:, 2:]):
-        np.testing.assert_allclose(blk @ blk.T, np.eye(2), atol=1e-8)
-        assert np.linalg.det(blk) == pytest.approx(1.0, abs=1e-8)
+    assert np.max(np.abs(q - np.eye(6))) > 1e-3  # the rephasing reached the transform
+    assert_local_rotations(q)
+
+
+@pytest.mark.parametrize("v", [tm.thermal(1.5, 2.5), tm.thermal(2.5, 1.5), tm.simon_vx(0.7),
+                               *(random_spd(np.random.default_rng(seed), 4) for seed in range(8))],
+                         ids=["w-along-minus-i", "w-along-plus-i", "simon_vx",
+                              *(f"random-{seed}" for seed in range(8))])
+def test_closed_form_and_eigenvector_transforms_differ_by_local_rotations(v):
+    # Two modes: the closed-form S and the S assembled from the eigenvectors of iX,
+    # W^(1/2) O V^(-1/2) with (O, a) = skew_block_rotation(build_x(V)) in W's order, are both
+    # Williamson transforms of V, so they differ by (+)_k R(phi_k) on the left. The thermal
+    # states put w = (x23 - x01, ...)/2 on -i and on +i, each side of the half-way quaternion.
+    dec = decompose_quietly(v)
+    assert not dec.degenerate
+    o, a = tm.skew_block_rotation(tm.build_x(v))
+    o, a = o.reshape(2, 2, 4)[::-1].reshape(4, 4), a[::-1]  # a descending: nu ascending
+    np.testing.assert_allclose(dec.spectrum, 1.0 / a, rtol=1e-12)
+    s = np.sqrt(1.0 / a).repeat(2)[:, None] * (o @ tm.inv_sqrt(v))
+    assert_local_rotations(s @ np.linalg.inv(dec.transform))
 
 
 def test_williamson_degeneracy_flag_and_warning():
@@ -477,6 +529,16 @@ def test_williamson_degeneracy_flag_and_warning():
         dec = tm.williamson_decompose(v)
     assert dec.degenerate
     assert_valid_decomposition(v, dec)
+
+
+@pytest.mark.parametrize("c", [2.5, 4.359375, 5.328125, 5.453125])
+def test_williamson_degenerate_spectrum_ascends(c):
+    # thermal(c, c): w = 0 and a_max = |u| = x01, while Pf X / a_max = x01^2 / x01 rounds to one
+    # ulp above it at these c. a_min is held at a_max, so nu ascends and the gap is not negative.
+    with pytest.warns(tm.DegeneracyWarning):
+        dec = tm.williamson_decompose(tm.thermal(c, c))
+    assert dec.spectrum[0] <= dec.spectrum[1]
+    assert_valid_decomposition(tm.thermal(c, c), dec)
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
@@ -559,16 +621,19 @@ def test_empty_matrix_is_a_dimension_error(fn):
 
 
 def test_each_normal_form_factors_the_matrix_once(monkeypatch):
-    # Williamson: eigh(V) is both V^(-1/2) and the positivity check, then
-    # eigh(iX); the residuals of S V S^T = W and S Omega S^T = Omega certify
-    # the result with matrix products alone. One mode needs no LAPACK call:
-    # the closed form of the block gives nu = sqrt(det V), R = I and S, and
+    # Williamson: eigh(V) is both V^(-1/2) and the positivity check; two modes rotate
+    # X in closed form, three or more take eigh(iX); the residuals of S V S^T = W and
+    # S Omega S^T = Omega certify the result with matrix products alone. One mode needs no
+    # LAPACK call: the closed form of the block gives nu = sqrt(det V), R = I and S, and
     # both residuals are formed on its Python floats. The standard form:
     # closed forms on each diagonal block, no LAPACK call.
     counts = count_linalg(monkeypatch, "eig", "eigh", "eigvals", "eigvalsh", "det", "inv",
                           "solve", "svd", "cholesky")
     v = tm.random_physical(3)
     decompose_quietly(v)
+    assert counts == {"eigh": 1}
+    counts.clear()
+    decompose_quietly(tm.direct_sum(v, 2.0 * np.eye(2)))
     assert counts == {"eigh": 2}
     counts.clear()
     tm.williamson_decompose(np.array([[2.0, 0.5], [0.5, 1.0]]))
@@ -607,13 +672,35 @@ _NORMAL_FORM_RESIDUAL = r"residual max \|S V S\^T - W\| = .* exceeds its bound"
 
 
 def test_williamson_eigenvalue_of_ix_error_fires_symplectic_residual(monkeypatch):
-    # The eigenvalues of iX 1% too large: they still pair, and S V S^T = W
+    # The eigenvalues of iX 1% too large, on three modes: they still pair, and S V S^T = W
     # holds for the nu = 1/a they give, so only S Omega S^T = Omega can catch it.
     def scale(args, res):
         return (res[0] * 1.01, res[1]) if np.iscomplexobj(args[0]) else res
     _patched(monkeypatch, "eigh", scale)
     with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
-        tm.williamson_decompose(tm.thermal(1.5, 2.5))
+        tm.williamson_decompose(tm.direct_sum(tm.thermal(1.5, 2.5), 3.5 * np.eye(2)))
+
+
+_TWO_MODE_INPUTS = (tm.thermal(1.5, 2.5), tm.simon_vx(0.7), tm.two_mode_squeezed(4.0),
+                    random_spd(np.random.default_rng(3), 4))
+
+
+@pytest.mark.parametrize("v", _TWO_MODE_INPUTS, ids=["thermal", "simon_vx", "squeezed-r4",
+                                                     "random"])
+@pytest.mark.parametrize("fault", [
+    lambda r, a: (r, [x * 1.01 for x in a]),
+    lambda r, a: (r * np.array([[-1.0], [1.0], [1.0], [1.0]]), a),
+    lambda r, a: (r * 1.1, a),
+], ids=["a-scaled", "reflected", "stretched"])
+def test_closed_form_rotation_errors_fire_symplectic_residual(monkeypatch, v, fault):
+    # The two-mode closed form broken as the eigenvector route is in the tests around this one:
+    # a 1% too large (S V S^T = W holds for nu = 1/a), R composed with a reflection, det R = -1
+    # (R stays orthogonal, and R X R^T's first block turns to -a_max omega), and R stretched by
+    # 10% (S Omega S^T = 1.21 Omega). Each leaves S Omega S^T = Omega to catch it.
+    rotation = williamson._isoclinic_rotation
+    monkeypatch.setattr(williamson, "_isoclinic_rotation", lambda x: fault(*rotation(x)))
+    with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
+        decompose_quietly(v)
 
 
 def _rotated(cond):
@@ -658,7 +745,7 @@ def test_general_spectrum_rejects_unpaired_moduli(monkeypatch):
 def test_williamson_improper_rotation_fires_symplectic_residual(monkeypatch):
     # p_0 conjugated negates row 0 of R, sqrt(2) (-Im p_0)^T: R stays orthogonal, so
     # S V S^T = W holds, but det R = -1 turns R X R^T's first block to -a omega, which
-    # S Omega S^T = Omega catches.
+    # S Omega S^T = Omega catches. Three modes, which take the eigenvectors of iX.
     def conjugate_first(args, res):
         if not np.iscomplexobj(args[0]):
             return res
@@ -667,21 +754,22 @@ def test_williamson_improper_rotation_fires_symplectic_residual(monkeypatch):
         return res[0], vecs
     _patched(monkeypatch, "eigh", conjugate_first)
     with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
-        tm.williamson_decompose(tm.simon_vx(0.7))
+        tm.williamson_decompose(tm.direct_sum(tm.simon_vx(0.7), 3.0 * np.eye(2)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_block_rotation_orthogonality_check_fires(monkeypatch, n):
     # Eigenvectors of iX (the one complex eigh) stretched by 10%. The bare
     # rotation checks its Gram matrix; the decomposition's R R^T = 1.21 I moves
-    # S Omega S^T to 1.21 Omega. A one-mode decomposition makes no such call.
+    # S Omega S^T to 1.21 Omega. A one-mode decomposition makes no such call, and a
+    # two-mode one rotates X in closed form.
     def stretch(args, res):
         return (res[0], res[1] * 1.1) if np.iscomplexobj(args[0]) else res
     _patched(monkeypatch, "eigh", stretch)
     v = random_spd(np.random.default_rng(n), 2 * n)
     with pytest.raises(tm.InternalInconsistency, match="departs from orthogonality"):
         tm.skew_block_rotation(tm.build_x(v))
-    if n > 1:
+    if n > 2:
         with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
             decompose_quietly(v)
 
