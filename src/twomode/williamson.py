@@ -6,12 +6,12 @@ symplectic eigenvalues. The constructive route used here:
 
 1. form the inverse square root V^{-1/2} (orthogonal diagonalization),
 2. build the antisymmetric X = V^{-1/2} Omega V^{-1/2},
-3. find a rotation O block-rotating X into (+)_k a_k omega. Two modes take it in closed form:
-   so(4) = so(3) + so(3) splits X = L_u + R_w into left and right multiplications by pure
-   quaternions, and O = L_p R_conj(q) turns u and w onto -i (``_isoclinic_rotation``). Three or
-   more take it from the eigenvectors p_k of X with eigenvalue +i a_k (those of the Hermitian iX
-   with eigenvalue -a_k, in eigh's order: a descending): rows 2k and 2k+1 of O are
-   sqrt(2) (-Im p_k)^T and sqrt(2) (Re p_k)^T, real by construction,
+3. find a rotation O block-rotating X into (+)_k a_k omega. Two modes take it in closed form on X's
+   upper entries as Python floats: so(4) = so(3) + so(3) splits X = L_u + R_w into left and right
+   multiplications by pure quaternions, and O = L_p R_conj(q) turns u and w onto -i
+   (``_isoclinic_rotation``). Three or more take it from the eigenvectors p_k of X with eigenvalue
+   +i a_k (those of the Hermitian iX with eigenvalue -a_k, in eigh's order: a descending): rows 2k
+   and 2k+1 of O are sqrt(2) (-Im p_k)^T and sqrt(2) (Re p_k)^T, real by construction,
 4. assemble S = W^{1/2} R V^{-1/2} with nu_k = 1/a_k ascending and R = O.
 
 Each call validates its input once. Two modes make one LAPACK call, eigh of V; three or more
@@ -188,15 +188,15 @@ def _half_way(u1: float, u2: float, u3: float, norm: float) -> tuple:
     return p[0] / h, p[1] / h, p[2] / h, p[3] / h
 
 
-def _isoclinic_rotation(skew: np.ndarray) -> tuple[np.ndarray, list]:
-    """Two modes' ``_block_rotation`` in closed form on X's Python floats: (R, [a_max, a_min])
-    with R X R^T = a_max omega (+) a_min omega. X = L_u + R_w, the left and right
-    multiplications by pure quaternions u and w (so(4) = so(3) + so(3)), and R = L_p R_conj(q),
-    which maps it to L_(p u conj(p)) + R_(q w conj(q)), is proper for every unit p and q: p and
-    q turn u and w onto -i, and then a = |u| +- |w|. q = 1 where w = 0, a degenerate spectrum.
-    a_min is Pf X / a_max, Pf X = |u|^2 - |w|^2 = det V^(-1/2). X is read over 2^e with
-    max |x_ij| in [1/2, 1), so that |u|, |w| and Pf X neither overflow nor underflow."""
-    (_, x01, x02, x03), (_, _, x12, x13), (_, _, _, x23), _ = skew.tolist()
+def _isoclinic_rotation(upper: tuple) -> tuple[np.ndarray, list]:
+    """Two modes' ``_block_rotation`` in closed form on ``upper``, X's (x01, x02, x03, x12, x13,
+    x23) as Python floats: (R, [a_max, a_min]) with R X R^T = a_max omega (+) a_min omega. X =
+    L_u + R_w, the left and right multiplications by pure quaternions u and w (so(4) = so(3) +
+    so(3)), and R = L_p R_conj(q), which maps it to L_(p u conj(p)) + R_(q w conj(q)), is proper
+    for every unit p and q: p and q turn u and w onto -i, and then a = |u| +- |w|. q = 1 where
+    w = 0, a degenerate spectrum. a_min is Pf X / a_max, Pf X = |u|^2 - |w|^2 = det V^(-1/2). X
+    is read over 2^e with max |x_ij| in [1/2, 1), so that |u|, |w| and Pf X stay in range."""
+    x01, x02, x03, x12, x13, x23 = upper
     e = math.frexp(max(abs(x01), abs(x02), abs(x03), abs(x12), abs(x13), abs(x23)))[1]
     t = math.ldexp(1.0, -e)
     x01, x02, x03, x12, x13, x23 = x01 * t, x02 * t, x03 * t, x12 * t, x13 * t, x23 * t
@@ -234,13 +234,28 @@ def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray, np.nd
 def _many_modes(v: np.ndarray, n_modes: int, f: float
                 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Two or more modes on v = V/f: (nu, R, S, X) of v, certified on v. Two modes rotate X in
-    closed form, more through the eigenvectors of iX."""
+    closed form on its floats, more through the eigenvectors of iX."""
     inv_root, kappa = _inv_sqrt(v, f)
-    skew = _skew_kernel(inv_root, n_modes)
     # Within reach a_min / a_max >= 1/kappa, far above rounding: X's singularity cut is 0.
     # a comes descending, so nu = 1/a ascends, and R is the rotation as it comes.
-    r, a_desc = (_isoclinic_rotation(skew) if n_modes == 2
-                 else _block_rotation(skew, n_modes, 0.0))
+    if n_modes == 2:
+        # v within reach has lambda_min > 3200 d u lambda_max >= 2^-550, as max |v_ij| >= 2^-510
+        # after the 4^j prescale, so |x_ij| < 2^553: the product needs no overflow guard.
+        (_, x01, x02, x03), (x10, _, x12, x13), (x20, x21, _, x23), (x30, x31, x32, _) = (
+            inv_root @ _omega_form(2) @ inv_root).tolist()
+        # numpy's (x - x^T) / 2 entry by entry, signed zeros too; the diagonal is 0 for finite x.
+        upper = ((x01 - x10) / 2.0, (x02 - x20) / 2.0, (x03 - x30) / 2.0, (x12 - x21) / 2.0,
+                 (x13 - x31) / 2.0, (x23 - x32) / 2.0)
+        if not math.isfinite(sum(upper)):  # NaN too; terms below 2^553 sum finite
+            raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
+        s01, s02, s03, s12, s13, s23 = upper
+        skew = np.array((0.0, s01, s02, s03, (x10 - x01) / 2.0, 0.0, s12, s13,
+                         (x20 - x02) / 2.0, (x21 - x12) / 2.0, 0.0, s23, (x30 - x03) / 2.0,
+                         (x31 - x13) / 2.0, (x32 - x23) / 2.0, 0.0)).reshape(4, 4)
+        r, a_desc = _isoclinic_rotation(upper)
+    else:
+        skew = _skew_kernel(inv_root, n_modes)
+        r, a_desc = _block_rotation(skew, n_modes, 0.0)
     nu = [1.0 / a for a in a_desc]
     nus = np.array(nu).repeat(2)
     s = np.sqrt(nus)[:, None] * (r @ inv_root)
@@ -273,13 +288,13 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
 
     # nu scales with V, and the gaps' rounding with max nu: this cut is relative only.
     degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]
+    if f < 1.0 and float(np.abs(skew).max()) / f == math.inf:  # X is in units of 1/V
+        raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
     if degenerate:
         warnings.warn(DegeneracyWarning(
             "symplectic spectrum is degenerate within tolerance; the "
             "decomposition is valid but the rotation is not unique"),
             stacklevel=2)
-    if f < 1.0 and float(np.abs(skew).max()) / f == math.inf:  # X is in units of 1/V
-        raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
-    nus = np.array(nu) * f
+    nus, skew = (np.array(nu) * f, skew / f) if f != 1.0 else (np.array(nu), skew)
     return WilliamsonDecomposition(normal_form=np.diag(nus.repeat(2)), transform=s, rotation=r,
-                                   skew=skew / f, spectrum=nus, degenerate=degenerate)
+                                   skew=skew, spectrum=nus, degenerate=degenerate)

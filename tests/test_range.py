@@ -148,6 +148,47 @@ def test_tiny_block_scales_up():
         tm.williamson_decompose(TINY)
 
 
+@pytest.mark.parametrize("dim", [4, 6])
+def test_x_past_float64_is_refused_before_the_degeneracy_warning(dim):
+    # 1e-310 I is decomposed as I over 4^j, whose spectrum is degenerate, and X = Omega / 4^j
+    # leaves float64: the refusal comes alone, where a DegeneracyWarning ("the decomposition is
+    # valid") used to precede it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(tm.NumericalError, match="overflows float64"):
+            tm.williamson_decompose(1e-310 * np.eye(dim))
+
+
+def test_two_mode_product_needs_no_overflow_guard():
+    # Two modes form X = M Omega M with numpy's overflow warnings on: V / 4^j within reach has
+    # lambda_min > 2^-550, so |x_ij| < 2^553. At the edges of the prescale's range [2^-510,
+    # 2^512), at 1e-300 and 1e300, and up to the reach, with warnings as errors, V decomposes
+    # to finite fields or is refused where X = X_f / 4^j leaves float64, which needs
+    # a_max = 1 / nu_min >= max |x_ij| past 2^1024: at 1e-300 with cond V >= 1e11 alone.
+    rng = np.random.default_rng(35)
+    refused = []
+    for c in (2.0**-510, 2.0**-509.9, 2.0**511, 2.0**511.99, 1e-300, 1e300):
+        for cond in (1.0, 1e6, 1e11, 6.9e11):
+            for _ in range(60):
+                q = random_orthogonal(rng, 4)
+                unit = (q * np.array([1.0, 1.0 / cond, *cond ** -rng.uniform(0.0, 1.0, 2)])) @ q.T
+                unit = (unit + unit.T) / 2.0
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    warnings.simplefilter("ignore", tm.DegeneracyWarning)
+                    try:
+                        dec = tm.williamson_decompose(c * unit)
+                    except tm.NumericalError:
+                        nu_min = tm.symplectic_spectrum_2mode(unit).nu_minus
+                        assert -math.log2(c) - math.log2(nu_min) > 1023.99
+                        refused.append((c, cond))
+                        continue
+                for field in dataclasses.astuple(dec)[:-1]:
+                    assert np.isfinite(field).all()
+    assert refused and {c for c, _ in refused} == {1e-300}
+    assert {cond for _, cond in refused} <= {1e11, 6.9e11}
+
+
 @pytest.mark.parametrize("call", [tm.build_x, tm.williamson_decompose])
 def test_x_past_float64_at_zero_tolerance_is_a_numerical_error(call):
     # diag(1e-310, 1e-310, 1e-300, 1e-300) has cond V = 1e10, within Williamson's reach, and

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twomode as tm
-from twomode import cli, standard_form, williamson
+from twomode import cli, invariants, standard_form, williamson
 
 from .support import (benchmark_inputs, count_linalg, random_orthogonal, random_physical_cm,
                       random_spd, upper_mirror)
@@ -379,8 +379,10 @@ def test_squeezed_states_decompose_up_to_the_reach():
 def test_normal_forms_exist_wherever_a_classifier_says_physical():
     # The squeezing grid, the extremes pools of seeds 1, 604 and 401-410 and the decide pools of
     # seeds 1-3: wherever either classifier tags V physical and cond V is within Williamson's
-    # reach, both eigh(V) routes succeed and the standard form's a^2 and b^2 are det A and det B
-    # within their rounding. The 119 physical inputs past the reach are squeezing-grid points.
+    # reach, both eigh(V) routes succeed, Williamson's nu_- is the closed form's within the
+    # certificate's 32 d kappa u nu_+ plus the closed form's own rounding allowance, and the
+    # standard form's a^2 and b^2 are det A and det B within their rounding. The 119 physical
+    # inputs past the reach are squeezing-grid points.
     inputs = benchmark_inputs()
     vs = [tm.two_mode_squeezed(r) for r in np.linspace(0.0, 8.0, 801)]
     vs += [np.array(op["v"]) for seed in (1, 604, *range(401, 411))
@@ -395,8 +397,12 @@ def test_normal_forms_exist_wherever_a_classifier_says_physical():
         if not evals[0] > 32 * 4 * u / 0.01 * evals[-1]:  # cond V past 0.01 / (32 d u)
             continue
         checked += 1
-        decompose_quietly(v)
+        nu_minus = decompose_quietly(v).spectrum[0]
         tm.symplectic_spectrum_general(v)
+        closed, inv = tm.symplectic_spectrum_2mode(v), tm.two_mode_invariants(v)
+        allowance = (32 * 4 * evals[-1] / evals[0] * u * closed.nu_plus
+                     + invariants._nu_minus_allowance(v.tolist(), inv.delta, inv.det_V, 0.0, 0.0))
+        assert abs(nu_minus - closed.nu_minus) <= allowance
         params = tm.reduce_to_standard_form(v)
         for x, ((p, q), (_, s)) in ((params.a, v[:2, :2]), (params.b, v[2:, 2:])):
             assert abs(x * x - (p * s - q * q)) <= 16.0 * u * (abs(p * s) + q * q)
@@ -583,10 +589,16 @@ def test_williamson_rejects_bad_inputs():
 
 
 def test_williamson_skew_field_matches_build_x():
+    # The record's X is build_x's byte for byte and exactly antisymmetric, on inputs at unit
+    # scale (4^j = 1): two modes form (x - x^T) / 2 on X's Python floats, more modes in numpy.
+    # A diagonal V gives an X with zeros, whose signs must match too.
     rng = np.random.default_rng(13)
-    v = random_spd(rng, 4)
-    dec = decompose_quietly(v)
-    np.testing.assert_allclose(dec.skew, tm.build_x(v), atol=1e-12)
+    for n in (2, 3, 4):
+        draws = [np.diag(rng.uniform(0.2, 5.0, 2 * n))] + [random_spd(rng, 2 * n) for _ in range(6)]
+        for v in draws:
+            dec, x = decompose_quietly(v), tm.build_x(v)
+            assert (dec.skew.shape, dec.skew.tobytes()) == (x.shape, x.tobytes())
+            assert np.array_equal(dec.skew, -dec.skew.T)
 
 
 def parse_document(m):
@@ -701,6 +713,34 @@ def test_closed_form_rotation_errors_fire_symplectic_residual(monkeypatch, v, fa
     monkeypatch.setattr(williamson, "_isoclinic_rotation", lambda x: fault(*rotation(x)))
     with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
         decompose_quietly(v)
+
+
+@pytest.mark.parametrize("v", _TWO_MODE_INPUTS, ids=["thermal", "simon_vx", "squeezed-r4",
+                                                     "random"])
+def test_transposed_read_of_x_fires_symplectic_residual(monkeypatch, v):
+    # X's six upper entries negated are X read as X^T = -X. The closed form then turns u and w
+    # onto +i: R X R^T = -(a_max omega (+) a_min omega), so S V S^T = W still holds and
+    # S Omega S^T = -Omega is left to catch it.
+    rotation = williamson._isoclinic_rotation
+    monkeypatch.setattr(williamson, "_isoclinic_rotation",
+                        lambda upper: rotation(tuple(-x for x in upper)))
+    with pytest.raises(tm.InternalInconsistency, match=_SYMPLECTIC_RESIDUAL):
+        decompose_quietly(v)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_finite_x_is_a_numerical_error(monkeypatch, n):
+    # Within reach X cannot overflow (test_two_mode_product_needs_no_overflow_guard in
+    # test_range.py), but a NaN in V^(-1/2), a fault, reaches X on either route and is refused.
+    inv_sqrt = williamson._inv_sqrt
+
+    def poisoned(v, f):
+        m, kappa = inv_sqrt(v, f)
+        m[0, 0] = np.nan
+        return m, kappa
+    monkeypatch.setattr(williamson, "_inv_sqrt", poisoned)
+    with pytest.raises(tm.NumericalError, match="overflows float64"):
+        decompose_quietly(random_spd(np.random.default_rng(n), 2 * n))
 
 
 def _rotated(cond):
