@@ -18,6 +18,8 @@ Each call validates its input once. Two modes make one LAPACK call, eigh of V; t
 make two, eigh of V and eigh of iX. One mode makes none: X = omega/nu is already in block form,
 R = I, and nu = sqrt(det V) and S = sqrt(nu) V^(-1/2) are ``invariants._single_mode``'s closed
 form. Outside max |v_ij| in [2^-510, 2^512) V / 4^j is decomposed (``symplectic._power_of_four``).
+X is formed only to be rotated (``build_x`` returns it); V whose X would pass float64, read off
+its scale a_max = 1/nu_min, is a NumericalError, as nu_min would then be subnormal.
 
 S is certified on V / 4^j by its defining identities: E_F = S F S^T - T_F, (F, T_F) = (Omega,
 Omega) and (V, W), must meet max |E_F| <= u ((2d + 1) max(|S| |F| |S|^T) + 32 d kappa max |T_F|),
@@ -67,7 +69,6 @@ class WilliamsonDecomposition:
         nu ascending.
     transform: symplectic S with S V S^T = normal_form.
     rotation: the proper rotation R in S = W^(1/2) R V^(-1/2).
-    skew: cached V^(-1/2) Omega V^(-1/2) (antisymmetric).
     spectrum: the nu_k, ascending, one entry per mode.
     degenerate: true when two symplectic eigenvalues coincide within
         tolerance (the decomposition is then valid but not unique up to
@@ -77,7 +78,6 @@ class WilliamsonDecomposition:
     normal_form: np.ndarray
     transform: np.ndarray
     rotation: np.ndarray
-    skew: np.ndarray
     spectrum: np.ndarray
     degenerate: bool
 
@@ -215,10 +215,10 @@ def _isoclinic_rotation(upper: tuple) -> tuple[np.ndarray, list]:
     return left.reshape(4, 4) @ right.reshape(4, 4), [math.ldexp(a_max, e), math.ldexp(a_min, e)]
 
 
-def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray]:
     """One mode in closed form on V's rows, returned as ``_many_modes`` returns V/f: (nu/f as a
-    list, R = I, S = sqrt(nu) V^(-1/2), X = f omega/nu), certified on v = V/f in Python floats,
-    faster here than numpy: S v S^T is a symmetric sandwich, and S omega S^T = (det S) omega."""
+    list, R = I, S = sqrt(nu) V^(-1/2)), certified on v = V/f in Python floats, faster here
+    than numpy: S v S^T is a symmetric sandwich, and S omega S^T = (det S) omega."""
     min_eig = _require_positive_definite(*_block_min_eig(rows, 0))
     s, nu = _single_mode(rows, 0, min_eig)
     (s00, s01, s10, s11), w = s, nu / f
@@ -228,13 +228,12 @@ def _one_mode(rows: list, f: float) -> tuple[list, np.ndarray, np.ndarray, np.nd
     _certify((abs(s00 * s11 - s01 * s10 - 1.0), max(abs(c0 - w), abs(c1), abs(c2 - w))),
              (abs(s00 * s11) + abs(s01 * s10),
               max(_symmetric_sandwich(tuple(map(abs, s)), p, abs(q), r))), 2, (g, g * w))
-    return [w], np.eye(2), np.array(s).reshape(2, 2), np.array([[0.0, f / nu], [-f / nu, 0.0]])
+    return [w], np.eye(2), np.array(s).reshape(2, 2)
 
 
-def _many_modes(v: np.ndarray, n_modes: int, f: float
-                ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
-    """Two or more modes on v = V/f: (nu, R, S, X) of v, certified on v. Two modes rotate X in
-    closed form on its floats, more through the eigenvectors of iX."""
+def _many_modes(v: np.ndarray, n_modes: int, f: float) -> tuple[list, np.ndarray, np.ndarray]:
+    """Two or more modes on v = V/f: (nu, R, S) of v, certified on v. X is formed only to be
+    rotated: two modes in closed form on its upper floats, more through the eigenvectors of iX."""
     inv_root, kappa = _inv_sqrt(v, f)
     # Within reach a_min / a_max >= 1/kappa, far above rounding: X's singularity cut is 0.
     # a comes descending, so nu = 1/a ascends, and R is the rotation as it comes.
@@ -248,14 +247,9 @@ def _many_modes(v: np.ndarray, n_modes: int, f: float
                  (x13 - x31) / 2.0, (x23 - x32) / 2.0)
         if not math.isfinite(sum(upper)):  # NaN too; terms below 2^553 sum finite
             raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
-        s01, s02, s03, s12, s13, s23 = upper
-        skew = np.array((0.0, s01, s02, s03, (x10 - x01) / 2.0, 0.0, s12, s13,
-                         (x20 - x02) / 2.0, (x21 - x12) / 2.0, 0.0, s23, (x30 - x03) / 2.0,
-                         (x31 - x13) / 2.0, (x32 - x23) / 2.0, 0.0)).reshape(4, 4)
         r, a_desc = _isoclinic_rotation(upper)
     else:
-        skew = _skew_kernel(inv_root, n_modes)
-        r, a_desc = _block_rotation(skew, n_modes, 0.0)
+        r, a_desc = _block_rotation(_skew_kernel(inv_root, n_modes), n_modes, 0.0)
     nu = [1.0 / a for a in a_desc]
     nus = np.array(nu).repeat(2)
     s = np.sqrt(nus)[:, None] * (r @ inv_root)
@@ -267,7 +261,7 @@ def _many_modes(v: np.ndarray, n_modes: int, f: float
     out[0, 1].flat[::dim + 1] -= nus
     g = 32.0 * dim * kappa
     _certify(*np.abs(out).max(axis=(2, 3)).tolist(), dim, (g, g * nu[-1]))
-    return nu, r, s, skew
+    return nu, r, s
 
 
 def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposition:
@@ -280,21 +274,22 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     """
     v, rows, scale, n_modes = _validated_modes(v, tol)
     # Far from unit scale X leaves float64's range and LAPACK rescales V by factors that are not
-    # powers of two: decompose V/f, f = 4^j; nu and X scale back exactly, S and R do not move.
+    # powers of two: decompose V/f, f = 4^j; nu scales back exactly, S and R do not move.
     f = _power_of_four(scale)
     if f != 1.0:
         v = v / f
-    nu, r, s, skew = _one_mode(rows, f) if n_modes == 1 else _many_modes(v, n_modes, f)
+    nu, r, s = _one_mode(rows, f) if n_modes == 1 else _many_modes(v, n_modes, f)
 
     # nu scales with V, and the gaps' rounding with max nu: this cut is relative only.
     degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]
-    if f < 1.0 and float(np.abs(skew).max()) / f == math.inf:  # X is in units of 1/V
+    # X's scale in units of 1/V is a_max = 1/nu_min: past float64, nu_min f would be subnormal.
+    if f < 1.0 and (1.0 / nu[0]) / f == math.inf:
         raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
     if degenerate:
         warnings.warn(DegeneracyWarning(
             "symplectic spectrum is degenerate within tolerance; the "
             "decomposition is valid but the rotation is not unique"),
             stacklevel=2)
-    nus, skew = (np.array(nu) * f, skew / f) if f != 1.0 else (np.array(nu), skew)
+    nus = np.array(nu) * f if f != 1.0 else np.array(nu)
     return WilliamsonDecomposition(normal_form=np.diag(nus.repeat(2)), transform=s, rotation=r,
-                                   skew=skew, spectrum=nus, degenerate=degenerate)
+                                   spectrum=nus, degenerate=degenerate)

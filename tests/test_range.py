@@ -159,6 +159,25 @@ def test_x_past_float64_is_refused_before_the_degeneracy_warning(dim):
             tm.williamson_decompose(1e-310 * np.eye(dim))
 
 
+def test_x_refusal_boundary_is_read_off_nu_min():
+    # X's scale in units of 1/V is a_max = 1/nu_min, and c V is refused where 1/(c nu_min)
+    # passes float64, c nu_min < 5.56e-309: c I decomposes as I over 4^j, 2e308 at c = 5e-309
+    # is refused and 1.7e308 at c = 6e-309 is not. The rotated u (nu = 1, sqrt 3) has
+    # max |x_ij| = 0.79 < a_max, and is refused at the same c: the rule reads the spectrum,
+    # not X's entries.
+    u = np.array([[2.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                  [-1.0, 0.0, 0.0, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", tm.DegeneracyWarning)
+        for refused, kept in ((5e-309 * np.eye(4), 6e-309 * np.eye(4)), (5e-309 * u, 6e-309 * u)):
+            with pytest.raises(tm.NumericalError, match="overflows float64"):
+                tm.williamson_decompose(refused)
+            dec = tm.williamson_decompose(kept)
+            for field in dataclasses.astuple(dec)[:-1]:
+                assert np.isfinite(field).all()
+
+
 def test_two_mode_product_needs_no_overflow_guard():
     # Two modes form X = M Omega M with numpy's overflow warnings on: V / 4^j within reach has
     # lambda_min > 2^-550, so |x_ij| < 2^553. At the edges of the prescale's range [2^-510,
