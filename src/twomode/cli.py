@@ -173,7 +173,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _evaluation(v, tol: Tolerance):
     """The global route, its invariants' fields and its four spectra, None unless V > 0."""
-    _, inv, _, spectra = route = _global(v, tol)
+    _, inv, _, spectra, _ = route = _global(v, tol)
     return route, asdict(TwoModeInvariants(*inv)), dict(zip(_SPECTRA, spectra or (None,) * 4))
 
 

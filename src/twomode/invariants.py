@@ -57,8 +57,9 @@ _REACH = 3200.0 * _U  # within Williamson's reach: lambda_min > _REACH d lambda_
 # the leading 3x3 minor D3: 6, 5; det V: 24, 8. 1% more covers underflow for s >= 2^-240.
 _ERR_A, _ERR_3, _ERR_V, _GAMMA_2, _GAMMA_4 = (n * k * _U / (1.0 - k * _U) for n, k in (
     (2.02, 2), (6.06, 5), (24.24, 8), (1.0, 2), (1.0, 4)))
+_HALF_ERR_A, _4U, _8U = _ERR_A / 2.0, 4.0 * _U, 8.0 * _U
 _FILTER_MIN_SCALE = 2.0**-240
-_TINY = math.ulp(0.0)  # the smallest subnormal
+_TINY, _MIN_NORMAL = math.ulp(0.0), sys.float_info.min  # the smallest subnormal and normal
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,12 +129,12 @@ def _entries(det_v: float, delta: float, delta_tilde: float, tol: Tolerance) -> 
             "delta_tilde_margin": dt, "gamma_margin": dt if delta_tilde > delta else d}
 
 
-def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, tuple[float, ...], dict]:
+def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, tuple[float, ...], dict, float | None]:
     """Validate ``v`` and compute its invariants, the one path: (v, rows, invariants as floats in
-    ``TwoModeInvariants`` field order, ``_entries`` plus min_eig_V's); only public calls build
-    records. min_eig_V's margin (band 0) is the smallest LDL^T pivot D_j / D_(j-1) of the leading
-    minors v_00, det A, D3 and det V up to the first that is not > 0: it has lambda_min(V)'s sign
-    (Sylvester), and on a diagonal V with at most one entry <= 0 it is lambda_min."""
+    ``TwoModeInvariants`` field order, ``_entries`` plus min_eig_V's, det V if exact else None);
+    only public calls build records. min_eig_V's margin (band 0) is the smallest LDL^T pivot of
+    the leading minors v_00, det A, D3 and det V up to the first that is not > 0: it has
+    lambda_min(V)'s sign (Sylvester), and on a diagonal V with at most one entry <= 0 it is it."""
     v, rows, scale, _ = _checked(v, tol, 2)
     det_a, det_b, det_c, d3, det_v = _minors(rows)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
@@ -154,11 +155,13 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, tuple[float, ...], d
     s2, total = scale * scale, 1.0 + abs(det_v) + abs(delta) + abs(delta_tilde)
     err_a, err_3, err_v = ((_ERR_A * s2, _ERR_3 * s2 * scale, _ERR_V * s2 * s2)
                            if scale >= _FILTER_MIN_SCALE else (math.inf,) * 3)
-    err = 2.0 * err_v + 8.0 * _U * total
-    near = err + tol.rel * err + 4.0 * _U * tol._cut(total)
+    err = 2.0 * err_v + _8U * total
+    near = err + tol.rel * err + _4U * tol._cut(total)
+    (m1, b1), (m2, b2), (m3, b3), _ = entries.values()  # Gamma's entry is Delta's or Delta~'s
+    exact = None
     if ((a00 <= 0.0 or abs(det_a) > err_a and (det_a < 0.0 or abs(d3) > err_3))
-            and abs(det_v) > err
-            and all(abs(abs(m) - band) > near for m, band in entries.values())):
+            and abs(det_v) > err and abs(abs(m1) - b1) > near and abs(abs(m2) - b2) > near
+            and abs(abs(m3) - b3) > near):
         # No pivot underflows: each certified |D_j| clears its bound, s >= 2^-240. One that
         # overflows is infinite, with its sign.
         pivot = (a00 if a00 <= 0.0 else min(a00, det_a / a00) if det_a < 0.0
@@ -166,19 +169,19 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, tuple[float, ...], d
                  else min(a00, det_a / a00, d3 / det_a, det_v / d3))
     else:
         det_v, pivot, delta, delta_tilde = _exact(rows)
-        entries = _entries(det_v, delta, delta_tilde, tol)
+        entries, exact = _entries(det_v, delta, delta_tilde, tol), det_v
     entries["min_eig_V"] = (pivot, 0.0)
     residual = det_v - (det_a * det_b + det_c * det_c - i4)
     magnitude = 1.0 + abs(det_a * det_b) + det_c * det_c + abs(i4) + abs(det_v)
     if not math.isfinite(magnitude):
         raise NumericalError(f"invariants overflow float64: det V identity magnitude {magnitude}")
     # Each side is 24 monomials of degree 4, each rounded at most 8 times: err_v apiece.
-    if abs(residual) > 2.0 * err_v + 8.0 * _U * magnitude:
+    if abs(residual) > 2.0 * err_v + _8U * magnitude:
         raise InternalInconsistency(
             f"det V identity violated: residual {residual:.3e} at scale {magnitude:.3e}")
     # Gamma = det A + det B + 2 |det C| = max(Delta, Delta~).
     return v, rows, (det_a, det_b, det_c, det_v, i4, delta, delta_tilde,
-                     max(delta, delta_tilde)), entries
+                     max(delta, delta_tilde)), entries, exact
 
 
 def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
@@ -194,28 +197,28 @@ def two_mode_invariants(v, tol: Tolerance = DEFAULT_TOL) -> TwoModeInvariants:
     return TwoModeInvariants(*_evaluate(v, tol)[2])
 
 
-def _rounding(rows: list, det_v: float) -> tuple[float, float]:
+def _rounding(rows: list, det_v: float, exact: float | None) -> tuple[float, float]:
     """Error bounds of ``_evaluate``'s Delta (Delta~ has the same terms), gamma_4 sum |terms|, and
-    of ``det_v``, its distance from the exact det V of the rows plus one rounding."""
+    of ``det_v``, its distance from ``exact``, the rows' exact det V (formed if None), + 1 ulp."""
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows
-    exact = _exact(rows)[0]
+    exact = _exact(rows)[0] if exact is None else exact
     terms = (abs(a00 * a11) + abs(a01 * a10) + abs(b00 * b11) + abs(b01 * b10)
              + 2.0 * (abs(c00 * c11) + abs(c01 * c10)))
     return _GAMMA_4 * terms, abs(det_v - exact) + math.ulp(exact)
 
 
 def _nu_minus_allowance(rows: list, delta: float, det_v: float, delta_band: float,
-                        det_band: float) -> float:
+                        det_band: float, exact: float | None = None) -> float:
     """How far nu_- (nu~_- for Delta~) from ``_spectrum_from_delta`` can lie from the side of 1
     that the determinant form took, within delta_band on Delta and det_band on det V. nu_- falls
     with Delta and rises with det V, so its range over Delta and det V moved by those bands plus
     their rounding bounds (the radicand's own folded into det V's) spans two corners."""
-    d_delta, d_det = _rounding(rows, det_v)
+    d_delta, d_det = _rounding(rows, det_v, exact)
     d_delta += delta_band
     d_det += det_band + _GAMMA_2 * (delta * delta / 4.0 + abs(det_v))
     lo, nu, hi = (math.sqrt(max(_vieta(x, d)[1], 0.0)) for x, d in (
         (delta + d_delta, det_v - d_det), (delta, det_v), (delta - d_delta, det_v + d_det)))
-    return max(nu - lo, hi - nu) + 8.0 * _U * (1.0 + nu)
+    return max(nu - lo, hi - nu) + _8U * (1.0 + nu)
 
 
 def _vieta(delta: float, det_v: float) -> tuple[float, float, float]:
@@ -229,15 +232,15 @@ def _vieta(delta: float, det_v: float) -> tuple[float, float, float]:
     return rad, det_v / plus if plus > 0.0 else (delta - root) / 2.0, plus
 
 
-def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance,
-                         rows: list) -> tuple[float, float]:
+def _spectrum_from_delta(delta: float, det_v: float, tol: Tolerance, rows: list,
+                         exact: float | None = None) -> tuple[float, float]:
     """``_vieta``'s spectrum (nu_-, nu_+) with its checks, on the band of Delta^2 >= 4 det V."""
     rad, minus, plus = _vieta(delta, det_v)
     band = tol.band(4.0 * det_v, delta * delta)
     # For V > 0, given by its rows, rad = (nu_+^2 - nu_-^2)^2 >= 0: it is clamped unless its
     # largest value with Delta (or Delta~) and det V moved by their rounding bounds stays < 0.
     if rad < -band:
-        d_delta, d_det = _rounding(rows, det_v)
+        d_delta, d_det = _rounding(rows, det_v, exact)
         top, low = (abs(delta) + d_delta) * (abs(delta) + d_delta), 4.0 * (det_v - d_det)
         if top - low < -_GAMMA_4 * (top + abs(low)):
             raise NumericalError(f"Delta^2 - 4 det V = {rad:.3e} is negative beyond tolerance")
@@ -263,9 +266,9 @@ def symplectic_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpec
     clamped to 0 when within tolerance or its rounding bound (degenerate spectrum);
     larger violations raise NumericalError.
     """
-    v, rows, (_, _, _, det_v, _, delta, _, _), entries = _evaluate(v, tol)
+    v, rows, (_, _, _, det_v, _, delta, _, _), entries, exact = _evaluate(v, tol)
     _require_sylvester(v, entries)
-    return SymplecticSpectrum2(*_spectrum_from_delta(delta, det_v, tol, rows))
+    return SymplecticSpectrum2(*_spectrum_from_delta(delta, det_v, tol, rows, exact))
 
 
 def ppt_spectrum_2mode(v, tol: Tolerance = DEFAULT_TOL) -> SymplecticSpectrum2:
@@ -286,7 +289,7 @@ def _min_eig_2x2(p: float, q: float, s: float) -> float:
     """
     d = (p - s) / 2.0
     lam = min(p, s) - (q * (q / (math.hypot(d, q) + abs(d))) if q else 0.0)
-    if abs(lam) < sys.float_info.min and (e := math.frexp(max(abs(p), abs(q), abs(s)))[1]) < 0:
+    if abs(lam) < _MIN_NORMAL and (e := math.frexp(max(abs(p), abs(q), abs(s)))[1]) < 0:
         return math.ldexp(_min_eig_2x2(math.ldexp(p, -e), math.ldexp(q, -e), math.ldexp(s, -e)), e)
     return lam
 
@@ -298,7 +301,7 @@ def _block_min_eig(rows: list, i: int) -> tuple[float, float]:
     p, q, s = rows[i][i], rows[i + 1][i], rows[i + 1][i + 1]
     lam, ps, qq, trace = _min_eig_2x2(p, q, s), p * s, q * q, p + s
     det = ps - qq
-    if not abs(det) > _ERR_A / 2.0 * (abs(ps) + qq) + _TINY:  # ps and q^2 can both underflow
+    if not abs(det) > _HALF_ERR_A * (abs(ps) + qq) + _TINY:  # ps and q^2 can both underflow
         from fractions import Fraction  # only for blocks that float64 cannot decide
         det, trace = Fraction(p) * Fraction(s) - Fraction(q) ** 2, Fraction(p) + Fraction(s)
     positive = p > 0.0 and det > 0

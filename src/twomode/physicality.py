@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NumericalError
-from .invariants import _block_min_eig, _evaluate, _nu_minus_allowance, _spectrum_from_delta
+from .invariants import (_block_min_eig, _evaluate, _exact, _nu_minus_allowance,
+                         _spectrum_from_delta)
 from .symplectic import (DEFAULT_TOL, Tolerance, _checked, _float, _omega_form, _read,
                          _symmetric_scale)
 
@@ -121,8 +122,9 @@ def heisenberg_oracle(v, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     return min_eig >= -tol._cut(scale), min_eig
 
 
-# Each route's conditions in checking order (tag None: reported, never decides), then under
-# None the result when none fails: its one key list. _BONA_FIDE: the Unphysical prefixes.
+# Each route's conditions in checking order (tag None: reported, never decides), then under None
+# the result when none fails: its one key list. _BONA_FIDE: the Unphysical prefixes. *_PASS: each
+# table's (key, tag, strict) up to None, the walk of ``_verdict``; min_eig_* are strict, > +band.
 _GLOBAL = {"min_eig_V": (Tag.UNPHYSICAL, "V is not positive definite"),
            "det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1"),
            "delta_margin": (Tag.UNPHYSICAL, "Delta > 1 + det V"),
@@ -144,29 +146,31 @@ _POSDEF = {"det_V_minus_1": (Tag.UNPHYSICAL, "det V < 1 (neither branch applies)
            None: (Tag.SEPARABLE, "det V >= 1 and Gamma <= 1 + det V")}
 _BONA_FIDE = {route: [key for key, (tag, _) in table.items() if tag is Tag.UNPHYSICAL]
               for route, table in (("global", _GLOBAL), ("local", _LOCAL))}
-_STRICT = frozenset({"min_eig_V", "min_eig_A", "min_eig_B"})  # positive definiteness: > +band
+_GLOBAL_PASS, _LOCAL_PASS, _POSDEF_PASS = (
+    tuple((key, tag, key.startswith("min_eig_")) for key, (tag, _) in table.items() if key)
+    for table in (_GLOBAL, _LOCAL, _POSDEF))
+_CROSS_CHECKS = (("physicality", "nu_minus_minus_1", "delta_margin", 5),
+                 ("separability", "nu_tilde_minus_minus_1", "delta_tilde_margin", 6))
 
 
 def _local_entries(rows: list, inv: tuple, entries: dict, tol: Tolerance) -> dict:
     """``_evaluate``'s ``entries`` with the local route's own: A > 0, B > 0 and the block
     inequality, whose clamp keeps its margin finite where a block already failed."""
     det_a, det_b, det_c, det_v = inv[:4]
+    ab, cc = det_a * det_b, det_c**2
     entries["min_eig_A"], entries["min_eig_B"] = _block_min_eig(rows, 0), _block_min_eig(rows, 2)
-    entries["block_margin"] = (
-        (det_v + det_a * det_b) - (2.0 * math.sqrt(max(det_a * det_b, 0.0)) + det_c**2),
-        tol.band(det_v, det_a * det_b, det_c**2))
+    entries["block_margin"] = ((det_v + ab) - (2.0 * math.sqrt(max(ab, 0.0)) + cc),
+                               tol.band(det_v, ab, cc))
     return entries
 
 
-def _verdict(table: dict, entries: dict) -> tuple[str | None, list[str], dict[str, float]]:
-    """The verdict policy, one pass over a tag table up to its None key: ``(failed, near,
-    margins)``, the first failed key that has a tag (or None) and the keys within their band."""
+def _verdict(walk: tuple, entries: dict) -> tuple[str | None, list[str], dict[str, float]]:
+    """The verdict policy, one pass over a tag table's ``walk`` (``_GLOBAL_PASS``, ...):
+    ``(failed, near, margins)``, the first failed key with a tag (or None), the keys in band."""
     failed, near, margins = None, [], {}
-    for key, (tag, _) in table.items():
-        if key is None:
-            break
+    for key, tag, strict in walk:
         margin, band = entries[key]
-        if not (margin > band if key in _STRICT else margin >= -band) and tag:
+        if not (margin > band if strict else margin >= -band) and tag:
             failed = failed or key
         if abs(margin) <= band:
             near.append(key)
@@ -183,33 +187,32 @@ def _report(route: str, verdict: tuple, spectra: tuple | None = None) -> BonaFid
 
 
 def _global(v, tol: Tolerance) -> tuple:
-    """One evaluation of V on the global route: its rows, its invariants, its entries and the
-    spectra (nu_-, nu_+, nu~_-, nu~_+), None unless V > 0 (the closed form presumes it): V's
-    first, from (Delta, det V), then its partial transpose's, from (Delta~, det V)."""
-    _, rows, inv, entries = _evaluate(v, tol)
-    return rows, inv, entries, ((*_spectrum_from_delta(inv[5], inv[3], tol, rows),
-                                 *_spectrum_from_delta(inv[6], inv[3], tol, rows))
-                                if entries["min_eig_V"][0] > 0.0 else None)
+    """One evaluation of V on the global route: its rows, invariants, entries, the spectra (nu_-,
+    nu_+, nu~_-, nu~_+), None unless V > 0 (the closed form presumes it), from (Delta, det V) and
+    (Delta~, det V), and ``_evaluate``'s exact det V or None."""
+    _, rows, inv, entries, exact = _evaluate(v, tol)
+    return rows, inv, entries, ((*_spectrum_from_delta(inv[5], inv[3], tol, rows, exact),
+                                 *_spectrum_from_delta(inv[6], inv[3], tol, rows, exact))
+                                if entries["min_eig_V"][0] > 0.0 else None), exact
 
 
 def _global_verdict(route: tuple, tol: Tolerance) -> tuple[str | None, list[str], dict[str, float]]:
     """``_verdict`` over ``_global``'s route plus nu_- - 1 and nu~_- - 1 where V > 0, each checked
     against its determinant form: physicality always, separability once physical."""
-    rows, inv, entries, spectra = route
-    failed, _, margins = verdict = _verdict(_GLOBAL, entries)
+    rows, inv, entries, spectra, exact = route
+    failed, _, margins = verdict = _verdict(_GLOBAL_PASS, entries)
     if spectra is None:  # not V > 0, which a physical verdict implies
         return verdict
     margins["nu_minus_minus_1"] = spectra[0] - 1.0
     margins["nu_tilde_minus_minus_1"] = spectra[2] - 1.0
     physical = _GLOBAL[failed][0] is not Tag.UNPHYSICAL
-    for form, key, holds, entry, x in (
-            ("physicality", "nu_minus_minus_1", physical, "delta_margin", inv[5]),
-            ("separability", "nu_tilde_minus_minus_1", failed is None, "delta_tilde_margin",
-             inv[6]))[:1 + physical]:
-        nu_m1 = margins[key]
+    for (form, key, entry, i), holds in zip(_CROSS_CHECKS[:1 + physical],
+                                            (physical, failed is None)):
+        nu_m1 = margins[key]  # the allowance's exact det V is formed at most once per call
         if ((nu_m1 >= -tol._cut(1.0)) != holds and (-nu_m1 if holds else nu_m1)
-                > _nu_minus_allowance(rows, x, inv[3], entries[entry][1],
-                                      entries["det_V_minus_1"][1])):
+                > _nu_minus_allowance(rows, inv[i], inv[3], entries[entry][1],
+                                      entries["det_V_minus_1"][1],
+                                      (exact := _exact(rows)[0] if exact is None else exact))):
             raise InternalInconsistency(f"spectral and determinant {form} forms disagree: "
                                         f"{key} = {nu_m1:.3e}, margins {margins}")
     return verdict
@@ -229,8 +232,8 @@ def check_local(v, tol: Tolerance = DEFAULT_TOL) -> BonaFideReport:
     global conditions; kept free of any standard-form reduction so the two
     routes stay independent.
     """
-    _, rows, inv, entries = _evaluate(v, tol)
-    return _report("local", _verdict(_LOCAL, _local_entries(rows, inv, entries, tol)))
+    _, rows, inv, entries, _ = _evaluate(v, tol)
+    return _report("local", _verdict(_LOCAL_PASS, _local_entries(rows, inv, entries, tol)))
 
 
 def standard_form_hermitian_eigs(a: float, b: float, c_plus: float,

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .errors import PreconditionViolated
 from .invariants import _evaluate, _require_sylvester
-from .physicality import (_GLOBAL, _LOCAL, _POSDEF, Tag, _global, _global_verdict, _local_entries,
-                          _report, _verdict)
+from .physicality import (_GLOBAL, _GLOBAL_PASS, _LOCAL, _LOCAL_PASS, _POSDEF, _POSDEF_PASS, Tag,
+                          _global, _global_verdict, _local_entries, _report, _verdict)
 from .symplectic import DEFAULT_TOL, Tolerance
 
 __all__ = [
@@ -65,8 +65,8 @@ def classify_local(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     it can tag Entangled a rounded squeezed state that classify_global finds
     Unphysical (the block margin's band hides det V < 1).
     """
-    _, rows, inv, entries = _evaluate(v, tol)
-    failed, _, margins = _verdict(_LOCAL, _local_entries(rows, inv, entries, tol))
+    _, rows, inv, entries, _ = _evaluate(v, tol)
+    failed, _, margins = _verdict(_LOCAL_PASS, _local_entries(rows, inv, entries, tol))
     return Classification(*_LOCAL[failed], margins)
 
 
@@ -79,7 +79,7 @@ def simon_criterion(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     an unphysical matrix the inequality is meaningless (it can hold for matrices that are not
     CMs at all), so callers must classify instead.
     """
-    verdict = _verdict(_GLOBAL, _evaluate(v, tol)[3])
+    verdict = _verdict(_GLOBAL_PASS, _evaluate(v, tol)[3])
     report = _report("global", verdict)
     if not report.verdict:
         raise PreconditionViolated("simon_criterion requires a bona fide CM; margins "
@@ -96,7 +96,7 @@ def posdef_criterion(v, tol: Tolerance = DEFAULT_TOL) -> Classification:
     Delta~ > 1 + det V >= Delta: the routes' det V >= 1, Delta and Gamma entries decide, and
     Delta~'s margin is reported as ``classify_local`` does. NotPositiveDefinite outside its domain.
     """
-    v, _, _, entries = _evaluate(v, tol)
+    v, _, _, entries, _ = _evaluate(v, tol)
     _require_sylvester(v, entries)
-    failed, _, margins = _verdict(_POSDEF, entries)
+    failed, _, margins = _verdict(_POSDEF_PASS, entries)
     return Classification(*_POSDEF[failed], margins)

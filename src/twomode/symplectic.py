@@ -77,7 +77,7 @@ class Tolerance:
         """Threshold for scalar margin comparisons; scale floor of 1, NaN and +-inf skipped."""
         scale = 1.0
         for v in values:
-            if scale < (a := abs(float(v))) < math.inf:  # NaN fails both tests, +-inf the second
+            if scale < (a := abs(float(v))) < _INF:  # NaN fails both tests, +-inf the second
                 scale = a
         return self.abs + self.rel * scale
 
@@ -88,6 +88,7 @@ DEFAULT_TOL = Tolerance()
 MAX_MODES = 8
 
 _OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_INF = math.inf
 
 
 def _float(x) -> float:
@@ -111,19 +112,19 @@ def _read(m) -> tuple[np.ndarray, list, list]:
     # conversion reads m, not this probe: a list mixing strings and numbers probes as strings.
     try:
         probe = m if isinstance(m, np.ndarray) else np.asarray(m)
-        if probe.dtype.kind == "O":  # an object array's dtype hides its entries' types
-            probe = np.asarray(probe.tolist())
+        if (kind := probe.dtype.kind) == "O":  # an object array's dtype hides its entries' types
+            kind = (probe := np.asarray(probe.tolist())).dtype.kind
     except ValueError:  # numpy's "inhomogeneous shape": rows of unequal lengths
         raise DimensionError("expected a square matrix, got ragged rows") from None
-    if probe.dtype.kind == "c":
+    if kind == "c":
         raise NonRealError(f"expected a real matrix, got dtype {probe.dtype}")
     try:
         arr = np.array(m, dtype=float, copy=True)
     except OverflowError:  # an int past float64, which float64 reads as no finite number
         raise NonFiniteError("matrix contains an entry past float64") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not arr.size:
+    if len(shape := arr.shape) != 2 or shape[0] != shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {shape}")
+    if not shape[0]:
         raise DimensionError("expected a nonempty matrix, got shape (0, 0)")
     rows, flat = arr.tolist(), arr.ravel().tolist()
     # NaN or +-inf makes the sum NaN or +-inf; only a finite sum that overflows needs the scan.
@@ -150,7 +151,7 @@ def _symmetric_scale(arr: np.ndarray, rows: list, flat: list, tol: Tolerance,
     """``require_symmetric`` on the finite entries of a square matrix, as read by ``_read``. Entries
     symmetric only within tolerance are made exactly symmetric in ``arr`` and ``rows`` alike: the
     upper triangle, which holds V's C block, is copied onto the lower one, so all read one V."""
-    scale = max(map(abs, flat))
+    scale = abs(max((ends := sorted(flat))[-1], -ends[0]))  # abs: +0.0 on an all -0.0 matrix
     cols = arr.T.tolist()  # cols[i][j] = m_ji
     if rows != cols:
         gap = max(abs(x - y) for row, col in zip(rows, cols) for x, y in zip(row, col))
@@ -202,8 +203,10 @@ def _checked(m, tol: Tolerance, modes: int | None = None,
     and ``require_symmetric`` on one float read; returns (m, rows, max |m_ij|, modes)."""
     m, rows, flat = _read(m)
     if modes is None:
-        modes = _mode_count(m)
-    elif m.shape[0] != 2 * modes:
+        if (dim := len(rows)) % 2:
+            raise DimensionError(f"dimension must be even, got {dim}")
+        modes = dim // 2
+    elif len(rows) != 2 * modes:
         raise DimensionError(f"expected a {2 * modes}x{2 * modes} {what}, got shape {m.shape}")
     return m, rows, _symmetric_scale(m, rows, flat, tol, what), modes
 

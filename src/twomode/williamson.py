@@ -284,7 +284,8 @@ def williamson_decompose(v, tol: Tolerance = DEFAULT_TOL) -> WilliamsonDecomposi
     degenerate = n_modes > 1 and min(y - x for x, y in zip(nu, nu[1:])) <= tol.rel * nu[-1]
     # X's scale in units of 1/V is a_max = 1/nu_min: past float64, nu_min f would be subnormal.
     if f < 1.0 and (1.0 / nu[0]) / f == math.inf:
-        raise NumericalError("X = V^(-1/2) Omega V^(-1/2) overflows float64")
+        raise NumericalError(f"the scale 1/nu_min of X = V^(-1/2) Omega V^(-1/2) overflows "
+                             f"float64 (nu_min = {nu[0] * f:.3e})")
     if degenerate:
         warnings.warn(DegeneracyWarning(
             "symplectic spectrum is degenerate within tolerance; the "

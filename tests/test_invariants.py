@@ -403,7 +403,7 @@ def test_filtered_entries_decide_as_the_exact_ones(monkeypatch):
     evaluations, bad = 0, []
     for tol in _FILTER_TOLERANCES:
         for v in draws + _band_edge_draws(rng, tol):
-            _, rows, _, entries = invariants._evaluate(v, tol)
+            _, rows, _, entries, _ = invariants._evaluate(v, tol)
             det_v, pivot, delta, delta_tilde = exact(rows)
             reference = invariants._entries(det_v, delta, delta_tilde, tol)
             evaluations += 1

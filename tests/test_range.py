@@ -178,6 +178,17 @@ def test_x_refusal_boundary_is_read_off_nu_min():
                 assert np.isfinite(field).all()
 
 
+def test_x_refusal_names_nu_min():
+    # On the rotated u at c = 5e-309 no entry of X overflows, the largest is 1.6e308; only X's
+    # scale 1/nu_min = 2e308 does, and the refusal says so in one line.
+    u = np.array([[2.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                  [-1.0, 0.0, 0.0, 2.0]])
+    with pytest.raises(tm.NumericalError) as err:
+        tm.williamson_decompose(5e-309 * u)
+    assert str(err.value) == ("the scale 1/nu_min of X = V^(-1/2) Omega V^(-1/2) overflows "
+                              "float64 (nu_min = 5.000e-309)")
+
+
 def test_two_mode_product_needs_no_overflow_guard():
     # Two modes form X = M Omega M with numpy's overflow warnings on: V / 4^j within reach has
     # lambda_min > 2^-550, so |x_ij| < 2^553. At the edges of the prescale's range [2^-510,

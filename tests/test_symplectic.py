@@ -292,6 +292,18 @@ def test_finite_entries_whose_sum_overflows_pass_the_boundary(signs):
     assert tm.as_matrix(m).tobytes() == m.tobytes() and tm.require_symmetric(m) == 1.7e308
 
 
+def test_the_boundary_keeps_signed_zeros_and_reads_the_scale_of_either_sign():
+    # The scale is max |m_ij| as +0.0 on an all -0.0 matrix, the largest entry of either sign
+    # otherwise; 0.0 against -0.0 is no asymmetry, so the array and rows keep the -0.0 as given.
+    assert pickle.dumps(tm.require_symmetric(-0.0 * np.eye(4))) == pickle.dumps(0.0)
+    assert tm.require_symmetric([[-3.0, 2.0], [2.0, 1.0]]) == 3.0
+    m = np.eye(4)
+    m[0, 1] = -0.0
+    arr, rows, scale, modes = _checked(m, tm.DEFAULT_TOL)
+    assert arr.tobytes() == m.tobytes() and rows == m.tolist() and (scale, modes) == (1.0, 2)
+    assert math.copysign(1.0, rows[0][1]) == -1.0 and math.copysign(1.0, rows[1][0]) == 1.0
+
+
 @pytest.mark.parametrize("base", [np.eye(4), 1.7e308 * np.ones((4, 4))], ids=["unit", "huge"])
 def test_every_non_finite_entry_is_refused_at_every_position(base):
     cases = [{p: x} for p in range(16) for x in (math.nan, math.inf, -math.inf)]
