@@ -133,8 +133,8 @@ def _evaluate(v, tol: Tolerance) -> tuple[np.ndarray, list, tuple[float, ...], d
     """Validate ``v`` and compute its invariants, the one path: (v, rows, invariants as floats in
     ``TwoModeInvariants`` field order, ``_entries`` plus min_eig_V's, det V if exact else None);
     only public calls build records. min_eig_V's margin (band 0) is the smallest LDL^T pivot of
-    the leading minors v_00, det A, D3 and det V up to the first that is not > 0: it has
-    lambda_min(V)'s sign (Sylvester), and on a diagonal V with at most one entry <= 0 it is it."""
+    the leading minors v_00, det A, D3 and det V up to the first not > 0: it has lambda_min(V)'s
+    sign (Sylvester), and is lambda_min on a diagonal V with at most one entry <= 0."""
     v, rows, scale, _ = _checked(v, tol, 2)
     det_a, det_b, det_c, d3, det_v = _minors(rows)
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = rows

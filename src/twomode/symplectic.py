@@ -151,7 +151,7 @@ def _symmetric_scale(arr: np.ndarray, rows: list, flat: list, tol: Tolerance,
     """``require_symmetric`` on the finite entries of a square matrix, as read by ``_read``. Entries
     symmetric only within tolerance are made exactly symmetric in ``arr`` and ``rows`` alike: the
     upper triangle, which holds V's C block, is copied onto the lower one, so all read one V."""
-    scale = abs(max((ends := sorted(flat))[-1], -ends[0]))  # abs: +0.0 on an all -0.0 matrix
+    scale = max(map(abs, flat))
     cols = arr.T.tolist()  # cols[i][j] = m_ji
     if rows != cols:
         gap = max(abs(x - y) for row, col in zip(rows, cols) for x, y in zip(row, col))

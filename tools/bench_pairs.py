@@ -56,8 +56,8 @@ def run(root: Path, command: list[str], workload: str, seed: int, seconds: int) 
         result = {}
     if proc.returncode or not result.get("correct"):
         tail = (proc.stderr or proc.stdout).strip().splitlines()[-5:]
-        result["error"] = f"exit {proc.returncode}, correct {result.get('correct')}: " + \
-            " | ".join(tail)
+        result["error"] = (f"exit {proc.returncode}, correct {result.get('correct')}: "
+                           + " | ".join(tail))
     return result
 
 
