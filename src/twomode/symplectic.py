@@ -203,10 +203,8 @@ def _checked(m, tol: Tolerance, modes: int | None = None,
     and ``require_symmetric`` on one float read; returns (m, rows, max |m_ij|, modes)."""
     m, rows, flat = _read(m)
     if modes is None:
-        if (dim := len(rows)) % 2:
-            raise DimensionError(f"dimension must be even, got {dim}")
-        modes = dim // 2
-    elif len(rows) != 2 * modes:
+        modes = _mode_count(m)
+    elif m.shape[0] != 2 * modes:
         raise DimensionError(f"expected a {2 * modes}x{2 * modes} {what}, got shape {m.shape}")
     return m, rows, _symmetric_scale(m, rows, flat, tol, what), modes
 
